@@ -7,6 +7,14 @@ reads go through BroadcastFrame, which holds the obscured values
 state + Laplace noise; raw peer state is never consumed. Rounds are
 synchronous: every agent reads the iteration-t frame and writes the
 iteration-(t+1) frame.
+
+Random streams: every (agent, tag) pair has its own generator from
+agent_rng (tags theta, chi, zeta for the x, y, z noise, data for the
+samples, init for the start point; the baseline prefixes "baseline-").
+Each noise tag and the quadratic data tag is drawn through one lockstep
+AgentBank whose row i is agent i's stream, and all banks advance by one
+(m, dim) draw per round, so a round's frame for every agent is built at
+once while each agent's values stay those of its own stream.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import metric_eval, sampling_grid
-from .schedules import LaplaceStream, agent_rng, laplace_from_uniform
+from .schedules import AgentBank, LaplaceParams, agent_rng, laplace_from_uniform
 
 
 @dataclass
@@ -51,17 +59,45 @@ class RunRecord:
 
 
 class _AgentStreams:
-    """Per-agent noise streams and data/init generators, independently seeded."""
+    """Per-agent generators, independently seeded, one list per stream tag."""
 
     def __init__(self, master_seed, m, prefix=""):
-        self.theta = [LaplaceStream(agent_rng(master_seed, i, prefix + "theta"))
-                      for i in range(m)]
-        self.chi = [LaplaceStream(agent_rng(master_seed, i, prefix + "chi"))
-                    for i in range(m)]
-        self.zeta = [LaplaceStream(agent_rng(master_seed, i, prefix + "zeta"))
-                     for i in range(m)]
-        self.data = [agent_rng(master_seed, i, prefix + "data") for i in range(m)]
-        self.init = [agent_rng(master_seed, i, prefix + "init") for i in range(m)]
+        def rngs(tag):
+            return [agent_rng(master_seed, i, prefix + tag) for i in range(m)]
+        self.theta = rngs("theta")
+        self.chi = rngs("chi")
+        self.zeta = rngs("zeta")
+        self.data = rngs("data")
+        self.init = rngs("init")
+
+
+class _FrameSource:
+    """Draws each round's broadcast frame for all agents at once: one
+    lockstep bank per noise tag plus the per-agent Laplace parameters.
+    Bank draws are views that the next refill overwrites; only the fresh
+    noise arrays computed from them are kept in frames."""
+
+    def __init__(self, streams, schedules, n, r):
+        self._noise = (
+            (AgentBank(streams.theta, n), LaplaceParams(schedules.noise_x)),
+            (AgentBank(streams.chi, r), LaplaceParams(schedules.noise_y)),
+            (AgentBank(streams.zeta, r), LaplaceParams(schedules.noise_z)),
+        )
+
+    def draw(self, X, Y, Z, t, keep_noise=False):
+        Tx, Ty, Tz = (laplace_from_uniform(bank.draw_centered(), nu.at(t))
+                      for bank, nu in self._noise)
+        frame = BroadcastFrame(x=X + Tx, y=Y + Ty, z=Z + Tz)
+        if keep_noise:
+            frame.noise_x, frame.noise_y, frame.noise_z = Tx, Ty, Tz
+        return frame
+
+
+def _check_agents(problem, topology, schedules):
+    if topology.m != problem.m:
+        raise ValueError("topology and problem disagree on the agent count")
+    if schedules.m != problem.m:
+        raise ValueError("noise schedules and problem disagree on the agent count")
 
 
 def _split_weights(topology):
@@ -74,28 +110,6 @@ def _split_weights(topology):
 def _consensus(W0, diagw, hat, raw):
     # sum_{j in N_i} w_ij (hat_j - raw_i), using the zero-sum identity
     return W0 @ hat + diagw[:, None] * raw
-
-
-def _draw_frame(X, Y, Z, t, schedules, streams, keep_noise=False):
-    m, n = X.shape
-    r = Y.shape[1]
-    Ux = np.empty((m, n))
-    Uy = np.empty((m, r))
-    Uz = np.empty((m, r))
-    for i in range(m):
-        Ux[i] = streams.theta[i].draw_centered(n)
-        Uy[i] = streams.chi[i].draw_centered(r)
-        Uz[i] = streams.zeta[i].draw_centered(r)
-    nux = np.array([s.laplace_param(t) for s in schedules.noise_x])[:, None]
-    nuy = np.array([s.laplace_param(t) for s in schedules.noise_y])[:, None]
-    nuz = np.array([s.laplace_param(t) for s in schedules.noise_z])[:, None]
-    Tx = laplace_from_uniform(Ux, nux)
-    Ty = laplace_from_uniform(Uy, nuy)
-    Tz = laplace_from_uniform(Uz, nuz)
-    frame = BroadcastFrame(x=X + Tx, y=Y + Ty, z=Z + Tz)
-    if keep_noise:
-        frame.noise_x, frame.noise_y, frame.noise_z = Tx, Ty, Tz
-    return frame
 
 
 def _init_x(problem, streams, init_radius):
@@ -128,7 +142,7 @@ def iterate(X, Y, Z, frame, t, schedules, W0, diagw, problem, store):
 
     grad_own = ev.grad_f_x(Ytil) + ev.grad_g_dot(Ztil)
     U = np.zeros_like(X)
-    U[np.arange(problem.m)[:, None], problem._own_cols] = grad_own
+    U[problem.own_index] = grad_own
     X_new = np.clip(X + _consensus(W0, diagw, frame.x, X) - lam_x * U,
                     problem.box_lo, problem.box_hi)
     return X_new, Y_new, Z_new
@@ -145,11 +159,11 @@ def run(problem, topology, schedules, T, master_seed, x0=None,
     """
     import time
     t0_wall = time.perf_counter()
-    if topology.m != problem.m:
-        raise ValueError("topology and problem disagree on the agent count")
+    _check_agents(problem, topology, schedules)
     m, n, r = problem.m, problem.n, problem.r
     W0, diagw = _split_weights(topology)
     streams = _AgentStreams(master_seed, m)
+    frame_source = _FrameSource(streams, schedules, n, r)
     X = _init_x(problem, streams, init_radius) if x0 is None else np.array(x0, float)
     X = np.clip(X, problem.box_lo, problem.box_hi)
     Y = np.zeros((m, r))
@@ -182,7 +196,7 @@ def run(problem, topology, schedules, T, master_seed, x0=None,
 
     if F_star is not None:
         fgap_sum += problem.F_true(problem.own_block(X).reshape(n)) - F_star
-    frame = _draw_frame(X, Y, Z, 0, schedules, streams, keep_noise=record_frames)
+    frame = frame_source.draw(X, Y, Z, 0, keep_noise=record_frames)
     if record_frames:
         frames.append(frame)
         states.append((X.copy(), Y.copy(), Z.copy()))
@@ -202,8 +216,7 @@ def run(problem, topology, schedules, T, master_seed, x0=None,
         np.maximum(z_max, np.linalg.norm(Z, axis=1), out=z_max)
         if F_star is not None:
             fgap_sum += problem.F_true(problem.own_block(X).reshape(n)) - F_star
-        frame = _draw_frame(X, Y, Z, t + 1, schedules, streams,
-                            keep_noise=record_frames)
+        frame = frame_source.draw(X, Y, Z, t + 1, keep_noise=record_frames)
         if record_frames:
             frames.append(frame)
             states.append((X.copy(), Y.copy(), Z.copy()))
@@ -234,9 +247,11 @@ def baseline_gradient_tracking(problem, topology, schedules, T, master_seed,
     """
     import time
     t0_wall = time.perf_counter()
+    _check_agents(problem, topology, schedules)
     m, n, r = problem.m, problem.n, problem.r
     W0, diagw = _split_weights(topology)
     streams = _AgentStreams(master_seed, m, prefix="baseline-")
+    frame_source = _FrameSource(streams, schedules, n, r)
     X = _init_x(problem, streams, init_radius) if x0 is None else np.array(x0, float)
     X = np.clip(X, problem.box_lo, problem.box_hi)
     store = problem.new_store()
@@ -261,7 +276,7 @@ def baseline_gradient_tracking(problem, topology, schedules, T, master_seed,
         row["tracker_err"] = float(np.sum((S - gbar) ** 2))
         rows.append(row)
 
-    frame = _draw_frame(X, S, Q, 0, schedules, streams)
+    frame = frame_source.draw(X, S, Q, 0)
     if 0 in grid_set:
         snapshot(0)
 
@@ -272,8 +287,7 @@ def baseline_gradient_tracking(problem, topology, schedules, T, master_seed,
         ev = problem.erm_eval(store, Xown)
         grad_own = ev.grad_f_x(S) + ev.grad_g_dot(Q)
         U = np.zeros_like(X)
-        for i in range(m):
-            U[i, i * problem.ni:(i + 1) * problem.ni] = grad_own[i]
+        U[problem.own_index] = grad_own
         X_new = np.clip(X + _consensus(W0, diagw, frame.x, X) - lam * U,
                         problem.box_lo, problem.box_hi)
         ev2 = problem.erm_eval(store, problem.own_block(X_new))
@@ -284,7 +298,7 @@ def baseline_gradient_tracking(problem, topology, schedules, T, master_seed,
         if not np.isfinite(X.sum() + S.sum() + Q.sum()):
             aborted_at = t + 1
             break
-        frame = _draw_frame(X, S, Q, t + 1, schedules, streams)
+        frame = frame_source.draw(X, S, Q, t + 1)
         if (t + 1) in grid_set:
             snapshot(t + 1)
 

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .schedules import AgentBank
+
 
 def project_box(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Componentwise clamp onto the product box; idempotent."""
@@ -61,19 +63,19 @@ class ProblemInstance:
     r: int
     box_lo: np.ndarray
     box_hi: np.ndarray
+    own_index: tuple  # (rows, cols) of each agent's own block in X (m, n)
 
     @property
     def n(self) -> int:
         return self.m * self.ni
 
+    def _set_own_index(self) -> None:
+        rows = np.arange(self.m)[:, None]
+        self.own_index = (rows, rows * self.ni + np.arange(self.ni)[None, :])
+
     def own_block(self, X: np.ndarray) -> np.ndarray:
         """Extract each agent's own block from stacked estimates X (m, n)."""
-        cols = getattr(self, "_own_cols", None)
-        if cols is None:
-            cols = (np.arange(self.m)[:, None] * self.ni
-                    + np.arange(self.ni)[None, :])
-            self._own_cols = cols
-        return X[np.arange(self.m)[:, None], cols]
+        return X[self.own_index]
 
     # -- streaming ------------------------------------------------------
     def new_store(self, keep_raw: bool = False) -> SampleStore:
@@ -144,24 +146,13 @@ class ErmEvalQuadratic:
 
 
 class QuadraticStore(SampleStore):
-    _BLOCK = 512
-
     def __init__(self, m, r, ni, keep_raw=False):
         super().__init__(m, keep_raw)
         self.xi_sum = np.zeros((m, r))
         self.phi_sum = np.zeros((m, ni))
-        # per-agent buffered standard normals, refilled in blocks to
-        # amortize generator-call overhead in the simulation loop
-        self._nbuf = [None] * m
-        self._npos = [0] * m
-
-    def _normals(self, i, k, rng):
-        if self._nbuf[i] is None or self._npos[i] + k > self._nbuf[i].size:
-            self._nbuf[i] = rng.standard_normal(self._BLOCK * k)
-            self._npos[i] = 0
-        out = self._nbuf[i][self._npos[i]:self._npos[i] + k]
-        self._npos[i] += k
-        return out
+        # lockstep bank of standard normals over the data generators,
+        # bound to the generators of the first draw
+        self.normals = None
 
 
 class QuadraticProblem(ProblemInstance):
@@ -192,29 +183,19 @@ class QuadraticProblem(ProblemInstance):
         self.box_lo = np.broadcast_to(np.asarray(lo, dtype=float), (self.n,)).copy()
         self.box_hi = np.broadcast_to(np.asarray(hi, dtype=float), (self.n,)).copy()
         self._x_star = None
-        # Assumption-2 style variance constants, known analytically here
-        self.metadata = {
-            "sigma_g0_sq": self.r * self.noise_std_g ** 2,
-            "sigma_g1_sq": 0.0,
-            "sigma_f_sq": self.alpha ** 2 * self.ni * self.noise_std_f ** 2,
-            "L_l": float(max(np.linalg.norm(Ai, 2) for Ai in self.A)),
-            "Lbar_l": 0.0,
-            "Lbar_h": float(max(self.alpha, self.gamma)),
-            "strongly_convex": self.alpha > 0,
-        }
+        self._set_own_index()
 
     # -- streaming ------------------------------------------------------
     def new_store(self, keep_raw: bool = False) -> QuadraticStore:
         return QuadraticStore(self.m, self.r, self.ni, keep_raw)
 
     def draw(self, store: QuadraticStore, data_rngs) -> None:
-        k = self.r + self.ni
-        xi = np.empty((self.m, self.r))
-        phi = np.empty((self.m, self.ni))
-        for i in range(self.m):
-            z = store._normals(i, k, data_rngs[i])
-            xi[i] = self.noise_std_g * z[:self.r]
-            phi[i] = self.noise_std_f * z[self.r:]
+        if store.normals is None:
+            store.normals = AgentBank(data_rngs, self.r + self.ni,
+                                      "standard_normal")
+        z = store.normals.next()
+        xi = self.noise_std_g * z[:, :self.r]
+        phi = self.noise_std_f * z[:, self.r:]
         store.xi_sum += xi
         store.phi_sum += phi
         store.last_xi, store.last_phi = xi, phi
@@ -384,7 +365,7 @@ class PersonalizedProblem(ProblemInstance):
         lo, hi = box
         self.box_lo = np.broadcast_to(np.asarray(lo, dtype=float), (self.n,)).copy()
         self.box_hi = np.broadcast_to(np.asarray(hi, dtype=float), (self.n,)).copy()
-        self.metadata = {"strongly_convex": False}
+        self._set_own_index()
 
     def new_store(self, keep_raw: bool = False) -> PersonalizedStore:
         return PersonalizedStore(self.m, self.N, keep_raw)

@@ -207,11 +207,11 @@ def sample_laplace(rng: np.random.Generator, nu: float, dim: int) -> np.ndarray:
 
 
 class LaplaceStream:
-    """Buffered per-agent Laplace noise stream.
+    """Buffered single-agent Laplace noise stream.
 
     Consumes a single underlying uniform sequence in order, so results are
-    independent of how draws are batched; buffering only amortizes the
-    generator-call overhead of tight simulation loops.
+    independent of how draws are batched. It is the per-agent reference
+    that AgentBank rows and the frame-audit replays are checked against.
     """
 
     _BLOCK = 4096
@@ -237,6 +237,53 @@ class LaplaceStream:
 
     def draw(self, nu: float, dim: int) -> np.ndarray:
         return laplace_from_uniform(self.draw_centered(dim), nu)
+
+
+class AgentBank:
+    """Lockstep bank of m per-agent streams of dim-vectors.
+
+    One (m, rounds, dim) buffer; a refill writes row i in place from
+    agent i's generator, so row i of every draw continues agent i's own
+    sequence exactly as a per-agent stream would (generator output does
+    not depend on how draws are blocked). fill names the Generator method
+    that refills a row in place through out=: "random" or "standard_normal".
+    """
+
+    _BLOCK = 2048
+
+    def __init__(self, rngs, dim: int, fill: str = "random"):
+        self._rngs = list(rngs)
+        self._fill = fill
+        rounds = max(1, self._BLOCK // max(dim, 1))
+        self._buf = np.empty((len(self._rngs), rounds, dim))
+        self._pos = self._buf.shape[1]
+
+    def next(self) -> np.ndarray:
+        """The next (m, dim) draw: a view that a later refill overwrites."""
+        if self._pos == self._buf.shape[1]:
+            for rng, row in zip(self._rngs, self._buf):
+                getattr(rng, self._fill)(out=row)
+            self._pos = 0
+        out = self._buf[:, self._pos]
+        self._pos += 1
+        return out
+
+    def draw_centered(self) -> np.ndarray:
+        """Fresh (m, dim) uniforms on [-1/2, 1/2); row i equals
+        LaplaceStream(rngs[i]).draw_centered(dim) at the same position."""
+        return self.next() - 0.5
+
+
+class LaplaceParams:
+    """Per-agent Laplace parameters of a noise-schedule tuple as an (m, 1)
+    column, evaluated once per distinct schedule and gathered by index."""
+
+    def __init__(self, noise):
+        self.distinct = list(dict.fromkeys(noise))
+        self.index = np.array([self.distinct.index(s) for s in noise])
+
+    def at(self, t: int) -> np.ndarray:
+        return np.array([s.laplace_param(t) for s in self.distinct])[self.index, None]
 
 
 def agent_rng(master_seed: int, agent_id: int, stream_tag: str) -> np.random.Generator:

@@ -148,6 +148,21 @@ class TestRunMechanics:
             run(prob, ring_topology(4, 0.3), noisefree_schedules(4), 10,
                 master_seed=0)
 
+    @pytest.mark.parametrize("driver", [run, baseline_gradient_tracking])
+    def test_topology_size_mismatch_rejected(self, driver):
+        prob = clean_quadratic(m=3)
+        with pytest.raises(ValueError, match="topology"):
+            driver(prob, ring_topology(4, 0.3), noisefree_schedules(3), 10,
+                   master_seed=0)
+
+    @pytest.mark.parametrize("driver", [run, baseline_gradient_tracking])
+    def test_schedule_size_mismatch_rejected(self, driver):
+        # a 1-agent schedule set must not be broadcast to all agents
+        prob = clean_quadratic(m=3)
+        with pytest.raises(ValueError, match="schedules"):
+            driver(prob, ring_topology(3, 0.3), noisefree_schedules(1), 10,
+                   master_seed=0)
+
     def test_nonfinite_raises_with_index(self):
         # unbounded box so blow-up is not clipped away
         prob = clean_quadratic(m=3, box=(-np.inf, np.inf))

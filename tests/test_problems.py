@@ -133,6 +133,23 @@ class TestQuadraticErm:
         slope = np.polyfit(np.log10(ts), np.log10(rms), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.15)
 
+    def test_data_replay_across_bank_refills(self):
+        # 2100 rounds of r + ni = 4 normals cross several refills of the
+        # lockstep data bank; every round's (xi, phi) must be agent i's
+        # own normal stream
+        k = self.prob.r + self.prob.ni
+        store = self.prob.new_store()
+        rngs = rngs_for(self.prob.m, seed=5)
+        replay = rngs_for(self.prob.m, seed=5)
+        for _ in range(2100):
+            self.prob.draw(store, rngs)
+            for i in range(self.prob.m):
+                z = replay[i].standard_normal(k)
+                assert np.array_equal(store.last_xi[i],
+                                      self.prob.noise_std_g * z[:self.prob.r])
+                assert np.array_equal(store.last_phi[i],
+                                      self.prob.noise_std_f * z[self.prob.r:])
+
 
 class TestQuadraticTruth:
     def test_gamma_zero_decouples(self):

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpagg.schedules import (ConvexityCase, LaplaceStream, NoiseSchedule,
-                              ScheduleSet, StepsizeSchedule, agent_rng,
-                              broadcast_noise, check_conditions,
-                              corollary1_exponents, corollary1_preset,
-                              sample_laplace)
+from ldpagg.schedules import (AgentBank, ConvexityCase, LaplaceParams,
+                              LaplaceStream, NoiseSchedule, ScheduleSet,
+                              StepsizeSchedule, agent_rng, broadcast_noise,
+                              check_conditions, corollary1_exponents,
+                              corollary1_preset, sample_laplace)
 
 
 def make_set(vx, vy, vz, sx, sy, sz, m=1):
@@ -124,6 +124,33 @@ class TestRngStreams:
         assert not np.array_equal(base, agent_rng(42, 1, "theta").random(5))
         assert not np.array_equal(base, agent_rng(42, 0, "chi").random(5))
         assert not np.array_equal(base, agent_rng(43, 0, "theta").random(5))
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(1, 4), dim=st.sampled_from([0, 1, 3, 400, 2049, 5000]),
+       extra=st.integers(0, 5), seed=st.integers(0, 2 ** 32 - 1),
+       tag=st.sampled_from(["theta", "chi", "zeta"]))
+def test_bank_rows_replay_agent_streams_across_refills(m, dim, extra, seed, tag):
+    # rounds cover at least three refills of the bank, so refill
+    # boundaries fall inside the replayed sequence
+    rounds = 3 * max(1, AgentBank._BLOCK // max(dim, 1)) + extra
+    bank = AgentBank([agent_rng(seed, i, tag) for i in range(m)], dim)
+    streams = [LaplaceStream(agent_rng(seed, i, tag)) for i in range(m)]
+    for _ in range(rounds):
+        u = bank.draw_centered()
+        assert u.shape == (m, dim)
+        for i in range(m):
+            assert np.array_equal(u[i], streams[i].draw_centered(dim))
+
+
+def test_laplace_params_gather_matches_per_agent_schedules():
+    noise = broadcast_noise([1.0, 0.5, 1.0, 2.0, 0.5], [0.1, 0.1, 0.1, 0.3, 0.1], 5)
+    params = LaplaceParams(noise)
+    assert len(params.distinct) == 3
+    for t in (0, 1, 17, 10 ** 5):
+        col = params.at(t)
+        assert col.shape == (5, 1)
+        assert np.array_equal(col[:, 0], [s.laplace_param(t) for s in noise])
 
 
 @settings(max_examples=30, deadline=None)
