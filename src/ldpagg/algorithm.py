@@ -155,7 +155,7 @@ def run(problem, topology, schedules, T, master_seed, x0=None,
 
     Deterministic for fixed (problem, config, master_seed). Non-finite
     state aborts with the offending iteration index (on_nonfinite
-    "record" truncates instead, used by the baseline).
+    "record" instead ends the run there and sets aborted_at).
     """
     import time
     t0_wall = time.perf_counter()

@@ -20,7 +20,7 @@ from . import __version__
 from .algorithm import baseline_gradient_tracking, run as run_algorithm
 from .analysis import fit_rate, sampling_grid
 from .config import ConfigError, load_config
-from .privacy import budget as privacy_budget, calibrate_noise, sensitivity_trajectory
+from .privacy import budgets, calibrate_noise, infinite_horizon_bound
 from .schedules import check_conditions
 from .topology import validate as validate_matrix
 
@@ -63,19 +63,9 @@ def _eps_columns(cfg, grid):
     s = cfg.schedules
     if any(n.sigma <= 0 for n in s.noise_x + s.noise_y + s.noise_z):
         return None
-    traj = sensitivity_trajectory(cfg.T, cfg.sensitivity, warn=False)
-    out = {}
-    ts_all = np.arange(1, cfg.T + 1)
-    for i in range(cfg.topology.m):
-        terms = np.zeros(cfg.T + 1)
-        if cfg.T:
-            terms[1:] = (
-                traj.dx[1:] / np.array([s.noise_x[i].laplace_param(t) for t in ts_all])
-                + traj.dy[1:] / np.array([s.noise_y[i].laplace_param(t) for t in ts_all])
-                + traj.dz[1:] / np.array([s.noise_z[i].laplace_param(t) for t in ts_all]))
-        cum = np.cumsum(terms)
-        out[f"eps_cum_a{i}"] = cum[np.asarray(grid, dtype=int)]
-    return out
+    grid = np.asarray(grid, dtype=int)
+    return {f"eps_cum_a{i}": eps_cum[grid] for i, (_, eps_cum) in
+            enumerate(budgets(cfg.T, cfg.sensitivity, s, warn=False))}
 
 
 def _seed_worker(args):
@@ -149,19 +139,14 @@ def _cmd_budget(args):
     if cfg.sensitivity is None:
         print("error: config has no sensitivity block", file=sys.stderr)
         return 1
-    horizon = args.horizon
     s = cfg.schedules
     print("agent,eps_x,eps_y,eps_z,eps_total,bound_inf")
-    for i in range(cfg.topology.m):
-        if horizon == "inf":
-            from .privacy import infinite_horizon_bound
-            b = infinite_horizon_bound(cfg.sensitivity, s.noise_x[i],
-                                       s.noise_y[i], s.noise_z[i])
-            print(f"{i},,,,,{_fmt(b)}")
-            continue
-        acct = privacy_budget(int(horizon), cfg.sensitivity, s.noise_x[i],
-                              s.noise_y[i], s.noise_z[i],
-                              source=args.source, warn=False)
+    if args.horizon == "inf":
+        for i, noise in enumerate(zip(s.noise_x, s.noise_y, s.noise_z)):
+            print(f"{i},,,,,{_fmt(infinite_horizon_bound(cfg.sensitivity, *noise))}")
+        return 0
+    for i, (acct, _) in enumerate(budgets(int(args.horizon), cfg.sensitivity, s,
+                                          source=args.source, warn=False)):
         print(",".join([str(i), _fmt(acct.eps_x), _fmt(acct.eps_y),
                         _fmt(acct.eps_z), _fmt(acct.eps_total),
                         _fmt(acct.bound_inf)]))
@@ -173,11 +158,11 @@ def _cmd_calibrate(args):
     if cfg.sensitivity is None:
         print("error: config has no sensitivity block", file=sys.stderr)
         return 1
-    vsx, vsy, vsz = (cfg.schedules.noise_x[0].varsigma,
-                     cfg.schedules.noise_y[0].varsigma,
-                     cfg.schedules.noise_z[0].varsigma)
+    # the largest varsigma leaves the smallest exponent gap, so sigma sized
+    # for it keeps every agent's infinite-horizon bound within epsilon
     try:
-        sx, sy, sz = calibrate_noise(args.epsilon, cfg.sensitivity, vsx, vsy, vsz)
+        sx, sy, sz = calibrate_noise(args.epsilon, cfg.sensitivity,
+                                     *cfg.schedules.max_varsigmas())
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

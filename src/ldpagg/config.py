@@ -23,7 +23,7 @@ class ConfigError(ValueError):
 
 
 _TOP_KEYS = {"topology", "schedules", "problem", "T", "seeds", "master_seed",
-             "init_radius", "case", "sensitivity", "calibration", "out"}
+             "init_radius", "case", "sensitivity", "out"}
 _TOPOLOGY_KEYS = {"type", "m", "w", "weights"}
 _SCHED_KEYS = {"preset", "delta", "lambda0", "sigma", "stepsize", "noise"}
 _STEP_KEYS = {"lambda0", "v"}
@@ -33,7 +33,6 @@ _QUAD_KEYS = {"family", "ni", "r", "gamma", "alpha", "noise_std_g",
 _PERS_KEYS = {"family", "classes", "features", "lam", "dataset_size", "box",
               "seed", "spread", "primary_frac"}
 _SENS_KEYS = {"L_l", "L_h", "Lbar_l", "Lbar_h", "d_l", "d_z"}
-_CAL_KEYS = {"epsilon"}
 
 _PRESETS = {
     "corollary1-sc": ConvexityCase.STRONGLY_CONVEX,
@@ -62,7 +61,6 @@ class RunConfig:
     master_seed: int
     init_radius: float
     sensitivity: SensitivityParams | None
-    calibration_eps: float | None
     out: str
     warnings: list = field(default_factory=list)
 
@@ -218,13 +216,6 @@ def parse_config(raw: dict) -> RunConfig:
             warnings_list.append("sensitivity accounting with m=1 uses w_bar=0.5 "
                                  "(no consensus damping exists)")
 
-    cal = None
-    if "calibration" in raw:
-        _check_keys(raw["calibration"], _CAL_KEYS, "calibration")
-        cal = float(raw["calibration"]["epsilon"])
-        if cal <= 0:
-            raise ConfigError("calibration.epsilon: must be positive")
-
     T = int(raw.get("T", 1000))
     if T < 0:
         raise ConfigError("config.T: must be nonnegative")
@@ -236,5 +227,5 @@ def parse_config(raw: dict) -> RunConfig:
         problem=problem, T=T, seeds=seeds,
         master_seed=int(raw.get("master_seed", 0)),
         init_radius=float(raw.get("init_radius", 10.0)),
-        sensitivity=sens, calibration_eps=cal,
+        sensitivity=sens,
         out=str(raw.get("out", "runs")), warnings=warnings_list)

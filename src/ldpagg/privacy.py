@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import SQRT2, StepsizeSchedule
+from .schedules import SQRT2, ScheduleSet, StepsizeSchedule
 
 
 @dataclass(frozen=True)
@@ -196,56 +196,77 @@ def _noise_exponent_gaps(p: SensitivityParams, noise_x, noise_y, noise_z):
 
 def infinite_horizon_bound(p: SensitivityParams, noise_x, noise_y, noise_z,
                            consts: ClosedFormConstants = None) -> float:
-    """T -> infinity certificate; +inf when any exponent gap is nonpositive."""
+    """T -> infinity certificate; +inf when any exponent gap is nonpositive
+    or the stepsize exponents admit no closed-form constants."""
     gx, gy, gz = _noise_exponent_gaps(p, noise_x, noise_y, noise_z)
     if min(gx, gy, gz) <= 0:
         return float("inf")
-    c = consts if consts is not None else closed_form_constants(p)
+    try:
+        c = consts if consts is not None else closed_form_constants(p)
+    except ValueError:
+        return float("inf")
     return (SQRT2 * c.Cx / (noise_x.sigma * gx)
             + SQRT2 * c.Cy / (noise_y.sigma * gy)
             + SQRT2 * c.Cz / (noise_z.sigma * gz))
 
 
-def budget(T: int, p: SensitivityParams, noise_x, noise_y, noise_z,
-           source: str = "recursion", warn: bool = True) -> PrivacyAccount:
-    """Cumulative budget for one agent over t = 1..T.
+def budgets(T: int, p: SensitivityParams, schedules: ScheduleSet,
+            source: str = "recursion", warn: bool = True):
+    """Cumulative budget of every agent over t = 1..T from one recursion.
 
-    source "recursion" sums Delta^t/nu^t with the numeric recursion
-    (the tighter accountant); "closed_form" sums the certificate bounds
-    sqrt(2) C / (sigma (t+1)^{1+..-varsigma}) instead.
+    Returns one (PrivacyAccount, eps_cum) pair per agent, where eps_cum
+    holds the cumulative eps_total at t = 0..T. source "recursion" sums
+    Delta^t/nu^t with the numeric recursion (the tighter accountant);
+    "closed_form" sums the certificate bounds
+    sqrt(2) C / (sigma (t+1)^{1+..-varsigma}) instead. Agents with equal
+    noise schedules share one pair.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
-    for s in (noise_x, noise_y, noise_z):
-        if s.sigma <= 0:
-            raise ValueError("budget accounting requires positive noise scales")
-    vx, vy, vz = p.lambda_x.v, p.lambda_y.v, p.lambda_z.v
+    triples = list(zip(schedules.noise_x, schedules.noise_y, schedules.noise_z))
+    if any(s.sigma <= 0 for triple in triples for s in triple):
+        raise ValueError("budget accounting requires positive noise scales")
     t_contract = 0
     if source == "recursion":
         traj = sensitivity_trajectory(T, p, warn=warn)
         t_contract = traj.t_contract
         ts = np.arange(1, T + 1)
-        nus_x = np.array([noise_x.laplace_param(t) for t in ts])
-        nus_y = np.array([noise_y.laplace_param(t) for t in ts])
-        nus_z = np.array([noise_z.laplace_param(t) for t in ts])
-        ex = float(np.sum(traj.dx[1:] / nus_x)) if T else 0.0
-        ey = float(np.sum(traj.dy[1:] / nus_y)) if T else 0.0
-        ez = float(np.sum(traj.dz[1:] / nus_z)) if T else 0.0
+
+        def terms(nx, ny, nz):
+            return (traj.dx[1:] / nx.laplace_param(ts),
+                    traj.dy[1:] / ny.laplace_param(ts),
+                    traj.dz[1:] / nz.laplace_param(ts))
     elif source == "closed_form":
         c = closed_form_constants(p)
+        vx, vy, vz = p.lambda_x.v, p.lambda_y.v, p.lambda_z.v
         ts = np.arange(1, T + 1, dtype=float)
-        ex = float(np.sum(SQRT2 * c.Cx / (noise_x.sigma
-                   * (ts + 1) ** (1 + vx - vz - noise_x.varsigma)))) if T else 0.0
-        ey = float(np.sum(SQRT2 * c.Cy / (noise_y.sigma
-                   * (ts + 1) ** (1 + vy - noise_y.varsigma)))) if T else 0.0
-        ez = float(np.sum(SQRT2 * c.Cz / (noise_z.sigma
-                   * (ts + 1) ** (1 + vz - noise_z.varsigma)))) if T else 0.0
+
+        def terms(nx, ny, nz):
+            return (SQRT2 * c.Cx / (nx.sigma * (ts + 1) ** (1 + vx - vz - nx.varsigma)),
+                    SQRT2 * c.Cy / (ny.sigma * (ts + 1) ** (1 + vy - ny.varsigma)),
+                    SQRT2 * c.Cz / (nz.sigma * (ts + 1) ** (1 + vz - nz.varsigma)))
     else:
         raise ValueError(f"unknown budget source {source!r}")
-    bound = infinite_horizon_bound(p, noise_x, noise_y, noise_z)
-    return PrivacyAccount(T=T, eps_x=ex, eps_y=ey, eps_z=ez,
-                          bound_inf=bound, source=source,
-                          t_contract=t_contract)
+    out = {}
+    for triple in dict.fromkeys(triples):
+        ex, ey, ez = terms(*triple)
+        eps_cum = np.zeros(T + 1)
+        eps_cum[1:] = np.cumsum(ex + ey + ez)
+        acct = PrivacyAccount(
+            T=T, eps_x=float(np.sum(ex)), eps_y=float(np.sum(ey)),
+            eps_z=float(np.sum(ez)),
+            bound_inf=infinite_horizon_bound(p, *triple), source=source,
+            t_contract=t_contract)
+        out[triple] = (acct, eps_cum)
+    return [out[triple] for triple in triples]
+
+
+def budget(T: int, p: SensitivityParams, noise_x, noise_y, noise_z,
+           source: str = "recursion", warn: bool = True) -> PrivacyAccount:
+    """Cumulative budget for one agent over t = 1..T (see budgets)."""
+    one = ScheduleSet(p.lambda_x, p.lambda_y, p.lambda_z,
+                      (noise_x,), (noise_y,), (noise_z,))
+    return budgets(T, p, one, source, warn)[0][0]
 
 
 def calibrate_noise(eps_target: float, p: SensitivityParams,

@@ -47,11 +47,6 @@ class SampleStore:
         self.last_xi = None
         self.last_phi = None
 
-    @property
-    def t(self) -> int:
-        """Index of the newest sample; -1 when empty."""
-        return self.count - 1
-
 
 class ProblemInstance:
     """Common interface: dimensions, box, streaming oracles, truth oracles."""
@@ -225,9 +220,6 @@ class QuadraticProblem(ProblemInstance):
         return np.abs(l).sum(axis=1)
 
     # -- per-sample primitives (slow path / finite differences) --------
-    def l_value(self, i, x, xi):
-        return self.A[i] @ x + self.b[i] + xi
-
     def h_value(self, i, x, y, phi):
         return (
             0.5 * self.alpha * np.sum((x - self.c[i] - phi) ** 2)
@@ -403,23 +395,10 @@ class PersonalizedProblem(ProblemInstance):
         return np.abs(ev.loss[np.arange(self.m), store.last_xi])
 
     # -- per-sample primitives ------------------------------------------
-    def _sample_loss_grad(self, i, x, idx):
-        W = x.reshape(self.K, self.dim)
-        f = self.feats[i, idx]
-        logits = W @ f
-        lmax = logits.max()
-        ex = np.exp(logits - lmax)
-        p = ex / ex.sum()
-        L = np.log(ex.sum()) + lmax - logits[self.labels[i, idx]]
-        resid = p.copy()
-        resid[self.labels[i, idx]] -= 1.0
-        return L, np.outer(resid, f).reshape(self.ni)
-
-    def l_value(self, i, x, idx):
-        return np.array([self._sample_loss_grad(i, x, idx)[0]])
-
     def h_value(self, i, x, y, idx):
-        L, _ = self._sample_loss_grad(i, x, idx)
+        logits = x.reshape(self.K, self.dim) @ self.feats[i, idx]
+        lmax = logits.max()
+        L = np.log(np.exp(logits - lmax).sum()) + lmax - logits[self.labels[i, idx]]
         return L + self.lam * float((L - y) ** 2)
 
     # -- truth (population = uniform over the fixed dataset) ------------

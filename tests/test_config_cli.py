@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from ldpagg import privacy
 from ldpagg.cli import main
 from ldpagg.config import ConfigError, parse_config
 from ldpagg.schedules import ConvexityCase
@@ -33,6 +34,13 @@ EXPLICIT_SCHED = {
 }
 
 
+# per-agent sigma/varsigma lists (m = 3)
+MIXED_SCHED = copy.deepcopy(EXPLICIT_SCHED)
+MIXED_SCHED["noise"]["x"] = {"sigma": [1.0, 0.5, 2.0], "varsigma": [0.03, 0.5, 0.7]}
+MIXED_SCHED["noise"]["y"] = {"sigma": [1.0, 3.0, 0.2], "varsigma": [0.05, 0.01, 0.08]}
+MIXED_SCHED["noise"]["z"] = {"sigma": [1.0, 0.7, 5.0], "varsigma": [0.06, 0.1, 0.02]}
+
+
 def cfg_dict(**over):
     d = copy.deepcopy(BASE)
     d.update(copy.deepcopy(over))
@@ -54,7 +62,7 @@ class TestParseConfig:
         assert cfg.init_radius == 10.0
         assert cfg.out == "runs"
         assert cfg.case is ConvexityCase.STRONGLY_CONVEX
-        assert cfg.sensitivity is None and cfg.calibration_eps is None
+        assert cfg.sensitivity is None
 
     def test_unknown_key_path_in_error(self):
         d = cfg_dict()
@@ -122,6 +130,10 @@ class TestParseConfig:
         assert cfg.problem.family == "personalized"
         assert cfg.problem.r == 1
 
+    def test_calibration_block_rejected(self):
+        with pytest.raises(ConfigError, match=r"config\.calibration: unknown key"):
+            parse_config(cfg_dict(calibration={"epsilon": 1.0}))
+
     def test_negative_T_rejected(self):
         with pytest.raises(ConfigError, match="T"):
             parse_config(cfg_dict(T=-5))
@@ -145,6 +157,37 @@ class TestCliRun:
         assert header[0] == "t"
         assert "err_to_opt_sq" in header
         assert "eps_cum_a0" in header and "eps_cum_a2" in header
+
+    def test_eps_columns_end_at_per_agent_budget(self, tmp_path):
+        out = str(tmp_path / "out")
+        d = cfg_dict(out=out, seeds=1, sensitivity=copy.deepcopy(SENS),
+                     schedules=copy.deepcopy(MIXED_SCHED))
+        path = write_cfg(tmp_path, d)
+        assert main(["run", "--config", path, "--threads", "1"]) == 0
+        with open(os.path.join(out, "seed_11.csv")) as f:
+            header = f.readline().strip().split(",")
+            last = [float(v) for v in f.read().strip().splitlines()[-1].split(",")]
+        assert last[0] == 200
+        cfg = parse_config(d)
+        s = cfg.schedules
+        for i in range(3):
+            acct = privacy.budget(200, cfg.sensitivity, s.noise_x[i],
+                                  s.noise_y[i], s.noise_z[i], warn=False)
+            eps = last[header.index(f"eps_cum_a{i}")]
+            assert eps == pytest.approx(acct.eps_total, rel=1e-12)
+
+    def test_eps_columns_without_closed_form_constants(self, tmp_path):
+        # v_z < v_y is an admissibility violation (run proceeds as an
+        # ablation); the recursion budget still fills the eps columns
+        out = str(tmp_path / "out")
+        d = cfg_dict(out=out, seeds=1, T=50, sensitivity=copy.deepcopy(SENS),
+                     schedules=copy.deepcopy(EXPLICIT_SCHED))
+        d["schedules"]["stepsize"]["y"]["v"] = 0.2
+        path = write_cfg(tmp_path, d)
+        assert main(["run", "--config", path, "--threads", "1"]) == 0
+        with open(os.path.join(out, "seed_11.csv")) as f:
+            header = f.readline().strip().split(",")
+        assert "eps_cum_a2" in header
 
     def test_same_seed_identical_bytes_across_threads(self, tmp_path):
         outs = []
@@ -220,6 +263,40 @@ class TestCliBudget:
         bound = float(lines[1].split(",")[-1])
         assert np.isfinite(bound) and bound > 0
 
+    @pytest.mark.parametrize("source", ["recursion", "closed_form"])
+    def test_budget_rows_match_per_agent_budget(self, tmp_path, capsys, source):
+        d = cfg_dict(sensitivity=copy.deepcopy(SENS),
+                     schedules=copy.deepcopy(MIXED_SCHED))
+        path = write_cfg(tmp_path, d)
+        assert main(["budget", "--config", path, "--horizon", "300",
+                     "--source", source]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        cfg = parse_config(d)
+        s = cfg.schedules
+        assert len(lines) == 4
+        for i in range(3):
+            acct = privacy.budget(300, cfg.sensitivity, s.noise_x[i],
+                                  s.noise_y[i], s.noise_z[i], source=source,
+                                  warn=False)
+            expect = ",".join([str(i)] + ["%.17g" % v for v in (
+                acct.eps_x, acct.eps_y, acct.eps_z, acct.eps_total,
+                acct.bound_inf)])
+            assert lines[i + 1] == expect
+
+    def test_budget_runs_recursion_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = privacy.sensitivity_trajectory
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(privacy, "sensitivity_trajectory", counted)
+        path = write_cfg(tmp_path, cfg_dict(sensitivity=copy.deepcopy(SENS),
+                                            schedules=copy.deepcopy(MIXED_SCHED)))
+        assert main(["budget", "--config", path, "--horizon", "100"]) == 0
+        assert calls == [100]
+
     def test_budget_requires_sensitivity(self, tmp_path):
         path = write_cfg(tmp_path, cfg_dict())
         assert main(["budget", "--config", path, "--horizon", "10"]) == 1
@@ -244,6 +321,24 @@ class TestCliCalibrate:
                                        cfg.schedules.noise_y[0],
                                        cfg.schedules.noise_z[0])
         assert bound <= 1.0 + 1e-9
+
+    def test_calibrate_bounds_every_agent(self, tmp_path):
+        d = cfg_dict(sensitivity=copy.deepcopy(SENS),
+                     schedules=copy.deepcopy(EXPLICIT_SCHED))
+        d["schedules"]["noise"]["x"]["varsigma"] = [0.03, 0.5, 0.7]
+        path = write_cfg(tmp_path, d)
+        out = str(tmp_path / "calibrated.json")
+        assert main(["calibrate", "--config", path, "--epsilon", "1.0",
+                     "--out", out]) == 0
+        with open(out) as f:
+            cfg = parse_config(json.load(f))
+        s = cfg.schedules
+        bounds = [privacy.infinite_horizon_bound(cfg.sensitivity, s.noise_x[i],
+                                                 s.noise_y[i], s.noise_z[i])
+                  for i in range(3)]
+        assert max(bounds) <= 1.0 + 1e-9
+        # the agent with the largest varsigma (smallest gap) meets it exactly
+        assert bounds[2] == pytest.approx(1.0, rel=1e-9)
 
     def test_calibrate_rejects_closed_gap(self, tmp_path):
         d = cfg_dict(sensitivity=copy.deepcopy(SENS),

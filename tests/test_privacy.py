@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from ldpagg.privacy import (PrivacyAccount, SensitivityParams, budget,
-                            calibrate_noise, closed_form_constants,
+                            budgets, calibrate_noise, closed_form_constants,
                             contraction_coefficients, empirical_bound_check,
                             infinite_horizon_bound, sensitivity_step,
                             sensitivity_trajectory)
-from ldpagg.schedules import NoiseSchedule, StepsizeSchedule
+from ldpagg.schedules import NoiseSchedule, ScheduleSet, StepsizeSchedule
 
 
 def fixture_params(**over):
@@ -224,6 +224,57 @@ class TestBudget:
         acc = PrivacyAccount(T=5, eps_x=1.0, eps_y=2.0, eps_z=3.5,
                              bound_inf=10.0, source="recursion")
         assert acc.eps_total == 6.5
+
+
+def mixed_schedules(p):
+    """Four agents with heterogeneous sigma/varsigma; agents 0 and 3 equal."""
+    nx = (NoiseSchedule(1.0, 0.03), NoiseSchedule(0.5, 0.5),
+          NoiseSchedule(2.0, 0.7), NoiseSchedule(1.0, 0.03))
+    ny = (NoiseSchedule(1e6, 0.05), NoiseSchedule(3.0, 0.01),
+          NoiseSchedule(0.2, 0.08), NoiseSchedule(1e6, 0.05))
+    nz = (NoiseSchedule(1e6, 0.06), NoiseSchedule(0.7, 0.1),
+          NoiseSchedule(5.0, 0.02), NoiseSchedule(1e6, 0.06))
+    return ScheduleSet(p.lambda_x, p.lambda_y, p.lambda_z, nx, ny, nz)
+
+
+class TestBudgets:
+    @pytest.mark.parametrize("source", ["recursion", "closed_form"])
+    @pytest.mark.parametrize("T", [0, 1, 777])
+    def test_entries_equal_single_agent_budget(self, source, T):
+        p = fixture_params()
+        s = mixed_schedules(p)
+        out = budgets(T, p, s, source=source)
+        assert len(out) == 4
+        for i, (acct, eps_cum) in enumerate(out):
+            one = budget(T, p, s.noise_x[i], s.noise_y[i], s.noise_z[i],
+                         source=source)
+            assert acct == one  # bitwise equal fields
+            assert eps_cum.shape == (T + 1,) and eps_cum[0] == 0.0
+            assert np.all(np.diff(eps_cum) > 0)
+            assert eps_cum[-1] == pytest.approx(acct.eps_total, rel=1e-12)
+
+    def test_equal_schedules_share_one_entry(self):
+        p = fixture_params()
+        out = budgets(50, p, mixed_schedules(p))
+        assert out[0] is out[3]
+        assert out[0][0].eps_total != out[1][0].eps_total
+
+    def test_rejects_nonpositive_sigma_of_any_agent(self):
+        p = fixture_params()
+        s = mixed_schedules(p)
+        s = ScheduleSet(p.lambda_x, p.lambda_y, p.lambda_z, s.noise_x,
+                        s.noise_y[:3] + (NoiseSchedule(0.0, 0.05),), s.noise_z)
+        with pytest.raises(ValueError, match="positive noise"):
+            budgets(10, p, s)
+
+    def test_inf_bound_infinite_without_closed_form(self):
+        # v_z < v_y leaves no certificate constants, but the recursion
+        # budget still exists
+        p = fixture_params(lambda_z=StepsizeSchedule(0.08, 0.05))
+        nx, ny, nz = fixture_noise()
+        assert infinite_horizon_bound(p, nx, ny, nz) == float("inf")
+        acct = budget(100, p, nx, ny, nz)
+        assert np.isfinite(acct.eps_total) and acct.bound_inf == float("inf")
 
 
 class TestCalibration:
