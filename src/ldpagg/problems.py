@@ -14,6 +14,12 @@ ERM averages are maintained through exact sufficient statistics (running
 sums for the quadratic family, sample multiplicity counts for the finite
 personalized datasets); an O(t) full-recompute path over raw stored
 samples is kept for equality testing.
+
+Oracles take stacked per-agent arrays (..., m, .): leading axes are batch
+axes (the seeds of a batched run), and every batched call gives each
+slice bitwise what the unbatched call gives it. A store built with
+batch=(S,) holds its statistics as (S, m, .) and draws from S*m
+generators, seed-major (entry s*m + i is agent i under seed s).
 """
 
 from __future__ import annotations
@@ -31,15 +37,19 @@ def project_box(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 class SampleStore:
-    """Append-only per-run streaming sample state for all m agents.
+    """Append-only per-run streaming sample state for all m agents (of
+    every seed, with a leading batch shape such as (S,)).
 
     Family-specific sufficient statistics live in subclass fields; raw
     samples are retained only when keep_raw is set (used by the slow
-    recompute path in tests -- O(t) memory and time).
+    recompute path in tests -- O(t) memory and time; unbatched only).
     """
 
-    def __init__(self, m: int, keep_raw: bool = False):
+    def __init__(self, m: int, keep_raw: bool = False, batch: tuple = ()):
+        if keep_raw and batch:
+            raise ValueError("raw samples are kept for unbatched stores only")
         self.m = m
+        self.batch = tuple(batch)
         self.count = 0
         self.keep_raw = keep_raw
         self.raw_xi = [[] for _ in range(m)] if keep_raw else None
@@ -58,7 +68,7 @@ class ProblemInstance:
     r: int
     box_lo: np.ndarray
     box_hi: np.ndarray
-    own_index: tuple  # (rows, cols) of each agent's own block in X (m, n)
+    own_index: tuple  # (..., rows, cols) of each agent's own block in X (..., m, n)
 
     @property
     def n(self) -> int:
@@ -66,18 +76,25 @@ class ProblemInstance:
 
     def _set_own_index(self) -> None:
         rows = np.arange(self.m)[:, None]
-        self.own_index = (rows, rows * self.ni + np.arange(self.ni)[None, :])
+        cols = rows * self.ni + np.arange(self.ni)[None, :]
+        self.own_index = (Ellipsis, rows, cols)
+        self._own_flat = rows * self.n + cols
 
     def own_block(self, X: np.ndarray) -> np.ndarray:
-        """Extract each agent's own block from stacked estimates X (m, n)."""
-        return X[self.own_index]
+        """Each agent's own block (..., m, ni) of stacked estimates X (..., m, n).
+
+        The result is C-contiguous (X[own_index] would put the batch axis
+        innermost), so batched reductions over it add in the one-seed order.
+        """
+        return np.take(X.reshape(X.shape[:-2] + (-1,)), self._own_flat, axis=-1)
 
     # -- streaming ------------------------------------------------------
-    def new_store(self, keep_raw: bool = False) -> SampleStore:
+    def new_store(self, keep_raw: bool = False, batch: tuple = ()) -> SampleStore:
         raise NotImplementedError
 
     def draw(self, store: SampleStore, data_rngs) -> None:
-        """Acquire one (phi_i, xi_i) pair per agent and append to the store."""
+        """Acquire one (phi_i, xi_i) pair per agent (and seed) and append
+        to the store; data_rngs holds one generator per store row."""
         raise NotImplementedError
 
     def erm_eval(self, store: SampleStore, Xown: np.ndarray):
@@ -103,8 +120,9 @@ class ProblemInstance:
     def g_true(self, Xown: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def F_true(self, xown: np.ndarray) -> float:
-        """Population objective at x = col(x_1..x_m), additive constants dropped."""
+    def F_true(self, xown: np.ndarray):
+        """Population objective at x = col(x_1..x_m), additive constants
+        dropped; a float for xown (n,), an (S,) array for xown (S, n)."""
         raise NotImplementedError
 
     def grad_F_true(self, xown: np.ndarray) -> np.ndarray:
@@ -124,7 +142,7 @@ class ErmEvalQuadratic:
     def __post_init__(self):
         # g_i^t(x) = A_i x + b_i + mean(xi)
         self.g = (
-            np.einsum("mrn,mn->mr", self.prob.A, self.Xown)
+            np.einsum("mrn,...mn->...mr", self.prob.A, self.Xown)
             + self.prob.b
             + self.xi_mean
         )
@@ -137,14 +155,14 @@ class ErmEvalQuadratic:
 
     def grad_g_dot(self, Ztil: np.ndarray) -> np.ndarray:
         # nabla g_i^t = A_i^T (constant in x and data)
-        return np.einsum("mrn,mr->mn", self.prob.A, Ztil)
+        return np.einsum("mrn,...mr->...mn", self.prob.A, Ztil)
 
 
 class QuadraticStore(SampleStore):
-    def __init__(self, m, r, ni, keep_raw=False):
-        super().__init__(m, keep_raw)
-        self.xi_sum = np.zeros((m, r))
-        self.phi_sum = np.zeros((m, ni))
+    def __init__(self, m, r, ni, keep_raw=False, batch=()):
+        super().__init__(m, keep_raw, batch)
+        self.xi_sum = np.zeros(self.batch + (m, r))
+        self.phi_sum = np.zeros(self.batch + (m, ni))
         # lockstep bank of standard normals over the data generators,
         # bound to the generators of the first draw
         self.normals = None
@@ -181,16 +199,16 @@ class QuadraticProblem(ProblemInstance):
         self._set_own_index()
 
     # -- streaming ------------------------------------------------------
-    def new_store(self, keep_raw: bool = False) -> QuadraticStore:
-        return QuadraticStore(self.m, self.r, self.ni, keep_raw)
+    def new_store(self, keep_raw: bool = False, batch: tuple = ()) -> QuadraticStore:
+        return QuadraticStore(self.m, self.r, self.ni, keep_raw, batch)
 
     def draw(self, store: QuadraticStore, data_rngs) -> None:
+        k = self.r + self.ni
         if store.normals is None:
-            store.normals = AgentBank(data_rngs, self.r + self.ni,
-                                      "standard_normal")
-        z = store.normals.next()
-        xi = self.noise_std_g * z[:, :self.r]
-        phi = self.noise_std_f * z[:, self.r:]
+            store.normals = AgentBank(data_rngs, k, "standard_normal")
+        z = store.normals.next().reshape(store.batch + (self.m, k))
+        xi = self.noise_std_g * z[..., :self.r]
+        phi = self.noise_std_f * z[..., self.r:]
         store.xi_sum += xi
         store.phi_sum += phi
         store.last_xi, store.last_phi = xi, phi
@@ -216,8 +234,8 @@ class QuadraticProblem(ProblemInstance):
         return ErmEvalQuadratic(prob=self, Xown=Xown, xi_mean=xi_mean, phi_mean=phi_mean)
 
     def sample_l_norm1(self, store, Xown):
-        l = np.einsum("mrn,mn->mr", self.A, Xown) + self.b + store.last_xi
-        return np.abs(l).sum(axis=1)
+        l = np.einsum("mrn,...mn->...mr", self.A, Xown) + self.b + store.last_xi
+        return np.abs(l).sum(axis=-1)
 
     # -- per-sample primitives (slow path / finite differences) --------
     def h_value(self, i, x, y, phi):
@@ -228,22 +246,23 @@ class QuadraticProblem(ProblemInstance):
 
     # -- truth ----------------------------------------------------------
     def g_true(self, Xown: np.ndarray) -> np.ndarray:
-        return np.einsum("mrn,mn->mr", self.A, Xown) + self.b
+        return np.einsum("mrn,...mn->...mr", self.A, Xown) + self.b
 
-    def _aggregate(self, xown: np.ndarray) -> np.ndarray:
-        Xown = xown.reshape(self.m, self.ni)
-        return self.g_true(Xown).mean(axis=0)
+    def _aggregate(self, Xown: np.ndarray) -> np.ndarray:
+        # the agent mean; sum / m is how ndarray.mean computes it
+        return self.g_true(Xown).sum(axis=-2) / self.m
 
-    def F_true(self, xown: np.ndarray) -> float:
-        Xown = xown.reshape(self.m, self.ni)
-        u = self._aggregate(xown)
-        own = 0.5 * self.alpha * np.sum((Xown - self.c) ** 2)
-        agg = 0.5 * self.gamma * np.sum((u - self.d) ** 2)
-        return float(own + agg)
+    def F_true(self, xown: np.ndarray):
+        Xown = xown.reshape(xown.shape[:-1] + (self.m, self.ni))
+        u = self._aggregate(Xown)[..., None, :]
+        own = 0.5 * self.alpha * ((Xown - self.c) ** 2).sum(axis=(-2, -1))
+        agg = 0.5 * self.gamma * ((u - self.d) ** 2).sum(axis=(-2, -1))
+        F = own + agg
+        return float(F) if F.ndim == 0 else F
 
     def grad_F_true(self, xown: np.ndarray) -> np.ndarray:
         Xown = xown.reshape(self.m, self.ni)
-        u = self._aggregate(xown)
+        u = self._aggregate(Xown)
         coup = self.gamma * (u - self.d.mean(axis=0))
         grad = self.alpha * (Xown - self.c) + np.einsum("mrn,r->mn", self.A, coup)
         return grad.reshape(self.n)
@@ -285,10 +304,10 @@ def make_quadratic_problem(m, ni, r, gamma, alpha=1.0, noise_std_g=0.1,
 
 
 class PersonalizedStore(SampleStore):
-    def __init__(self, m, dataset_size, keep_raw=False):
-        super().__init__(m, keep_raw)
-        self.counts_f = np.zeros((m, dataset_size))
-        self.counts_g = np.zeros((m, dataset_size))
+    def __init__(self, m, dataset_size, keep_raw=False, batch=()):
+        super().__init__(m, keep_raw, batch)
+        self.counts_f = np.zeros(self.batch + (m, dataset_size))
+        self.counts_g = np.zeros(self.batch + (m, dataset_size))
 
 
 class ErmEvalPersonalized:
@@ -296,45 +315,43 @@ class ErmEvalPersonalized:
 
     def __init__(self, prob, store, Xown):
         self.prob = prob
-        W = Xown.reshape(prob.m, prob.K, prob.dim)
-        logits = np.einsum("mnd,mkd->mnk", prob.feats, W)
-        lmax = logits.max(axis=2, keepdims=True)
+        lead = Xown.shape[:-2]
+        W = Xown.reshape(lead + (prob.m, prob.K, prob.dim))
+        logits = np.einsum("mnd,...mkd->...mnk", prob.feats, W)
+        lmax = logits.max(axis=-1, keepdims=True)
         ex = np.exp(logits - lmax)
-        Zs = ex.sum(axis=2)
-        p = ex / Zs[:, :, None]
-        lse = np.log(Zs) + lmax[:, :, 0]
-        own_logit = np.take_along_axis(logits, prob.labels[:, :, None], axis=2)[:, :, 0]
-        self.loss = lse - own_logit                      # (m, N) per-sample L
-        resid = p.copy()
-        np.put_along_axis(resid, prob.labels[:, :, None],
-                          np.take_along_axis(resid, prob.labels[:, :, None], axis=2) - 1.0,
-                          axis=2)
-        self.grad = np.einsum("mnk,mnd->mnkd", resid, prob.feats)  # (m,N,K,d)
+        Zs = ex.sum(axis=-1)
+        p = ex / Zs[..., None]
+        lse = np.log(Zs) + lmax[..., 0]
+        self.loss = lse - logits[prob.label_index]       # (..., m, N) per-sample L
+        resid = p - prob.onehot  # p - 1 at the label, p elsewhere (exact)
+        self.grad = np.einsum("...mnk,mnd->...mnkd", resid, prob.feats)  # (..., m,N,K,d)
         cnt = max(store.count, 1)
         self.wf = store.counts_f / cnt
         self.wg = store.counts_g / cnt
         # g_i^t(x): multiplicity-weighted mean loss over the g-stream samples
-        self.g = np.einsum("mn,mn->m", self.wg, self.loss)[:, None]
+        self.g = np.einsum("...mn,...mn->...m", self.wg, self.loss)[..., None]
+
+    def _own(self, out):
+        return out.reshape(out.shape[:-2] + (self.prob.ni,))
 
     def grad_f_y(self, Ytil):
-        lbar = np.einsum("mn,mn->m", self.wf, self.loss)[:, None]
+        lbar = np.einsum("...mn,...mn->...m", self.wf, self.loss)[..., None]
         return -2.0 * self.prob.lam * (lbar - Ytil)
 
     def grad_f_x(self, Ytil):
         scale = self.wf * (1.0 + 2.0 * self.prob.lam * (self.loss - Ytil))
-        out = np.einsum("mn,mnkd->mkd", scale, self.grad)
-        return out.reshape(self.prob.m, self.prob.ni)
+        return self._own(np.einsum("...mn,...mnkd->...mkd", scale, self.grad))
 
     def grad_g_dot(self, Ztil):
-        gg = np.einsum("mn,mnkd->mkd", self.wg, self.grad).reshape(self.prob.m, self.prob.ni)
+        gg = self._own(np.einsum("...mn,...mnkd->...mkd", self.wg, self.grad))
         return gg * Ztil  # r = 1: scalar tracker per agent
 
     # uniform-weight variants used by the truth oracle
     def _population(self):
-        N = self.prob.N
-        uni = np.full_like(self.wf, 1.0 / N)
-        G = np.einsum("mn,mn->m", uni, self.loss)
-        gradG = np.einsum("mn,mnkd->mkd", uni, self.grad).reshape(self.prob.m, self.prob.ni)
+        uni = np.full_like(self.loss, 1.0 / self.prob.N)
+        G = np.einsum("...mn,...mn->...m", uni, self.loss)
+        gradG = self._own(np.einsum("...mn,...mnkd->...mkd", uni, self.grad))
         return G, gradG, uni
 
 
@@ -354,19 +371,29 @@ class PersonalizedProblem(ProblemInstance):
         self.lam = float(lam)
         self.feats = feats
         self.labels = labels
+        self.onehot = np.zeros((self.m, self.N, self.K))
+        np.put_along_axis(self.onehot, labels[:, :, None], 1.0, axis=2)
+        # (..., agent, sample, label) index of each sample's own logit
+        self.label_index = (Ellipsis, np.arange(self.m)[:, None],
+                            np.arange(self.N)[None, :], labels)
         lo, hi = box
         self.box_lo = np.broadcast_to(np.asarray(lo, dtype=float), (self.n,)).copy()
         self.box_hi = np.broadcast_to(np.asarray(hi, dtype=float), (self.n,)).copy()
         self._set_own_index()
 
-    def new_store(self, keep_raw: bool = False) -> PersonalizedStore:
-        return PersonalizedStore(self.m, self.N, keep_raw)
+    def new_store(self, keep_raw: bool = False, batch: tuple = ()) -> PersonalizedStore:
+        return PersonalizedStore(self.m, self.N, keep_raw, batch)
 
     def draw(self, store: PersonalizedStore, data_rngs) -> None:
-        idx_f = np.array([int(data_rngs[i].integers(self.N)) for i in range(self.m)])
-        idx_g = np.array([int(data_rngs[i].integers(self.N)) for i in range(self.m)])
-        store.counts_f[np.arange(self.m), idx_f] += 1
-        store.counts_g[np.arange(self.m), idx_g] += 1
+        # scalar draws, f then g from each generator: a size-2 draw would
+        # consume the stream differently
+        idx = np.array([(int(rng.integers(self.N)), int(rng.integers(self.N)))
+                        for rng in data_rngs])
+        rows = np.arange(len(idx))
+        store.counts_f.reshape(-1, self.N)[rows, idx[:, 0]] += 1
+        store.counts_g.reshape(-1, self.N)[rows, idx[:, 1]] += 1
+        idx = idx.reshape(store.batch + (self.m, 2))
+        idx_f, idx_g = idx[..., 0], idx[..., 1]
         store.last_phi, store.last_xi = idx_f, idx_g
         if store.keep_raw:
             for i in range(self.m):
@@ -392,7 +419,7 @@ class PersonalizedProblem(ProblemInstance):
 
     def sample_l_norm1(self, store, Xown):
         ev = ErmEvalPersonalized(self, store, Xown)
-        return np.abs(ev.loss[np.arange(self.m), store.last_xi])
+        return np.abs(np.take_along_axis(ev.loss, store.last_xi[..., None], -1)[..., 0])
 
     # -- per-sample primitives ------------------------------------------
     def h_value(self, i, x, y, idx):
@@ -407,10 +434,10 @@ class PersonalizedProblem(ProblemInstance):
         dummy.count = 1
         ev = ErmEvalPersonalized(self, dummy, Xown)
         G, _, _ = ev._population()
-        return G[:, None]
+        return G[..., None]
 
     def _population_eval(self, xown):
-        Xown = xown.reshape(self.m, self.ni)
+        Xown = xown.reshape(xown.shape[:-1] + (self.m, self.ni))
         dummy = self.new_store()
         dummy.count = 1
         ev = ErmEvalPersonalized(self, dummy, Xown)
@@ -419,9 +446,11 @@ class PersonalizedProblem(ProblemInstance):
 
     def F_true(self, xown):
         ev, G, _, uni = self._population_eval(xown)
-        g = G.mean()
-        per_agent = np.einsum("mn,mn->m", uni, ev.loss + self.lam * (ev.loss - g) ** 2)
-        return float(per_agent.sum())
+        g = G.mean(axis=-1)[..., None, None]
+        per_agent = np.einsum("...mn,...mn->...m", uni,
+                              ev.loss + self.lam * (ev.loss - g) ** 2)
+        F = per_agent.sum(axis=-1)
+        return float(F) if F.ndim == 0 else F
 
     def grad_F_true(self, xown):
         ev, G, gradG, uni = self._population_eval(xown)

@@ -240,13 +240,17 @@ class LaplaceStream:
 
 
 class AgentBank:
-    """Lockstep bank of m per-agent streams of dim-vectors.
+    """Lockstep bank of per-agent streams of dim-vectors, one row per
+    generator (S*m rows for a batch of S seeds).
 
-    One (m, rounds, dim) buffer; a refill writes row i in place from
-    agent i's generator, so row i of every draw continues agent i's own
+    One (rows, rounds, dim) buffer; a refill writes row i in place from
+    generator i, so row i of every draw continues that generator's own
     sequence exactly as a per-agent stream would (generator output does
     not depend on how draws are blocked). fill names the Generator method
     that refills a row in place through out=: "random" or "standard_normal".
+    A refill draws about _BLOCK values per row, so a bank over S seeds
+    holds S times the bytes of a one-seed bank (measured faster than
+    splitting one seed's block across the rows).
     """
 
     _BLOCK = 2048

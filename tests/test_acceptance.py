@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from ldpagg.algorithm import baseline_gradient_tracking, run
+from ldpagg.algorithm import baseline_seeds, run, run_seeds
 from ldpagg.analysis import fit_rate, mean_over_seeds
 from ldpagg.cli import main as cli_main
 from ldpagg.config import load_config
@@ -33,10 +33,9 @@ def config_path(name):
 def run_config_seeds(name):
     cfg = load_config(config_path(name))
     t0 = time.perf_counter()
-    recs = [run(cfg.problem, cfg.topology, cfg.schedules, cfg.T,
-                master_seed=cfg.master_seed + k,
-                init_radius=cfg.init_radius)
-            for k in range(cfg.seeds)]
+    recs = run_seeds(cfg.problem, cfg.topology, cfg.schedules, cfg.T,
+                     [cfg.master_seed + k for k in range(cfg.seeds)],
+                     init_radius=cfg.init_radius)
     return cfg, recs, time.perf_counter() - t0
 
 
@@ -180,11 +179,9 @@ class TestReductions:
                 noise_z=broadcast_noise(sig, 0.0, 5),
             )
 
-        recs = [run(prob, topo, sched(0.5), T, master_seed=500 + k)
-                for k in range(nseeds)]
-        base = [baseline_gradient_tracking(prob, topo, sched(0.45), T,
-                                           master_seed=500 + k)
-                for k in range(nseeds)]
+        seeds = [500 + k for k in range(nseeds)]
+        recs = run_seeds(prob, topo, sched(0.5), T, seeds)
+        base = baseline_seeds(prob, topo, sched(0.45), T, seeds)
         err_alg = np.mean([r.columns["err_to_opt_sq"][-1] for r in recs])
         err_base = np.mean([b.columns["err_to_opt_sq"][-1] for b in base])
         assert err_base >= 10.0 * err_alg

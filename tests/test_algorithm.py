@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldpagg.algorithm import (_AgentStreams, _consensus, _split_weights,
-                              baseline_gradient_tracking, iterate, run)
-from ldpagg.problems import QuadraticProblem, make_quadratic_problem
+                              baseline_gradient_tracking, baseline_seeds,
+                              iterate, run, run_seeds)
+from ldpagg.problems import (QuadraticProblem, make_personalized_problem,
+                             make_quadratic_problem)
 from ldpagg.reference import centralized_trajectory
 from ldpagg.schedules import (ConvexityCase, LaplaceStream, ScheduleSet,
                               StepsizeSchedule, agent_rng, broadcast_noise,
@@ -262,3 +266,98 @@ class TestBaseline:
         late = err[ts >= 500].mean()
         early = err[(ts >= 10) & (ts < 100)].mean()
         assert late > 2 * early
+
+
+# -- seed batching ------------------------------------------------------------
+
+BATCH_PROBLEMS = {
+    "quadratic": make_quadratic_problem(m=3, ni=2, r=2, gamma=1.0,
+                                        box=(-10, 10), seed=7),
+    "personalized": make_personalized_problem(m=3, classes=3, features=2,
+                                              lam=0.8, dataset_size=8, seed=6),
+}
+DRIVERS = {"run": (run_seeds, run),
+           "baseline": (baseline_seeds, baseline_gradient_tracking)}
+
+
+def batch_schedules(sigma_x=0.1, sigma_y=0.1):
+    # a sigma near the float range makes seeds diverge at different rounds
+    return ScheduleSet(
+        lambda_x=StepsizeSchedule(0.5, 0.57),
+        lambda_y=StepsizeSchedule(1.0, 0.02),
+        lambda_z=StepsizeSchedule(1.0, 0.03),
+        noise_x=broadcast_noise(sigma_x, 0.0, 3),
+        noise_y=broadcast_noise(sigma_y, 0.0, 3),
+        noise_z=broadcast_noise(0.1, 0.0, 3),
+    )
+
+
+def run_batch_and_solo(driver, prob, schedules, T, seeds):
+    batched, solo = DRIVERS[driver]
+    kw = {"record_frames": True}
+    if driver == "run":
+        kw["on_nonfinite"] = "record"
+    args = (prob, ring_topology(3, 0.3), schedules, T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        recs = batched(*args, seeds, **kw)
+        alone = [solo(*args, seed, **kw) for seed in seeds]
+    return recs, alone
+
+
+def assert_same_record(a, b):
+    same = lambda x, y: np.array_equal(x, y, equal_nan=True)  # noqa: E731
+    assert a.master_seed == b.master_seed and a.aborted_at == b.aborted_at
+    assert same(a.ts, b.ts)
+    assert list(a.columns) == list(b.columns)
+    for c in a.columns:
+        assert same(a.columns[c], b.columns[c]), c
+    for name in ("final_x", "final_y", "final_z", "z_norm_max", "l_norm1_max"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None and y is None) or same(x, y), name
+    assert len(a.frames) == len(b.frames) and len(a.states) == len(b.states)
+    for fa, fb in zip(a.frames, b.frames):
+        for name in ("x", "y", "z", "noise_x", "noise_y", "noise_z"):
+            assert same(getattr(fa, name), getattr(fb, name)), name
+    for sa, sb in zip(a.states, b.states):
+        assert all(same(x, y) for x, y in zip(sa, sb))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=4),
+       family=st.sampled_from(sorted(BATCH_PROBLEMS)),
+       driver=st.sampled_from(sorted(DRIVERS)),
+       sigma_y=st.sampled_from([0.1, 1e307]))
+def test_batch_records_equal_solo_runs(seeds, family, driver, sigma_y):
+    # every seed of a batch gets bitwise the record it gets alone, also
+    # when other seeds of the batch diverge and leave it early
+    recs, alone = run_batch_and_solo(driver, BATCH_PROBLEMS[family],
+                                     batch_schedules(sigma_y=sigma_y), 40,
+                                     seeds)
+    assert len(recs) == len(seeds)
+    for rec, solo in zip(recs, alone):
+        assert_same_record(rec, solo)
+
+
+DIVERGING = {
+    # x noise near the float range on an unbounded box; gamma = 0 keeps
+    # z, and so the recorded z suprema, finite up to the abort
+    "run": (make_quadratic_problem(m=3, ni=2, r=2, gamma=0.0,
+                                   box=(-np.inf, np.inf), seed=7),
+            batch_schedules(sigma_x=1e307)),
+    "baseline": (BATCH_PROBLEMS["quadratic"], batch_schedules(sigma_y=1e307)),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_aborted_seeds_leave_the_batch(driver):
+    recs, alone = run_batch_and_solo(driver, *DIVERGING[driver], 60,
+                                     list(range(10)))
+    aborted = [r.aborted_at for r in recs]
+    assert None in aborted and any(a is not None for a in aborted)
+    assert len(set(aborted)) > 2  # seeds leave at different rounds
+    for rec, solo in zip(recs, alone):
+        assert_same_record(rec, solo)
+        # rows end with the last finite state
+        assert len(rec.ts) == (rec.aborted_at or 61)
+        if driver == "run":
+            assert np.isfinite(rec.z_norm_max).all()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ldpagg import privacy
+from ldpagg.algorithm import baseline_gradient_tracking, run
 from ldpagg.cli import main
 from ldpagg.config import ConfigError, parse_config
 from ldpagg.schedules import ConvexityCase
@@ -190,18 +191,22 @@ class TestCliRun:
         assert "eps_cum_a2" in header
 
     def test_same_seed_identical_bytes_across_threads(self, tmp_path):
-        outs = []
-        for tag, threads in (("a", "1"), ("b", "2")):
-            out = str(tmp_path / tag)
-            path = write_cfg(tmp_path, cfg_dict(out=out), name=f"c{tag}.json")
-            assert main(["run", "--config", path, "--threads", threads]) == 0
-            outs.append(out)
-        for fname in ("seed_11.csv", "seed_12.csv", "aggregate.csv"):
-            with open(os.path.join(outs[0], fname), "rb") as f:
-                a = f.read()
-            with open(os.path.join(outs[1], fname), "rb") as f:
-                b = f.read()
-            assert a == b, fname
+        # with 3 seeds and 2 threads one worker runs a 2-seed batch
+        for seeds in (2, 3):
+            outs = []
+            for tag, threads in (("a", "1"), ("b", "2")):
+                out = str(tmp_path / f"{tag}{seeds}")
+                path = write_cfg(tmp_path, cfg_dict(out=out, seeds=seeds),
+                                 name=f"c{tag}{seeds}.json")
+                assert main(["run", "--config", path, "--threads", threads]) == 0
+                outs.append(out)
+            names = [f"seed_{11 + k}.csv" for k in range(seeds)]
+            for fname in names + ["aggregate.csv"]:
+                with open(os.path.join(outs[0], fname), "rb") as f:
+                    a = f.read()
+                with open(os.path.join(outs[1], fname), "rb") as f:
+                    b = f.read()
+                assert a == b, (seeds, fname)
 
     def test_run_then_analyze_pipeline(self, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -234,6 +239,33 @@ class TestCliRun:
         with np.errstate(over="ignore", invalid="ignore"):
             code = main(["run", "--config", path, "--threads", "1"])
         assert code == 2
+
+    def test_runtime_abort_keeps_finished_seeds(self, tmp_path):
+        # y noise near the float range: seeds diverge at different rounds;
+        # every seed's CSV is written and the manifest names each abort
+        d = cfg_dict(seeds=6, T=60, schedules=copy.deepcopy(EXPLICIT_SCHED))
+        d["schedules"]["noise"]["y"] = {"sigma": 2e307, "varsigma": 0.05}
+        cfg = parse_config(d)
+        seeds = [cfg.master_seed + k for k in range(cfg.seeds)]
+        for command, driver, code in (("run", run, 2),
+                                      ("baseline", baseline_gradient_tracking, 0)):
+            out = str(tmp_path / command)
+            path = write_cfg(tmp_path, dict(d, out=out), name=f"{command}.json")
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert main([command, "--config", path, "--threads", "1"]) == code
+                kw = {"on_nonfinite": "record"} if command == "run" else {}
+                alone = {s: driver(cfg.problem, cfg.topology, cfg.schedules,
+                                   cfg.T, s, init_radius=cfg.init_radius,
+                                   **kw).aborted_at for s in seeds}
+            with open(os.path.join(out, "manifest.json")) as f:
+                aborted = json.load(f)["aborted"]
+            assert aborted == {str(s): a for s, a in alone.items() if a}
+            if command == "run":
+                assert 0 < len(aborted) < len(seeds)
+            for s in seeds:
+                with open(os.path.join(out, f"seed_{s}.csv")) as f:
+                    rows = len(f.read().strip().splitlines()) - 1
+                assert rows == (alone[s] or cfg.T + 1)
 
     def test_config_error_exit_code(self, tmp_path):
         path = write_cfg(tmp_path, cfg_dict(bogus=1))
