@@ -12,12 +12,13 @@ iteration-(t+1) frame.
 Random streams: every (seed, agent, tag) triple has its own generator
 from agent_rng (tags theta, chi, zeta for the x, y, z noise, data for
 the samples, init for the start point; the baseline prefixes
-"baseline-"). Each noise tag and the quadratic data tag is drawn through
-one lockstep AgentBank over the S*m generators, whose row (s, i) (flat
-row s*m + i) is agent i's stream under seed s. All banks advance by one
-(S*m, dim) draw per round, so a round's frame for every agent of every
-seed is built at once while each agent's values stay those of its own
-stream.
+"baseline-"). Each noise tag and the data tag is drawn through one
+lockstep AgentBank over the S*m generators, whose row (s, i) (flat row
+s*m + i) is agent i's stream under seed s: uniforms for the noise,
+standard normals for the quadratic data, and the (f, g) sample indices
+for the personalized data. All banks advance by one (S*m, dim) draw per
+round, so a round's frame and samples for every agent of every seed are
+built at once while each agent's values stay those of its own stream.
 
 Seeds never mix: every batched operation gives each seed's slice bitwise
 what the one-seed call gives it, so a seed's RunRecord does not depend on
@@ -313,9 +314,9 @@ def baseline_seeds(problem, topology, schedules, T, seeds, x0=None,
     X = b.X0
     store = b.store
     problem.draw(store, b.data)
-    ev0 = problem.erm_eval(store, problem.own_block(X))
-    G = ev0.g.copy()  # aggregate tracker
-    Q = ev0.grad_f_y(G)
+    ev = problem.erm_eval(store, problem.own_block(X))
+    G = ev.g.copy()  # aggregate tracker
+    Q = ev.grad_f_y(G)
 
     lam = schedules.lambda_x.lambda0  # constant stepsize, no decay
     x_star = problem.x_star if problem.has_optimizer else None
@@ -335,9 +336,10 @@ def baseline_seeds(problem, topology, schedules, T, seeds, x0=None,
 
     frame = emit(0)
     for t in range(T):
+        # ev is the oracle at X: last round's ev2, reweighted after the draw
         if store.count == t:
             problem.draw(store, b.data)
-        ev = problem.erm_eval(store, problem.own_block(X))
+            ev = ev.reweighted(store)
         grad_own = ev.grad_f_x(G) + ev.grad_g_dot(Q)
         U = np.zeros_like(X)
         U[problem.own_index] = grad_own
@@ -347,7 +349,7 @@ def baseline_seeds(problem, topology, schedules, T, seeds, x0=None,
         G_new = G + _consensus(b.W0, b.diagw, frame.y, G) + ev2.g - ev.g
         Q_new = Q + _consensus(b.W0, b.diagw, frame.z, Q) \
             + ev2.grad_f_y(G_new) - ev.grad_f_y(G)
-        X, G, Q = X_new, G_new, Q_new
+        X, G, Q, ev = X_new, G_new, Q_new, ev2
         if not b.retire_nonfinite(t + 1, X, G, Q):
             break
         frame = emit(t + 1)

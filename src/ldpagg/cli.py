@@ -29,6 +29,10 @@ _COLUMN_ORDER = ["t", "err_to_opt_sq", "F_gap", "F_gap_runmean",
                  "consensus_z", "tracker_err"]
 
 
+class _UsageError(Exception):
+    """A bad argument: main prints it as an error line and returns 1."""
+
+
 def _fmt(x) -> str:
     return "%.17g" % float(x)
 
@@ -135,18 +139,44 @@ def _cmd_run(args, baseline=False):
     return 2 if manifest["aborted"] and not baseline else 0
 
 
-def _cmd_budget(args):
-    cfg = load_config(args.config)
+def _sensitivity(cfg):
     if cfg.sensitivity is None:
-        print("error: config has no sensitivity block", file=sys.stderr)
-        return 1
+        raise _UsageError("config has no sensitivity block")
+    return cfg.sensitivity
+
+
+def _horizon(text):
+    """--horizon as an iteration count, or None for 'inf'."""
+    if text == "inf":
+        return None
+    if not text.isdecimal():
+        raise _UsageError(f"--horizon must be a nonnegative integer or 'inf', "
+                          f"not {text!r}")
+    return int(text)
+
+
+def _window(text):
+    """--window t_lo,t_hi as a float pair, or None when not given."""
+    if not text:
+        return None
+    try:
+        a, b = (float(v) for v in text.split(","))
+    except ValueError:
+        raise _UsageError(f"--window must be t_lo,t_hi, not {text!r}") from None
+    return a, b
+
+
+def _cmd_budget(args):
+    horizon = _horizon(args.horizon)
+    cfg = load_config(args.config)
+    sens = _sensitivity(cfg)
     s = cfg.schedules
     print("agent,eps_x,eps_y,eps_z,eps_total,bound_inf")
-    if args.horizon == "inf":
+    if horizon is None:
         for i, noise in enumerate(zip(s.noise_x, s.noise_y, s.noise_z)):
-            print(f"{i},,,,,{_fmt(infinite_horizon_bound(cfg.sensitivity, *noise))}")
+            print(f"{i},,,,,{_fmt(infinite_horizon_bound(sens, *noise))}")
         return 0
-    for i, (acct, _) in enumerate(budgets(int(args.horizon), cfg.sensitivity, s,
+    for i, (acct, _) in enumerate(budgets(horizon, sens, s,
                                           source=args.source, warn=False)):
         print(",".join([str(i), _fmt(acct.eps_x), _fmt(acct.eps_y),
                         _fmt(acct.eps_z), _fmt(acct.eps_total),
@@ -156,17 +186,14 @@ def _cmd_budget(args):
 
 def _cmd_calibrate(args):
     cfg = load_config(args.config)
-    if cfg.sensitivity is None:
-        print("error: config has no sensitivity block", file=sys.stderr)
-        return 1
+    sens = _sensitivity(cfg)
     # the largest varsigma leaves the smallest exponent gap, so sigma sized
     # for it keeps every agent's infinite-horizon bound within epsilon
     try:
-        sx, sy, sz = calibrate_noise(args.epsilon, cfg.sensitivity,
+        sx, sy, sz = calibrate_noise(args.epsilon, sens,
                                      *cfg.schedules.max_varsigmas())
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        raise _UsageError(e) from None
     patched = json.loads(json.dumps(cfg.raw))
     block = patched["schedules"]
     if "preset" in block:
@@ -185,30 +212,26 @@ def _cmd_calibrate(args):
 
 
 def _cmd_analyze(args):
+    window = _window(args.window)
+    if not os.path.isdir(args.indir):
+        raise _UsageError(f"no directory {args.indir}")
     files = sorted(f for f in os.listdir(args.indir)
                    if f.startswith("seed_") and f.endswith(".csv"))
     if not files:
-        print(f"error: no seed CSVs in {args.indir}", file=sys.stderr)
-        return 1
+        raise _UsageError(f"no seed CSVs in {args.indir}")
     series = []
     ts = None
     for fname in files:
         header, data = _read_csv(os.path.join(args.indir, fname))
         if args.metric not in header:
-            print(f"error: metric {args.metric!r} not in {fname}", file=sys.stderr)
-            return 1
+            raise _UsageError(f"metric {args.metric!r} not in {fname}")
         if ts is None:
             ts = data[:, header.index("t")]
         series.append(data[:, header.index(args.metric)])
-    window = None
-    if args.window:
-        a, b = args.window.split(",")
-        window = (float(a), float(b))
     try:
         fit = fit_rate(ts, np.stack(series), window=window)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        raise _UsageError(e) from None
     print(json.dumps(fit.as_dict(), indent=2, sort_keys=True))
     mean = np.stack(series).mean(axis=0)
     out_csv = os.path.join(args.indir, f"mean_{args.metric}.csv")
@@ -299,6 +322,9 @@ def main(argv=None) -> int:
             return _cmd_validate(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 1
+    except _UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
         return 1
     return 1
 

@@ -25,6 +25,7 @@ generators, seed-major (entry s*m + i is agent i under seed s).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +57,9 @@ class SampleStore:
         self.raw_phi = [[] for _ in range(m)] if keep_raw else None
         self.last_xi = None
         self.last_phi = None
+        # lockstep bank over the data generators, bound to the generators
+        # of the first draw
+        self.bank = None
 
 
 class ProblemInstance:
@@ -98,13 +102,18 @@ class ProblemInstance:
         raise NotImplementedError
 
     def erm_eval(self, store: SampleStore, Xown: np.ndarray):
-        """ERM oracle bundle at the agents' own points (fast path)."""
+        """ERM oracle bundle at the agents' own points (fast path); its
+        reweighted(store) is the bundle at the same points against the
+        store's current samples, without recomputing what depends on the
+        points only."""
         raise NotImplementedError
 
     def erm_eval_slow(self, store: SampleStore, Xown: np.ndarray):
         """Full recomputation over raw stored samples; requires keep_raw."""
         if store.raw_xi is None:
             raise ValueError("slow path requires a store built with keep_raw=True")
+        if store.count < 1:
+            raise ValueError("empty sample store")
         return self._erm_eval_from_raw(store, Xown)
 
     def _erm_eval_from_raw(self, store, Xown):
@@ -135,17 +144,17 @@ class ErmEvalQuadratic:
 
     prob: "QuadraticProblem"
     Xown: np.ndarray
+    lin: np.ndarray  # A_i x + b_i: depends on the points only
     xi_mean: np.ndarray
     phi_mean: np.ndarray
     g: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        # g_i^t(x) = A_i x + b_i + mean(xi)
-        self.g = (
-            np.einsum("mrn,...mn->...mr", self.prob.A, self.Xown)
-            + self.prob.b
-            + self.xi_mean
-        )
+        # g_i^t(x) = (A_i x + b_i) + mean(xi)
+        self.g = self.lin + self.xi_mean
+
+    def reweighted(self, store: "QuadraticStore") -> "ErmEvalQuadratic":
+        return self.prob._eval(store, self.Xown, self.lin)
 
     def grad_f_y(self, Ytil: np.ndarray) -> np.ndarray:
         return self.prob.gamma * (Ytil - self.prob.d)
@@ -163,9 +172,6 @@ class QuadraticStore(SampleStore):
         super().__init__(m, keep_raw, batch)
         self.xi_sum = np.zeros(self.batch + (m, r))
         self.phi_sum = np.zeros(self.batch + (m, ni))
-        # lockstep bank of standard normals over the data generators,
-        # bound to the generators of the first draw
-        self.normals = None
 
 
 class QuadraticProblem(ProblemInstance):
@@ -204,9 +210,9 @@ class QuadraticProblem(ProblemInstance):
 
     def draw(self, store: QuadraticStore, data_rngs) -> None:
         k = self.r + self.ni
-        if store.normals is None:
-            store.normals = AgentBank(data_rngs, k, "standard_normal")
-        z = store.normals.next().reshape(store.batch + (self.m, k))
+        if store.bank is None:
+            store.bank = AgentBank(data_rngs, k, "standard_normal")
+        z = store.bank.next().reshape(store.batch + (self.m, k))
         xi = self.noise_std_g * z[..., :self.r]
         phi = self.noise_std_f * z[..., self.r:]
         store.xi_sum += xi
@@ -219,22 +225,21 @@ class QuadraticProblem(ProblemInstance):
         store.count += 1
 
     def erm_eval(self, store: QuadraticStore, Xown: np.ndarray) -> ErmEvalQuadratic:
+        return self._eval(store, Xown, self.g_true(Xown))
+
+    def _eval(self, store, Xown, lin):
         if store.count < 1:
             raise ValueError("empty sample store")
-        return ErmEvalQuadratic(
-            prob=self,
-            Xown=Xown,
-            xi_mean=store.xi_sum / store.count,
-            phi_mean=store.phi_sum / store.count,
-        )
+        return ErmEvalQuadratic(self, Xown, lin, store.xi_sum / store.count,
+                                store.phi_sum / store.count)
 
     def _erm_eval_from_raw(self, store, Xown):
         xi_mean = np.stack([np.mean(store.raw_xi[i], axis=0) for i in range(self.m)])
         phi_mean = np.stack([np.mean(store.raw_phi[i], axis=0) for i in range(self.m)])
-        return ErmEvalQuadratic(prob=self, Xown=Xown, xi_mean=xi_mean, phi_mean=phi_mean)
+        return ErmEvalQuadratic(self, Xown, self.g_true(Xown), xi_mean, phi_mean)
 
     def sample_l_norm1(self, store, Xown):
-        l = np.einsum("mrn,...mn->...mr", self.A, Xown) + self.b + store.last_xi
+        l = self.g_true(Xown) + store.last_xi
         return np.abs(l).sum(axis=-1)
 
     # -- per-sample primitives (slow path / finite differences) --------
@@ -310,30 +315,53 @@ class PersonalizedStore(SampleStore):
         self.counts_g = np.zeros(self.batch + (m, dataset_size))
 
 
-class ErmEvalPersonalized:
-    """One softmax forward/backward pass shared by all ERM quantities."""
+class SoftmaxPass:
+    """The linear softmax model at fixed points Xown (..., m, ni): the
+    per-sample losses (..., m, N), and the per-sample gradient tensor
+    (..., m, N, K, d), built on its first read."""
 
-    def __init__(self, prob, store, Xown):
+    def __init__(self, prob, Xown):
         self.prob = prob
         lead = Xown.shape[:-2]
         W = Xown.reshape(lead + (prob.m, prob.K, prob.dim))
         logits = np.einsum("mnd,...mkd->...mnk", prob.feats, W)
         lmax = logits.max(axis=-1, keepdims=True)
-        ex = np.exp(logits - lmax)
-        Zs = ex.sum(axis=-1)
-        p = ex / Zs[..., None]
-        lse = np.log(Zs) + lmax[..., 0]
+        self._ex = np.exp(logits - lmax)
+        self._Zs = self._ex.sum(axis=-1)
+        lse = np.log(self._Zs) + lmax[..., 0]
         self.loss = lse - logits[prob.label_index]       # (..., m, N) per-sample L
-        resid = p - prob.onehot  # p - 1 at the label, p elsewhere (exact)
-        self.grad = np.einsum("...mnk,mnd->...mnkd", resid, prob.feats)  # (..., m,N,K,d)
-        cnt = max(store.count, 1)
-        self.wf = store.counts_f / cnt
-        self.wg = store.counts_g / cnt
+
+    @cached_property
+    def grad(self):
+        p = self._ex / self._Zs[..., None]
+        resid = p - self.prob.onehot  # p - 1 at the label, p elsewhere (exact)
+        return np.einsum("...mnk,mnd->...mnkd", resid, self.prob.feats)
+
+    def _own(self, out):
+        """(..., m, K, d) -> each agent's own block (..., m, ni)."""
+        return out.reshape(out.shape[:-2] + (self.prob.ni,))
+
+    def _population(self):
+        """Uniform weights over each dataset and the mean loss G_i (..., m)."""
+        uni = np.full_like(self.loss, 1.0 / self.prob.N)
+        return uni, np.einsum("...mn,...mn->...m", uni, self.loss)
+
+
+class ErmEvalPersonalized:
+    """ERM quantities from one softmax pass and the store's multiplicity
+    weights; the pass depends on the points only."""
+
+    def __init__(self, sm, store):
+        self.sm = sm
+        self.prob = sm.prob
+        self.loss = sm.loss
+        self.wf = store.counts_f / store.count
+        self.wg = store.counts_g / store.count
         # g_i^t(x): multiplicity-weighted mean loss over the g-stream samples
         self.g = np.einsum("...mn,...mn->...m", self.wg, self.loss)[..., None]
 
-    def _own(self, out):
-        return out.reshape(out.shape[:-2] + (self.prob.ni,))
+    def reweighted(self, store: PersonalizedStore) -> "ErmEvalPersonalized":
+        return self.prob._eval(store, self.sm)
 
     def grad_f_y(self, Ytil):
         lbar = np.einsum("...mn,...mn->...m", self.wf, self.loss)[..., None]
@@ -341,18 +369,11 @@ class ErmEvalPersonalized:
 
     def grad_f_x(self, Ytil):
         scale = self.wf * (1.0 + 2.0 * self.prob.lam * (self.loss - Ytil))
-        return self._own(np.einsum("...mn,...mnkd->...mkd", scale, self.grad))
+        return self.sm._own(np.einsum("...mn,...mnkd->...mkd", scale, self.sm.grad))
 
     def grad_g_dot(self, Ztil):
-        gg = self._own(np.einsum("...mn,...mnkd->...mkd", self.wg, self.grad))
+        gg = self.sm._own(np.einsum("...mn,...mnkd->...mkd", self.wg, self.sm.grad))
         return gg * Ztil  # r = 1: scalar tracker per agent
-
-    # uniform-weight variants used by the truth oracle
-    def _population(self):
-        uni = np.full_like(self.loss, 1.0 / self.prob.N)
-        G = np.einsum("...mn,...mn->...m", uni, self.loss)
-        gradG = self._own(np.einsum("...mn,...mnkd->...mkd", uni, self.grad))
-        return G, gradG, uni
 
 
 class PersonalizedProblem(ProblemInstance):
@@ -385,10 +406,9 @@ class PersonalizedProblem(ProblemInstance):
         return PersonalizedStore(self.m, self.N, keep_raw, batch)
 
     def draw(self, store: PersonalizedStore, data_rngs) -> None:
-        # scalar draws, f then g from each generator: a size-2 draw would
-        # consume the stream differently
-        idx = np.array([(int(rng.integers(self.N)), int(rng.integers(self.N)))
-                        for rng in data_rngs])
+        if store.bank is None:
+            store.bank = AgentBank(data_rngs, 2, "integers", high=self.N)
+        idx = store.bank.next().copy()  # (f, g) index per generator
         rows = np.arange(len(idx))
         store.counts_f.reshape(-1, self.N)[rows, idx[:, 0]] += 1
         store.counts_g.reshape(-1, self.N)[rows, idx[:, 1]] += 1
@@ -402,9 +422,12 @@ class PersonalizedProblem(ProblemInstance):
         store.count += 1
 
     def erm_eval(self, store, Xown):
+        return self._eval(store, SoftmaxPass(self, Xown))
+
+    def _eval(self, store, sm):
         if store.count < 1:
             raise ValueError("empty sample store")
-        return ErmEvalPersonalized(self, store, Xown)
+        return ErmEvalPersonalized(sm, store)
 
     def _erm_eval_from_raw(self, store, Xown):
         # rebuild multiplicity counts from the raw index lists
@@ -415,11 +438,11 @@ class PersonalizedProblem(ProblemInstance):
                 rebuilt.counts_f[i, j] += 1
             for j in store.raw_xi[i]:
                 rebuilt.counts_g[i, j] += 1
-        return ErmEvalPersonalized(self, rebuilt, Xown)
+        return ErmEvalPersonalized(SoftmaxPass(self, Xown), rebuilt)
 
     def sample_l_norm1(self, store, Xown):
-        ev = ErmEvalPersonalized(self, store, Xown)
-        return np.abs(np.take_along_axis(ev.loss, store.last_xi[..., None], -1)[..., 0])
+        loss = SoftmaxPass(self, Xown).loss
+        return np.abs(np.take_along_axis(loss, store.last_xi[..., None], -1)[..., 0])
 
     # -- per-sample primitives ------------------------------------------
     def h_value(self, i, x, y, idx):
@@ -430,34 +453,29 @@ class PersonalizedProblem(ProblemInstance):
 
     # -- truth (population = uniform over the fixed dataset) ------------
     def g_true(self, Xown):
-        dummy = self.new_store()
-        dummy.count = 1
-        ev = ErmEvalPersonalized(self, dummy, Xown)
-        G, _, _ = ev._population()
+        _, G = SoftmaxPass(self, Xown)._population()
         return G[..., None]
 
-    def _population_eval(self, xown):
-        Xown = xown.reshape(xown.shape[:-1] + (self.m, self.ni))
-        dummy = self.new_store()
-        dummy.count = 1
-        ev = ErmEvalPersonalized(self, dummy, Xown)
-        G, gradG, uni = ev._population()
-        return ev, G, gradG, uni
+    def _population_pass(self, xown):
+        return SoftmaxPass(self, xown.reshape(xown.shape[:-1] + (self.m, self.ni)))
 
     def F_true(self, xown):
-        ev, G, _, uni = self._population_eval(xown)
+        sm = self._population_pass(xown)
+        uni, G = sm._population()
         g = G.mean(axis=-1)[..., None, None]
         per_agent = np.einsum("...mn,...mn->...m", uni,
-                              ev.loss + self.lam * (ev.loss - g) ** 2)
+                              sm.loss + self.lam * (sm.loss - g) ** 2)
         F = per_agent.sum(axis=-1)
         return float(F) if F.ndim == 0 else F
 
     def grad_F_true(self, xown):
-        ev, G, gradG, uni = self._population_eval(xown)
+        sm = self._population_pass(xown)
+        uni, G = sm._population()
+        gradG = sm._own(np.einsum("...mn,...mnkd->...mkd", uni, sm.grad))
         g = G.mean()
-        scale = uni * (1.0 + 2.0 * self.lam * (ev.loss - g))
-        gx = np.einsum("mn,mnkd->mkd", scale, ev.grad).reshape(self.m, self.ni)
-        dy_sum = float(np.sum(uni * (-2.0 * self.lam * (ev.loss - g))))
+        scale = uni * (1.0 + 2.0 * self.lam * (sm.loss - g))
+        gx = np.einsum("mn,mnkd->mkd", scale, sm.grad).reshape(self.m, self.ni)
+        dy_sum = float(np.sum(uni * (-2.0 * self.lam * (sm.loss - g))))
         grad = gx + (gradG / self.m) * dy_sum
         return grad.reshape(self.n)
 

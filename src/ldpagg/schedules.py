@@ -243,11 +243,14 @@ class AgentBank:
     """Lockstep bank of per-agent streams of dim-vectors, one row per
     generator (S*m rows for a batch of S seeds).
 
-    One (rows, rounds, dim) buffer; a refill writes row i in place from
-    generator i, so row i of every draw continues that generator's own
-    sequence exactly as a per-agent stream would (generator output does
-    not depend on how draws are blocked). fill names the Generator method
-    that refills a row in place through out=: "random" or "standard_normal".
+    One (rows, rounds, dim) buffer; a refill writes row i from generator
+    i, so row i of every draw continues that generator's own sequence
+    exactly as a per-agent stream would (generator output does not
+    depend on how draws are blocked). fill names the Generator method
+    that refills a row: "random" or "standard_normal" (in place through
+    out=), or "integers", which makes an int64 bank of integers(high)
+    draws (k scalar integers(high) calls and one of size k give the same
+    values and leave the generator in the same state).
     A refill draws about _BLOCK values per row, so a bank over S seeds
     holds S times the bytes of a one-seed bank (measured faster than
     splitting one seed's block across the rows).
@@ -255,18 +258,23 @@ class AgentBank:
 
     _BLOCK = 2048
 
-    def __init__(self, rngs, dim: int, fill: str = "random"):
+    def __init__(self, rngs, dim: int, fill: str = "random", high: int | None = None):
         self._rngs = list(rngs)
         self._fill = fill
+        self._high = high
         rounds = max(1, self._BLOCK // max(dim, 1))
-        self._buf = np.empty((len(self._rngs), rounds, dim))
+        self._buf = np.empty((len(self._rngs), rounds, dim),
+                             dtype=np.int64 if fill == "integers" else float)
         self._pos = self._buf.shape[1]
 
     def next(self) -> np.ndarray:
         """The next (m, dim) draw: a view that a later refill overwrites."""
         if self._pos == self._buf.shape[1]:
             for rng, row in zip(self._rngs, self._buf):
-                getattr(rng, self._fill)(out=row)
+                if self._fill == "integers":
+                    row[...] = rng.integers(self._high, size=row.shape)
+                else:
+                    getattr(rng, self._fill)(out=row)
             self._pos = 0
         out = self._buf[:, self._pos]
         self._pos += 1

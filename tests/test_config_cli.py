@@ -275,6 +275,37 @@ class TestCliRun:
         assert main([]) == 1
 
 
+class TestCliUsageErrors:
+    # each bad argument gives one error line on stderr and exit code 1
+    def assert_usage_error(self, capsys, argv, fragment):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fragment in err
+
+    @pytest.mark.parametrize("horizon", ["abc", "-3"])
+    def test_budget_bad_horizon(self, tmp_path, capsys, horizon):
+        path = write_cfg(tmp_path, cfg_dict(sensitivity=copy.deepcopy(SENS),
+                                            schedules=copy.deepcopy(EXPLICIT_SCHED)))
+        self.assert_usage_error(
+            capsys, ["budget", "--config", path, "--horizon", horizon],
+            "--horizon")
+
+    @pytest.mark.parametrize("window", ["1,2,3", "a,b"])
+    def test_analyze_bad_window(self, tmp_path, capsys, window):
+        (tmp_path / "seed_1.csv").write_text(
+            "t,err_to_opt_sq\n" + "".join(f"{t},{1.0 / (t + 1)}\n"
+                                          for t in range(20)))
+        self.assert_usage_error(
+            capsys, ["analyze", "--in", str(tmp_path), "--metric",
+                     "err_to_opt_sq", "--window", window], "--window")
+
+    def test_analyze_missing_directory(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        self.assert_usage_error(
+            capsys, ["analyze", "--in", missing, "--metric", "err_to_opt_sq"],
+            missing)
+
+
 class TestCliBudget:
     def test_budget_table(self, tmp_path, capsys):
         path = write_cfg(tmp_path, cfg_dict(sensitivity=copy.deepcopy(SENS),

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from ldpagg.problems import (QuadraticProblem, make_personalized_problem,
                              make_quadratic_problem, project_box)
-from ldpagg.schedules import agent_rng
+from ldpagg.schedules import AgentBank, agent_rng
 
 
 def rngs_for(m, seed=0, tag="data"):
@@ -82,9 +82,11 @@ class TestQuadraticErm:
             assert np.max(np.abs(fast.grad_g_dot(Ztil) - slow.grad_g_dot(Ztil))) < 1e-12
 
     def test_empty_store_rejected(self):
-        store = self.prob.new_store()
-        with pytest.raises(ValueError):
-            self.prob.erm_eval(store, np.zeros((3, 2)))
+        for prob in family_problems():
+            store = prob.new_store(keep_raw=True)
+            for oracle in (prob.erm_eval, prob.erm_eval_slow):
+                with pytest.raises(ValueError, match="empty"):
+                    oracle(store, np.zeros((prob.m, prob.ni)))
 
     def test_grad_x_matches_linear_form(self):
         store = fill_store(self.prob, 20)
@@ -295,3 +297,90 @@ def test_project_box_properties(xs, lo, hi):
     p = project_box(x, lov, hiv)
     assert np.all(p >= lov) and np.all(p <= hiv)
     assert np.array_equal(project_box(p, lov, hiv), p)
+
+
+def batch_rngs(m, batch, seed=0):
+    """Data generators of a store with batch shape (), or (S,) seed-major."""
+    seeds = range(batch[0]) if batch else [0]
+    return [agent_rng(seed + s, i, "data") for s in seeds for i in range(m)]
+
+
+@settings(max_examples=12, deadline=None)
+@given(N=st.sampled_from([1, 2, 32, 1000]), S=st.sampled_from([1, 2]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_index_replay_across_bank_refills(N, S, seed):
+    # a refill holds _BLOCK // 2 rounds of (f, g) pairs; the rounds cross
+    # three refills, and every round's pair must be that generator's next
+    # two scalar integers(N) draws, f then g
+    prob = make_personalized_problem(m=2, classes=2, features=1, lam=0.5,
+                                     dataset_size=N, seed=1)
+    store = prob.new_store(batch=(S,))
+    rngs = batch_rngs(prob.m, (S,), seed)
+    replay = batch_rngs(prob.m, (S,), seed)
+    for _ in range(2 * (AgentBank._BLOCK // 2) + 52):
+        prob.draw(store, rngs)
+        phi, xi = store.last_phi.reshape(-1), store.last_xi.reshape(-1)
+        for k, rng in enumerate(replay):
+            assert phi[k] == rng.integers(N)
+            assert xi[k] == rng.integers(N)
+
+
+def family_problems():
+    return [make_quadratic_problem(m=3, ni=2, r=2, gamma=1.0, seed=4),
+            make_personalized_problem(m=3, classes=3, features=2, lam=0.8,
+                                      dataset_size=16, seed=6)]
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("prob", family_problems(), ids=lambda p: p.family)
+def test_reweighted_eval_equals_fresh_eval(prob, batch):
+    # the baseline re-weights last round's eval at the same points after
+    # each draw; that must be bitwise the fresh oracle at those points
+    rng = np.random.default_rng(2)
+    store = prob.new_store(batch=batch)
+    rngs = batch_rngs(prob.m, batch)
+    prob.draw(store, rngs)
+    Xown = rng.normal(0, 1, batch + (prob.m, prob.ni))
+    Y = rng.normal(0, 1, batch + (prob.m, prob.r))
+    Z = rng.normal(0, 1, batch + (prob.m, prob.r))
+    ev = prob.erm_eval(store, Xown)
+    ev.grad_f_x(Y)  # the reweighted eval may reuse state built on read
+    for _ in range(4):
+        prob.draw(store, rngs)
+        ev = ev.reweighted(store)
+        fresh = prob.erm_eval(store, Xown)
+        assert np.array_equal(ev.g, fresh.g)
+        assert np.array_equal(ev.grad_f_x(Y), fresh.grad_f_x(Y))
+        assert np.array_equal(ev.grad_f_y(Y), fresh.grad_f_y(Y))
+        assert np.array_equal(ev.grad_g_dot(Z), fresh.grad_g_dot(Z))
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("prob", family_problems(), ids=lambda p: p.family)
+def test_loss_only_truth_equals_full_pass(prob, batch):
+    # sample_l_norm1, g_true and F_true skip the per-sample gradients; they
+    # must equal the values computed from the oracle's full pass
+    rng = np.random.default_rng(3)
+    store = prob.new_store(batch=batch)
+    rngs = batch_rngs(prob.m, batch)
+    for _ in range(7):
+        prob.draw(store, rngs)
+    Xown = rng.normal(0, 1, batch + (prob.m, prob.ni))
+    full = prob.erm_eval(store, Xown)
+    full.grad_f_x(rng.normal(0, 1, batch + (prob.m, prob.r)))
+    if prob.family == "quadratic":
+        assert np.array_equal(prob.g_true(Xown), full.lin)
+        assert np.array_equal(prob.sample_l_norm1(store, Xown),
+                              np.abs(full.lin + store.last_xi).sum(axis=-1))
+        return
+    loss = full.loss
+    uni = np.full_like(loss, 1.0 / prob.N)
+    G = np.einsum("...mn,...mn->...m", uni, loss)
+    g = G.mean(axis=-1)[..., None, None]
+    F = np.einsum("...mn,...mn->...m", uni,
+                  loss + prob.lam * (loss - g) ** 2).sum(axis=-1)
+    assert np.array_equal(prob.g_true(Xown), G[..., None])
+    assert np.array_equal(prob.F_true(Xown.reshape(batch + (prob.n,))), F)
+    assert np.array_equal(
+        prob.sample_l_norm1(store, Xown),
+        np.abs(np.take_along_axis(loss, store.last_xi[..., None], -1)[..., 0]))
