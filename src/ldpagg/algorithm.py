@@ -9,6 +9,15 @@ state + Laplace noise; raw peer state is never consumed. Rounds are
 synchronous: every agent reads the iteration-t frame and writes the
 iteration-(t+1) frame.
 
+Both drivers run one round loop, _Batch.drive, with their own step
+(iterate, or the gradient-tracking update) and observers. An observer
+obs(t, state, frame, ev, alive) sees each emitted frame, t = 0..T: the
+iteration-t state (X, Y, Z), its broadcast frame, the ERM oracle bundle
+ev the round's step built at that state (at t = T the bundle carried to
+it, None for the main algorithm) and the live-seed mask. Metric rows,
+the F_gap running mean, the z/l premise audits and the baseline's
+tracker error are observers; callers add theirs through observers=.
+
 Random streams: every (seed, agent, tag) triple has its own generator
 from agent_rng (tags theta, chi, zeta for the x, y, z noise, data for
 the samples, init for the start point; the baseline prefixes
@@ -29,7 +38,7 @@ non-finite values reach no other seed, and the others continue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,17 +50,9 @@ from .schedules import AgentBank, LaplaceParams, agent_rng, laplace_from_uniform
 class BroadcastFrame:
     """Obscured per-agent messages for one round; the only sharable values."""
 
-    x: np.ndarray  # (S, m, n); (m, n) in a seed's record
+    x: np.ndarray  # (S, m, n)
     y: np.ndarray  # (S, m, r)
     z: np.ndarray  # (S, m, r)
-    noise_x: np.ndarray = None
-    noise_y: np.ndarray = None
-    noise_z: np.ndarray = None
-
-    def row(self, k):
-        """Batch row k of this frame as a one-seed frame (views)."""
-        return BroadcastFrame(*(None if a is None else a[k] for a in (
-            self.x, self.y, self.z, self.noise_x, self.noise_y, self.noise_z)))
 
 
 @dataclass
@@ -67,9 +68,7 @@ class RunRecord:
     baseline: bool = False
     aborted_at: int | None = None
     z_norm_max: np.ndarray = None       # per-agent sup_t ||z_i^t||_2
-    l_norm1_max: np.ndarray = None      # per-agent sampled sup ||l||_1
-    frames: list = field(default_factory=list)
-    states: list = field(default_factory=list)  # (X, Y, Z) per emitted frame
+    l_norm1_max: np.ndarray = None      # per-agent sup_{t<T} ||l(x_i^t; xi_i^t)||_1
 
 
 class _AgentStreams:
@@ -117,17 +116,27 @@ def _init_x(problem, rngs, init_radius):
     return (lo + (hi - lo) * U).reshape(-1, problem.m, problem.n)
 
 
+def _descend(problem, W0, diagw, X, frame_x, lam, grad_own):
+    """Consensus on the x frame, a step along each agent's own-block
+    gradient, and the projection onto the box."""
+    U = np.zeros_like(X)
+    U[problem.own_index] = grad_own
+    return np.clip(X + _consensus(W0, diagw, frame_x, X) - lam * U,
+                   problem.box_lo, problem.box_hi)
+
+
 class _Batch:
     """What both drivers share for one batch of seeds: the agent-count
     check, weights, streams, noise banks, sample store, start point and
-    grid, plus each seed's metric rows, frames, final state and abort
-    iteration. Batch row s is seeds[s]; alive[s] turns false when that
-    seed goes non-finite."""
+    grid, the round loop, plus each seed's metric rows, final state and
+    abort iteration. Batch row s is seeds[s]; alive[s] turns false when
+    that seed goes non-finite."""
 
     def __init__(self, problem, topology, schedules, T, seeds, prefix,
-                 x0, init_radius, grid, record_frames):
+                 x0, init_radius, grid):
         _check_agents(problem, topology, schedules)
         m, n, r = problem.m, problem.n, problem.r
+        self.problem, self.T = problem, T
         self.W0, self.diagw = _split_weights(topology)
         streams = _AgentStreams(seeds, m, prefix)
         self.seeds = streams.seeds
@@ -147,28 +156,21 @@ class _Batch:
         if grid is None:
             grid = sampling_grid(T)
         self.grid = set(int(g) for g in np.asarray(grid, dtype=int))
-        self.record_frames = record_frames
+        self.x_star = problem.x_star if problem.has_optimizer else None
+        self.F_star = problem.F_star if problem.has_optimizer else None
         self.alive = np.ones(S, dtype=bool)
         self.rows = [[] for _ in range(S)]
-        self.frames = [[] for _ in range(S)]
-        self.states = [[] for _ in range(S)]
         self.final = [None] * S
         self.aborted_at = [None] * S
 
     def draw_frame(self, X, Y, Z, t):
         """The broadcast frame of the iteration-t state, for every seed and
-        agent at once (recorded per live seed when record_frames is set)."""
+        agent at once."""
         shape = X.shape[:-1]  # (S, m)
         Tx, Ty, Tz = (laplace_from_uniform(
             bank.draw_centered().reshape(shape + (dim,)), nu.at(t))
             for bank, nu, dim in self.noise)
-        frame = BroadcastFrame(x=X + Tx, y=Y + Ty, z=Z + Tz)
-        if self.record_frames:
-            frame.noise_x, frame.noise_y, frame.noise_z = Tx, Ty, Tz
-            for s in np.flatnonzero(self.alive):
-                self.frames[s].append(frame.row(s))
-                self.states[s].append((X[s].copy(), Y[s].copy(), Z[s].copy()))
-        return frame
+        return BroadcastFrame(x=X + Tx, y=Y + Ty, z=Z + Tz)
 
     def retire_nonfinite(self, t, X, Y, Z, on_nonfinite="record"):
         """End the live seeds whose state went non-finite at iteration t,
@@ -186,11 +188,42 @@ class _Batch:
         self.alive &= ~bad
         return self.alive.any()
 
-    def records(self, X, Y, Z, baseline=False, z_max=None, l_max=None):
-        """One RunRecord per seed, in seed order; X, Y, Z is the final
-        state of the seeds still alive."""
+    def drive(self, step, state, ev, observers, on_nonfinite="record"):
+        """The round loop of both drivers; returns the last state.
+
+        Round t draws the frame of the iteration-t state, advances it with
+        step(t, state, frame, ev) -> (new state, bundle built at state,
+        bundle carried to the new state or None) and calls the observers;
+        then the final state is observed with the carried bundle. Stops
+        early once every seed has gone non-finite.
+        """
+        for t in range(self.T):
+            frame = self.draw_frame(*state, t)
+            new, ev_t, ev = step(t, state, frame, ev)
+            for obs in observers:
+                obs(t, state, frame, ev_t, self.alive)
+            state = new
+            if not self.retire_nonfinite(t + 1, *state, on_nonfinite):
+                return state
+        frame = self.draw_frame(*state, self.T)
+        for obs in observers:
+            obs(self.T, state, frame, ev, self.alive)
+        return state
+
+    def metric_rows(self, t, state, frame, ev, alive):
+        """Observer: each live seed's metric row at the grid points. Column
+        observers listed after it extend the row it has just added."""
+        if t in self.grid:
+            for s in np.flatnonzero(alive):
+                self.rows[s].append(metric_eval(
+                    self.problem, *(a[s] for a in state), t,
+                    x_star=self.x_star, F_star=self.F_star))
+
+    def records(self, state, baseline=False, z_max=None, l_max=None):
+        """One RunRecord per seed, in seed order; state is the final
+        (X, Y, Z) of the seeds still alive."""
         for s in np.flatnonzero(self.alive):
-            self.final[s] = (X[s], Y[s], Z[s])
+            self.final[s] = tuple(a[s] for a in state)
         out = []
         for s, seed in enumerate(self.seeds):
             rows = self.rows[s]
@@ -202,93 +235,79 @@ class _Batch:
                 final_x=fx, final_y=fy, final_z=fz, master_seed=seed,
                 baseline=baseline, aborted_at=self.aborted_at[s],
                 z_norm_max=None if z_max is None else z_max[s],
-                l_norm1_max=None if l_max is None else l_max[s],
-                frames=self.frames[s], states=self.states[s]))
+                l_norm1_max=None if l_max is None else l_max[s]))
         return out
 
 
-def iterate(X, Y, Z, frame, t, schedules, W0, diagw, problem, store):
+def iterate(X, Y, Z, frame, t, schedules, W0, diagw, problem, ev):
     """One synchronous round of the main algorithm (order y -> z -> x).
 
     State is (S, m, .) for a batch of seeds or (m, .) for one. frame
-    carries the iteration-t obscured values; the caller has drawn the
-    round's (phi, xi) pair into the store. Returns the new (X, Y, Z).
-    Frame emission is handled by the caller.
+    carries the iteration-t obscured values and ev is the ERM oracle at
+    the agents' own points against the round's samples. Returns the new
+    (X, Y, Z).
     """
     lam_y = schedules.lambda_y.value(t)
     lam_z = schedules.lambda_z.value(t)
-    lam_x = schedules.lambda_x.value(t)
-    Xown = problem.own_block(X)
-    ev = problem.erm_eval(store, Xown)
-
     Y_new = Y + _consensus(W0, diagw, frame.y, Y) + lam_y * ev.g
     Ytil = (Y_new - Y) / lam_y
     Z_new = Z + _consensus(W0, diagw, frame.z, Z) + lam_z * ev.grad_f_y(Ytil)
     Ztil = (Z_new - Z) / lam_z
-
     grad_own = ev.grad_f_x(Ytil) + ev.grad_g_dot(Ztil)
-    U = np.zeros_like(X)
-    U[problem.own_index] = grad_own
-    X_new = np.clip(X + _consensus(W0, diagw, frame.x, X) - lam_x * U,
-                    problem.box_lo, problem.box_hi)
+    X_new = _descend(problem, W0, diagw, X, frame.x,
+                     schedules.lambda_x.value(t), grad_own)
     return X_new, Y_new, Z_new
 
 
 def run_seeds(problem, topology, schedules, T, seeds, x0=None,
-              init_radius=10.0, record_frames=False, grid=None,
+              init_radius=10.0, observers=(), grid=None,
               on_nonfinite="raise"):
     """Drive T rounds for every seed in seeds at once and record metrics
     on a log sampling grid; returns one RunRecord per seed, in order.
 
     Each record is bitwise the one that seed gives run alone. x0, an
     (m, n) start shared by all seeds, replaces the random start.
-    Non-finite state aborts with the offending seed and iteration
-    (on_nonfinite "record" instead ends that seed's record there, sets
-    its aborted_at and keeps running the others).
+    observers are called after the built-in ones (see the module
+    docstring). Non-finite state aborts with the offending seed and
+    iteration (on_nonfinite "record" instead ends that seed's record
+    there, sets its aborted_at and keeps running the others).
     """
     b = _Batch(problem, topology, schedules, T, seeds, "", x0, init_radius,
-               grid, record_frames)
+               grid)
     S, m, n, r = len(b.seeds), problem.m, problem.n, problem.r
-    X = b.X0
-    Y = np.zeros((S, m, r))
-    Z = np.zeros((S, m, r))
-    x_star = problem.x_star if problem.has_optimizer else None
-    F_star = problem.F_star if problem.has_optimizer else None
     z_max = np.zeros((S, m))
     l_max = np.zeros((S, m))
     fgap_sum = np.zeros(S)
 
-    def emit(t):
-        """Frame and metrics of the iteration-t state."""
-        if F_star is not None:
-            fgap_sum[:] += problem.F_true(
-                problem.own_block(X).reshape(S, n)) - F_star
-        frame = b.draw_frame(X, Y, Z, t)
-        if t in b.grid:
-            if b.store.count > 0:
-                np.maximum(l_max, problem.sample_l_norm1(
-                    b.store, problem.own_block(X)), out=l_max, where=live_rows)
-            for s in np.flatnonzero(b.alive):
-                row = metric_eval(problem, X[s], Y[s], Z[s], t,
-                                  x_star=x_star, F_star=F_star)
-                if F_star is not None:
-                    row["F_gap_runmean"] = fgap_sum[s] / (t + 1)
-                b.rows[s].append(row)
-        return frame
-
-    live_rows = b.alive[:, None]  # a view: follows b.alive
-    frame = emit(0)
-    for t in range(T):
+    def step(t, state, frame, _):
         problem.draw(b.store, b.data)
-        X, Y, Z = iterate(X, Y, Z, frame, t, schedules, b.W0, b.diagw,
-                          problem, b.store)
-        if not b.retire_nonfinite(t + 1, X, Y, Z, on_nonfinite):
-            break
+        ev = problem.erm_eval(b.store, problem.own_block(state[0]))
+        return iterate(*state, frame, t, schedules, b.W0, b.diagw, problem,
+                       ev), ev, None
+
+    def fgap_runmean(t, state, frame, ev, alive):
+        """F_gap summed over every iteration; its running mean on the grid."""
+        fgap_sum[:] += problem.F_true(
+            problem.own_block(state[0]).reshape(S, n)) - b.F_star
+        if t in b.grid:
+            for s in np.flatnonzero(alive):
+                b.rows[s][-1]["F_gap_runmean"] = fgap_sum[s] / (t + 1)
+
+    def premise_audit(t, state, frame, ev, alive):
+        """The budget premises on the live seeds: sup ||z_i||_2 over every
+        iterate and sup ||l(x_i^t; xi_i^t)||_1 over every round."""
+        Z, live = state[2], alive[:, None]
         # ||z_i||_2 as np.linalg.norm computes it, without its dispatch
         np.maximum(z_max, np.sqrt((Z * Z).sum(axis=-1)), out=z_max,
-                   where=live_rows)
-        frame = emit(t + 1)
-    return b.records(X, Y, Z, z_max=z_max, l_max=l_max)
+                   where=live)
+        if ev is not None:
+            np.maximum(l_max, np.abs(ev.l_newest()).sum(axis=-1), out=l_max,
+                       where=live)
+
+    own = [b.metric_rows] + ([fgap_runmean] if b.F_star is not None else [])
+    state = b.drive(step, (b.X0, np.zeros((S, m, r)), np.zeros((S, m, r))),
+                    None, own + [premise_audit, *observers], on_nonfinite)
+    return b.records(state, z_max=z_max, l_max=l_max)
 
 
 def run(problem, topology, schedules, T, master_seed, **kwargs):
@@ -297,7 +316,7 @@ def run(problem, topology, schedules, T, master_seed, **kwargs):
 
 
 def baseline_seeds(problem, topology, schedules, T, seeds, x0=None,
-                   init_radius=10.0, grid=None, record_frames=False):
+                   init_radius=10.0, grid=None, observers=()):
     """Conventional gradient-tracking template with DP noise on every
     shared variable and constant stepsizes, for every seed in seeds at
     once; returns one RunRecord per seed, bitwise what it gives alone.
@@ -310,50 +329,38 @@ def baseline_seeds(problem, topology, schedules, T, seeds, x0=None,
     phenomenon.
     """
     b = _Batch(problem, topology, schedules, T, seeds, "baseline-", x0,
-               init_radius, grid, record_frames)
-    X = b.X0
+               init_radius, grid)
     store = b.store
     problem.draw(store, b.data)
-    ev = problem.erm_eval(store, problem.own_block(X))
+    ev = problem.erm_eval(store, problem.own_block(b.X0))
     G = ev.g.copy()  # aggregate tracker
-    Q = ev.grad_f_y(G)
-
     lam = schedules.lambda_x.lambda0  # constant stepsize, no decay
-    x_star = problem.x_star if problem.has_optimizer else None
-    F_star = problem.F_star if problem.has_optimizer else None
 
-    def emit(t):
-        """Frame and metrics of the iteration-t state."""
-        frame = b.draw_frame(X, G, Q, t)
-        if t in b.grid:
-            gbar = problem.g_true(problem.own_block(X)).mean(axis=-2)
-            for s in np.flatnonzero(b.alive):
-                row = metric_eval(problem, X[s], G[s], Q[s], t,
-                                  x_star=x_star, F_star=F_star)
-                row["tracker_err"] = float(np.sum((G[s] - gbar[s]) ** 2))
-                b.rows[s].append(row)
-        return frame
-
-    frame = emit(0)
-    for t in range(T):
+    def step(t, state, frame, ev):
+        X, G, Q = state
         # ev is the oracle at X: last round's ev2, reweighted after the draw
         if store.count == t:
             problem.draw(store, b.data)
             ev = ev.reweighted(store)
-        grad_own = ev.grad_f_x(G) + ev.grad_g_dot(Q)
-        U = np.zeros_like(X)
-        U[problem.own_index] = grad_own
-        X_new = np.clip(X + _consensus(b.W0, b.diagw, frame.x, X) - lam * U,
-                        problem.box_lo, problem.box_hi)
+        X_new = _descend(problem, b.W0, b.diagw, X, frame.x, lam,
+                         ev.grad_f_x(G) + ev.grad_g_dot(Q))
         ev2 = problem.erm_eval(store, problem.own_block(X_new))
         G_new = G + _consensus(b.W0, b.diagw, frame.y, G) + ev2.g - ev.g
         Q_new = Q + _consensus(b.W0, b.diagw, frame.z, Q) \
             + ev2.grad_f_y(G_new) - ev.grad_f_y(G)
-        X, G, Q, ev = X_new, G_new, Q_new, ev2
-        if not b.retire_nonfinite(t + 1, X, G, Q):
-            break
-        frame = emit(t + 1)
-    return b.records(X, G, Q, baseline=True)
+        return (X_new, G_new, Q_new), ev, ev2
+
+    def tracker_err(t, state, frame, ev, alive):
+        """Squared distance of the aggregate tracker from the population
+        aggregate, on the grid."""
+        if t in b.grid:
+            G, gbar = state[1], ev.g_population().mean(axis=-2)
+            for s in np.flatnonzero(alive):
+                b.rows[s][-1]["tracker_err"] = float(np.sum((G[s] - gbar[s]) ** 2))
+
+    state = b.drive(step, (b.X0, G, ev.grad_f_y(G)), ev,
+                    [b.metric_rows, tracker_err, *observers])
+    return b.records(state, baseline=True)
 
 
 def baseline_gradient_tracking(problem, topology, schedules, T, master_seed,

@@ -187,18 +187,18 @@ class PrivacyAccount:
         return self.eps_x + self.eps_y + self.eps_z
 
 
-def _noise_exponent_gaps(p: SensitivityParams, noise_x, noise_y, noise_z):
-    gx = p.lambda_x.v - p.lambda_z.v - noise_x.varsigma
-    gy = p.lambda_y.v - noise_y.varsigma
-    gz = p.lambda_z.v - noise_z.varsigma
-    return gx, gy, gz
+def _noise_exponent_gaps(p: SensitivityParams, vs_x, vs_y, vs_z):
+    """Decay-exponent gaps (x, y, z) of the sensitivities over the noise."""
+    return (p.lambda_x.v - p.lambda_z.v - vs_x, p.lambda_y.v - vs_y,
+            p.lambda_z.v - vs_z)
 
 
 def infinite_horizon_bound(p: SensitivityParams, noise_x, noise_y, noise_z,
                            consts: ClosedFormConstants = None) -> float:
     """T -> infinity certificate; +inf when any exponent gap is nonpositive
     or the stepsize exponents admit no closed-form constants."""
-    gx, gy, gz = _noise_exponent_gaps(p, noise_x, noise_y, noise_z)
+    gx, gy, gz = _noise_exponent_gaps(p, noise_x.varsigma, noise_y.varsigma,
+                                      noise_z.varsigma)
     if min(gx, gy, gz) <= 0:
         return float("inf")
     try:
@@ -278,9 +278,7 @@ def calibrate_noise(eps_target: float, p: SensitivityParams,
     """
     if eps_target <= 0:
         raise ValueError("target budget must be positive")
-    gx = p.lambda_x.v - p.lambda_z.v - varsigma_x
-    gy = p.lambda_y.v - varsigma_y
-    gz = p.lambda_z.v - varsigma_z
+    gx, gy, gz = _noise_exponent_gaps(p, varsigma_x, varsigma_y, varsigma_z)
     if min(gx, gy, gz) <= 0:
         raise ValueError("noise decay exponents leave no positive gap")
     c = closed_form_constants(p)

@@ -1,4 +1,4 @@
-"""Stochastic problem families, streaming ERM sample stores, box projection.
+"""Stochastic problem families and streaming ERM sample stores.
 
 Two families are provided:
 
@@ -12,8 +12,8 @@ Two families are provided:
 
 ERM averages are maintained through exact sufficient statistics (running
 sums for the quadratic family, sample multiplicity counts for the finite
-personalized datasets); an O(t) full-recompute path over raw stored
-samples is kept for equality testing.
+personalized datasets); reference.ErmReference recomputes them sample by
+sample for equality testing.
 
 Oracles take stacked per-agent arrays (..., m, .): leading axes are batch
 axes (the seeds of a batched run), and every batched call gives each
@@ -32,29 +32,17 @@ import numpy as np
 from .schedules import AgentBank
 
 
-def project_box(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Componentwise clamp onto the product box; idempotent."""
-    return np.clip(x, lo, hi)
-
-
 class SampleStore:
     """Append-only per-run streaming sample state for all m agents (of
     every seed, with a leading batch shape such as (S,)).
 
-    Family-specific sufficient statistics live in subclass fields; raw
-    samples are retained only when keep_raw is set (used by the slow
-    recompute path in tests -- O(t) memory and time; unbatched only).
+    Family-specific sufficient statistics live in subclass fields;
+    last_xi and last_phi hold the newest draw's samples.
     """
 
-    def __init__(self, m: int, keep_raw: bool = False, batch: tuple = ()):
-        if keep_raw and batch:
-            raise ValueError("raw samples are kept for unbatched stores only")
-        self.m = m
+    def __init__(self, batch: tuple = ()):
         self.batch = tuple(batch)
         self.count = 0
-        self.keep_raw = keep_raw
-        self.raw_xi = [[] for _ in range(m)] if keep_raw else None
-        self.raw_phi = [[] for _ in range(m)] if keep_raw else None
         self.last_xi = None
         self.last_phi = None
         # lockstep bank over the data generators, bound to the generators
@@ -93,7 +81,7 @@ class ProblemInstance:
         return np.take(X.reshape(X.shape[:-2] + (-1,)), self._own_flat, axis=-1)
 
     # -- streaming ------------------------------------------------------
-    def new_store(self, keep_raw: bool = False, batch: tuple = ()) -> SampleStore:
+    def new_store(self, batch: tuple = ()) -> SampleStore:
         raise NotImplementedError
 
     def draw(self, store: SampleStore, data_rngs) -> None:
@@ -102,25 +90,11 @@ class ProblemInstance:
         raise NotImplementedError
 
     def erm_eval(self, store: SampleStore, Xown: np.ndarray):
-        """ERM oracle bundle at the agents' own points (fast path); its
+        """ERM oracle bundle at the agents' own points. Its
         reweighted(store) is the bundle at the same points against the
         store's current samples, without recomputing what depends on the
-        points only."""
-        raise NotImplementedError
-
-    def erm_eval_slow(self, store: SampleStore, Xown: np.ndarray):
-        """Full recomputation over raw stored samples; requires keep_raw."""
-        if store.raw_xi is None:
-            raise ValueError("slow path requires a store built with keep_raw=True")
-        if store.count < 1:
-            raise ValueError("empty sample store")
-        return self._erm_eval_from_raw(store, Xown)
-
-    def _erm_eval_from_raw(self, store, Xown):
-        raise NotImplementedError
-
-    def sample_l_norm1(self, store: SampleStore, Xown: np.ndarray) -> np.ndarray:
-        """||l(x_i; xi_i^t)||_1 at the newest sample, for the d_l audit."""
+        points only; l_newest() is l(x_i; xi_i) at the newest sample and
+        g_population() is g_true at the points, both (..., m, r)."""
         raise NotImplementedError
 
     # -- truth ----------------------------------------------------------
@@ -147,6 +121,7 @@ class ErmEvalQuadratic:
     lin: np.ndarray  # A_i x + b_i: depends on the points only
     xi_mean: np.ndarray
     phi_mean: np.ndarray
+    last_xi: np.ndarray
     g: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -155,6 +130,12 @@ class ErmEvalQuadratic:
 
     def reweighted(self, store: "QuadraticStore") -> "ErmEvalQuadratic":
         return self.prob._eval(store, self.Xown, self.lin)
+
+    def l_newest(self) -> np.ndarray:
+        return self.lin + self.last_xi
+
+    def g_population(self) -> np.ndarray:
+        return self.lin
 
     def grad_f_y(self, Ytil: np.ndarray) -> np.ndarray:
         return self.prob.gamma * (Ytil - self.prob.d)
@@ -168,8 +149,8 @@ class ErmEvalQuadratic:
 
 
 class QuadraticStore(SampleStore):
-    def __init__(self, m, r, ni, keep_raw=False, batch=()):
-        super().__init__(m, keep_raw, batch)
+    def __init__(self, m, r, ni, batch=()):
+        super().__init__(batch)
         self.xi_sum = np.zeros(self.batch + (m, r))
         self.phi_sum = np.zeros(self.batch + (m, ni))
 
@@ -205,8 +186,8 @@ class QuadraticProblem(ProblemInstance):
         self._set_own_index()
 
     # -- streaming ------------------------------------------------------
-    def new_store(self, keep_raw: bool = False, batch: tuple = ()) -> QuadraticStore:
-        return QuadraticStore(self.m, self.r, self.ni, keep_raw, batch)
+    def new_store(self, batch: tuple = ()) -> QuadraticStore:
+        return QuadraticStore(self.m, self.r, self.ni, batch)
 
     def draw(self, store: QuadraticStore, data_rngs) -> None:
         k = self.r + self.ni
@@ -218,10 +199,6 @@ class QuadraticProblem(ProblemInstance):
         store.xi_sum += xi
         store.phi_sum += phi
         store.last_xi, store.last_phi = xi, phi
-        if store.keep_raw:
-            for i in range(self.m):
-                store.raw_xi[i].append(xi[i])
-                store.raw_phi[i].append(phi[i])
         store.count += 1
 
     def erm_eval(self, store: QuadraticStore, Xown: np.ndarray) -> ErmEvalQuadratic:
@@ -231,23 +208,7 @@ class QuadraticProblem(ProblemInstance):
         if store.count < 1:
             raise ValueError("empty sample store")
         return ErmEvalQuadratic(self, Xown, lin, store.xi_sum / store.count,
-                                store.phi_sum / store.count)
-
-    def _erm_eval_from_raw(self, store, Xown):
-        xi_mean = np.stack([np.mean(store.raw_xi[i], axis=0) for i in range(self.m)])
-        phi_mean = np.stack([np.mean(store.raw_phi[i], axis=0) for i in range(self.m)])
-        return ErmEvalQuadratic(self, Xown, self.g_true(Xown), xi_mean, phi_mean)
-
-    def sample_l_norm1(self, store, Xown):
-        l = self.g_true(Xown) + store.last_xi
-        return np.abs(l).sum(axis=-1)
-
-    # -- per-sample primitives (slow path / finite differences) --------
-    def h_value(self, i, x, y, phi):
-        return (
-            0.5 * self.alpha * np.sum((x - self.c[i] - phi) ** 2)
-            + 0.5 * self.gamma * np.sum((y - self.d[i]) ** 2)
-        )
+                                store.phi_sum / store.count, store.last_xi)
 
     # -- truth ----------------------------------------------------------
     def g_true(self, Xown: np.ndarray) -> np.ndarray:
@@ -309,8 +270,8 @@ def make_quadratic_problem(m, ni, r, gamma, alpha=1.0, noise_std_g=0.1,
 
 
 class PersonalizedStore(SampleStore):
-    def __init__(self, m, dataset_size, keep_raw=False, batch=()):
-        super().__init__(m, keep_raw, batch)
+    def __init__(self, m, dataset_size, batch=()):
+        super().__init__(batch)
         self.counts_f = np.zeros(self.batch + (m, dataset_size))
         self.counts_g = np.zeros(self.batch + (m, dataset_size))
 
@@ -357,11 +318,20 @@ class ErmEvalPersonalized:
         self.loss = sm.loss
         self.wf = store.counts_f / store.count
         self.wg = store.counts_g / store.count
+        self.last_xi = store.last_xi
         # g_i^t(x): multiplicity-weighted mean loss over the g-stream samples
         self.g = np.einsum("...mn,...mn->...m", self.wg, self.loss)[..., None]
 
     def reweighted(self, store: PersonalizedStore) -> "ErmEvalPersonalized":
         return self.prob._eval(store, self.sm)
+
+    def l_newest(self):
+        xi = self.last_xi  # one loss per (seed, agent) row
+        l = self.loss.reshape(-1, self.prob.N)[np.arange(xi.size), xi.reshape(-1)]
+        return l.reshape(xi.shape + (1,))
+
+    def g_population(self):
+        return self.sm._population()[1][..., None]
 
     def grad_f_y(self, Ytil):
         lbar = np.einsum("...mn,...mn->...m", self.wf, self.loss)[..., None]
@@ -402,8 +372,8 @@ class PersonalizedProblem(ProblemInstance):
         self.box_hi = np.broadcast_to(np.asarray(hi, dtype=float), (self.n,)).copy()
         self._set_own_index()
 
-    def new_store(self, keep_raw: bool = False, batch: tuple = ()) -> PersonalizedStore:
-        return PersonalizedStore(self.m, self.N, keep_raw, batch)
+    def new_store(self, batch: tuple = ()) -> PersonalizedStore:
+        return PersonalizedStore(self.m, self.N, batch)
 
     def draw(self, store: PersonalizedStore, data_rngs) -> None:
         if store.bank is None:
@@ -415,10 +385,6 @@ class PersonalizedProblem(ProblemInstance):
         idx = idx.reshape(store.batch + (self.m, 2))
         idx_f, idx_g = idx[..., 0], idx[..., 1]
         store.last_phi, store.last_xi = idx_f, idx_g
-        if store.keep_raw:
-            for i in range(self.m):
-                store.raw_phi[i].append(idx_f[i])
-                store.raw_xi[i].append(idx_g[i])
         store.count += 1
 
     def erm_eval(self, store, Xown):
@@ -429,32 +395,9 @@ class PersonalizedProblem(ProblemInstance):
             raise ValueError("empty sample store")
         return ErmEvalPersonalized(sm, store)
 
-    def _erm_eval_from_raw(self, store, Xown):
-        # rebuild multiplicity counts from the raw index lists
-        rebuilt = PersonalizedStore(self.m, self.N)
-        rebuilt.count = store.count
-        for i in range(self.m):
-            for j in store.raw_phi[i]:
-                rebuilt.counts_f[i, j] += 1
-            for j in store.raw_xi[i]:
-                rebuilt.counts_g[i, j] += 1
-        return ErmEvalPersonalized(SoftmaxPass(self, Xown), rebuilt)
-
-    def sample_l_norm1(self, store, Xown):
-        loss = SoftmaxPass(self, Xown).loss
-        return np.abs(np.take_along_axis(loss, store.last_xi[..., None], -1)[..., 0])
-
-    # -- per-sample primitives ------------------------------------------
-    def h_value(self, i, x, y, idx):
-        logits = x.reshape(self.K, self.dim) @ self.feats[i, idx]
-        lmax = logits.max()
-        L = np.log(np.exp(logits - lmax).sum()) + lmax - logits[self.labels[i, idx]]
-        return L + self.lam * float((L - y) ** 2)
-
     # -- truth (population = uniform over the fixed dataset) ------------
     def g_true(self, Xown):
-        _, G = SoftmaxPass(self, Xown)._population()
-        return G[..., None]
+        return SoftmaxPass(self, Xown)._population()[1][..., None]
 
     def _population_pass(self, xown):
         return SoftmaxPass(self, xown.reshape(xown.shape[:-1] + (self.m, self.ni)))

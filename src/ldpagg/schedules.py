@@ -198,47 +198,6 @@ def laplace_from_uniform(u: np.ndarray, nu) -> np.ndarray:
     return -nu * np.sign(u) * np.log(arg)
 
 
-def sample_laplace(rng: np.random.Generator, nu: float, dim: int) -> np.ndarray:
-    """dim independent Laplace(nu) variates, one uniform draw per coordinate."""
-    if nu < 0:
-        raise ValueError("Laplace parameter must be nonnegative")
-    u = rng.random(dim) - 0.5
-    return laplace_from_uniform(u, nu)
-
-
-class LaplaceStream:
-    """Buffered single-agent Laplace noise stream.
-
-    Consumes a single underlying uniform sequence in order, so results are
-    independent of how draws are batched. It is the per-agent reference
-    that AgentBank rows and the frame-audit replays are checked against.
-    """
-
-    _BLOCK = 4096
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self._buf = np.empty(0)
-        self._pos = 0
-
-    def _uniforms(self, k: int) -> np.ndarray:
-        if self._pos + k > self._buf.size:
-            head = self._buf[self._pos:]
-            fill = self.rng.random(max(self._BLOCK, k))
-            self._buf = np.concatenate([head, fill])
-            self._pos = 0
-        out = self._buf[self._pos:self._pos + k]
-        self._pos += k
-        return out
-
-    def draw_centered(self, dim: int) -> np.ndarray:
-        """dim uniforms on [-1/2, 1/2), consumed in stream order."""
-        return self._uniforms(dim) - 0.5
-
-    def draw(self, nu: float, dim: int) -> np.ndarray:
-        return laplace_from_uniform(self.draw_centered(dim), nu)
-
-
 class AgentBank:
     """Lockstep bank of per-agent streams of dim-vectors, one row per
     generator (S*m rows for a batch of S seeds).
@@ -281,8 +240,8 @@ class AgentBank:
         return out
 
     def draw_centered(self) -> np.ndarray:
-        """Fresh (m, dim) uniforms on [-1/2, 1/2); row i equals
-        LaplaceStream(rngs[i]).draw_centered(dim) at the same position."""
+        """Fresh (m, dim) uniforms on [-1/2, 1/2); row i continues
+        rngs[i].random() (reference.LaplaceStream replays it)."""
         return self.next() - 0.5
 
 

@@ -17,10 +17,10 @@ from ldpagg.privacy import (budget, calibrate_noise, closed_form_constants,
                             contraction_coefficients, infinite_horizon_bound,
                             sensitivity_trajectory)
 from ldpagg.problems import make_personalized_problem, make_quadratic_problem
-from ldpagg.reference import centralized_trajectory
+from ldpagg.reference import centralized_trajectory, h_value, sample_laplace
 from ldpagg.schedules import (ConvexityCase, NoiseSchedule, ScheduleSet,
                               StepsizeSchedule, broadcast_noise,
-                              corollary1_preset, sample_laplace)
+                              corollary1_preset)
 from ldpagg.topology import ring_topology, trivial_topology
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -154,11 +154,12 @@ class TestReductions:
                               lambda0=(0.5, 1.0, 1.0), sigma=(0.0, 0.0, 0.0))
         x0 = np.full((1, 4), 0.5)
         T = 10000
-        rec = run(prob, trivial_topology(), s, T, master_seed=0, x0=x0,
-                  record_frames=True)
+        xs = []
+        run(prob, trivial_topology(), s, T, master_seed=0, x0=x0,
+            observers=[lambda t, state, frame, ev, alive: xs.append(state[0])])
         ref = centralized_trajectory(prob, s, T, x0[0])
-        dev = max(np.max(np.abs(st[0][0] - ref[t]))
-                  for t, st in enumerate(rec.states))
+        assert len(xs) == T + 1
+        dev = max(np.max(np.abs(X[0, 0] - ref[t])) for t, X in enumerate(xs))
         assert dev < 1e-10
 
     def test_baseline_contrast(self):
@@ -225,10 +226,12 @@ class TestInvariants:
         quad = make_quadratic_problem(m=2, ni=2, r=2, gamma=0.8,
                                       noise_std_g=0.2, noise_std_f=0.2,
                                       box=(-10, 10), seed=5)
-        store = quad.new_store(keep_raw=True)
+        store = quad.new_store()
         rngs = [np.random.default_rng([11, i]) for i in range(2)]
+        phis = []
         for _ in range(12):
             quad.draw(store, rngs)
+            phis.append(store.last_phi.copy())
         rng = np.random.default_rng(6)
         Xown = rng.uniform(-1, 1, (2, 2))
         Y = rng.normal(0, 1, (2, 2))
@@ -236,8 +239,7 @@ class TestInvariants:
         gx, gy = ev.grad_f_x(Y), ev.grad_f_y(Y)
 
         def h_avg(i, x, y):
-            return np.mean([quad.h_value(i, x, y, store.raw_phi[i][k])
-                            for k in range(store.count)])
+            return np.mean([h_value(quad, i, x, y, phi[i]) for phi in phis])
         for i in range(2):
             for j in range(2):
                 d = np.zeros(2); d[j] = eps
@@ -285,27 +287,3 @@ class TestInvariants:
                 with open(os.path.join(out, fname), "rb") as f:
                     blobs.append(f.read())
             assert blobs[0] == blobs[1] == blobs[2], fname
-
-    def test_frame_audit_exact(self):
-        from ldpagg.schedules import (LaplaceStream, agent_rng,
-                                      laplace_from_uniform)
-        prob = make_quadratic_problem(m=3, ni=2, r=2, gamma=1.0,
-                                      box=(-10, 10), seed=7)
-        s = corollary1_preset(ConvexityCase.STRONGLY_CONVEX, 0.01, m=3,
-                              lambda0=(0.5, 1, 1), sigma=(0.7, 0.7, 0.7))
-        rec = run(prob, ring_topology(3, 0.3), s, 100, master_seed=21,
-                  record_frames=True)
-        theta = [LaplaceStream(agent_rng(21, i, "theta")) for i in range(3)]
-        chi = [LaplaceStream(agent_rng(21, i, "chi")) for i in range(3)]
-        zeta = [LaplaceStream(agent_rng(21, i, "zeta")) for i in range(3)]
-        for t, (frame, (X, Y, Z)) in enumerate(zip(rec.frames, rec.states)):
-            for i in range(3):
-                nx = laplace_from_uniform(theta[i].draw_centered(prob.n),
-                                          s.noise_x[i].laplace_param(t))
-                ny = laplace_from_uniform(chi[i].draw_centered(prob.r),
-                                          s.noise_y[i].laplace_param(t))
-                nz = laplace_from_uniform(zeta[i].draw_centered(prob.r),
-                                          s.noise_z[i].laplace_param(t))
-                assert np.array_equal(frame.x[i], X[i] + nx)
-                assert np.array_equal(frame.y[i], Y[i] + ny)
-                assert np.array_equal(frame.z[i], Z[i] + nz)

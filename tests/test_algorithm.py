@@ -1,18 +1,36 @@
+from collections import defaultdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpagg.algorithm import (_AgentStreams, _consensus, _split_weights,
-                              baseline_gradient_tracking, baseline_seeds,
-                              iterate, run, run_seeds)
+from ldpagg.algorithm import (BroadcastFrame, _AgentStreams, _consensus,
+                              _split_weights, baseline_gradient_tracking,
+                              baseline_seeds, iterate, run, run_seeds)
 from ldpagg.problems import (QuadraticProblem, make_personalized_problem,
                              make_quadratic_problem)
-from ldpagg.reference import centralized_trajectory
-from ldpagg.schedules import (ConvexityCase, LaplaceStream, ScheduleSet,
-                              StepsizeSchedule, agent_rng, broadcast_noise,
-                              corollary1_preset, laplace_from_uniform)
+from ldpagg.reference import (ErmReference, LaplaceStream,
+                              centralized_trajectory)
+from ldpagg.schedules import (ConvexityCase, ScheduleSet, StepsizeSchedule,
+                              agent_rng, broadcast_noise, corollary1_preset,
+                              laplace_from_uniform)
 from ldpagg.topology import ring_topology, trivial_topology
+
+
+class Recorder:
+    """Observer that keeps copies of each live seed's frames and states,
+    keyed by batch row."""
+
+    def __init__(self):
+        self.frames = defaultdict(list)
+        self.states = defaultdict(list)
+
+    def __call__(self, t, state, frame, ev, alive):
+        for s in np.flatnonzero(alive):
+            self.frames[s].append(BroadcastFrame(
+                *(a[s].copy() for a in (frame.x, frame.y, frame.z))))
+            self.states[s].append(tuple(a[s].copy() for a in state))
 
 
 def noisefree_schedules(m, lambda0=(0.5, 1.0, 1.0)):
@@ -32,11 +50,12 @@ class TestCentralizedReduction:
         prob = clean_quadratic(m=1, ni=4, r=2)
         s = noisefree_schedules(1)
         x0 = np.full((1, 4), 0.5)
-        rec = run(prob, trivial_topology(), s, 2000, master_seed=0, x0=x0,
-                  record_frames=True)
+        rec = Recorder()
+        run(prob, trivial_topology(), s, 2000, master_seed=0, x0=x0,
+            observers=[rec])
         ref = centralized_trajectory(prob, s, 2000, x0[0])
         dev = max(np.max(np.abs(st[0][0] - ref[t]))
-                  for t, st in enumerate(rec.states))
+                  for t, st in enumerate(rec.states[0]))
         assert dev < 1e-10
 
     def test_converges_to_reference_optimum(self):
@@ -93,13 +112,12 @@ class TestIterate:
         Y = np.zeros((5, 2))
         Z = np.zeros((5, 2))
         store = prob.new_store()
-        from ldpagg.algorithm import BroadcastFrame
         for t in range(30):
             frame = BroadcastFrame(x=X, y=Y, z=Z)  # noise-free frames
             prob.draw(store, streams.data)
             ev = prob.erm_eval(store, prob.own_block(X))
             expect = Y.mean(axis=0) + s.lambda_y.value(t) * ev.g.mean(axis=0)
-            X, Y, Z = iterate(X, Y, Z, frame, t, s, W0, diagw, prob, store)
+            X, Y, Z = iterate(X, Y, Z, frame, t, s, W0, diagw, prob, ev)
             assert np.max(np.abs(Y.mean(axis=0) - expect)) < 1e-12
 
     def test_consensus_identity_matches_neighbor_sum(self):
@@ -204,13 +222,15 @@ class TestFrameAudit:
         s = corollary1_preset(ConvexityCase.STRONGLY_CONVEX, 0.01, m=3,
                               lambda0=(0.5, 1, 1), sigma=(0.8, 0.8, 0.8))
         T = 50
-        rec = run(prob, topo, s, T, master_seed=9, record_frames=True)
-        assert len(rec.frames) == T + 1 and len(rec.states) == T + 1
+        rec = Recorder()
+        run(prob, topo, s, T, master_seed=9, observers=[rec])
+        assert len(rec.frames[0]) == T + 1 and len(rec.states[0]) == T + 1
 
         theta = [LaplaceStream(agent_rng(9, i, "theta")) for i in range(3)]
         chi = [LaplaceStream(agent_rng(9, i, "chi")) for i in range(3)]
         zeta = [LaplaceStream(agent_rng(9, i, "zeta")) for i in range(3)]
-        for t, (frame, (X, Y, Z)) in enumerate(zip(rec.frames, rec.states)):
+        for t, (frame, (X, Y, Z)) in enumerate(zip(rec.frames[0],
+                                                   rec.states[0])):
             for i in range(3):
                 nx = laplace_from_uniform(theta[i].draw_centered(prob.n),
                                           s.noise_x[i].laplace_param(t))
@@ -221,13 +241,6 @@ class TestFrameAudit:
                 assert np.array_equal(frame.x[i], X[i] + nx)
                 assert np.array_equal(frame.y[i], Y[i] + ny)
                 assert np.array_equal(frame.z[i], Z[i] + nz)
-                assert np.array_equal(frame.noise_x[i], nx)
-
-    def test_frames_not_kept_by_default(self):
-        prob = clean_quadratic(m=3)
-        rec = run(prob, ring_topology(3, 0.3), noisefree_schedules(3), 10,
-                  master_seed=0)
-        assert rec.frames == [] and rec.states == []
 
 
 class TestBaseline:
@@ -293,18 +306,25 @@ def batch_schedules(sigma_x=0.1, sigma_y=0.1):
 
 
 def run_batch_and_solo(driver, prob, schedules, T, seeds):
+    """Batched and solo records of seeds, each with the frames and states
+    a Recorder kept for it: lists of (record, frames, states)."""
     batched, solo = DRIVERS[driver]
-    kw = {"record_frames": True}
-    if driver == "run":
-        kw["on_nonfinite"] = "record"
+    kw = {"on_nonfinite": "record"} if driver == "run" else {}
     args = (prob, ring_topology(3, 0.3), schedules, T)
     with np.errstate(over="ignore", invalid="ignore"):
-        recs = batched(*args, seeds, **kw)
-        alone = [solo(*args, seed, **kw) for seed in seeds]
+        rec = Recorder()
+        recs = batched(*args, seeds, observers=[rec], **kw)
+        recs = [(r, rec.frames[s], rec.states[s]) for s, r in enumerate(recs)]
+        alone = []
+        for seed in seeds:
+            rec = Recorder()
+            r = solo(*args, seed, observers=[rec], **kw)
+            alone.append((r, rec.frames[0], rec.states[0]))
     return recs, alone
 
 
-def assert_same_record(a, b):
+def assert_same_record(batched, solo):
+    (a, frames_a, states_a), (b, frames_b, states_b) = batched, solo
     same = lambda x, y: np.array_equal(x, y, equal_nan=True)  # noqa: E731
     assert a.master_seed == b.master_seed and a.aborted_at == b.aborted_at
     assert same(a.ts, b.ts)
@@ -314,11 +334,11 @@ def assert_same_record(a, b):
     for name in ("final_x", "final_y", "final_z", "z_norm_max", "l_norm1_max"):
         x, y = getattr(a, name), getattr(b, name)
         assert (x is None and y is None) or same(x, y), name
-    assert len(a.frames) == len(b.frames) and len(a.states) == len(b.states)
-    for fa, fb in zip(a.frames, b.frames):
-        for name in ("x", "y", "z", "noise_x", "noise_y", "noise_z"):
+    assert len(frames_a) == len(frames_b) and len(states_a) == len(states_b)
+    for fa, fb in zip(frames_a, frames_b):
+        for name in ("x", "y", "z"):
             assert same(getattr(fa, name), getattr(fb, name)), name
-    for sa, sb in zip(a.states, b.states):
+    for sa, sb in zip(states_a, states_b):
         assert all(same(x, y) for x, y in zip(sa, sb))
 
 
@@ -352,12 +372,79 @@ DIVERGING = {
 def test_aborted_seeds_leave_the_batch(driver):
     recs, alone = run_batch_and_solo(driver, *DIVERGING[driver], 60,
                                      list(range(10)))
-    aborted = [r.aborted_at for r in recs]
+    aborted = [r.aborted_at for r, _, _ in recs]
     assert None in aborted and any(a is not None for a in aborted)
     assert len(set(aborted)) > 2  # seeds leave at different rounds
     for rec, solo in zip(recs, alone):
         assert_same_record(rec, solo)
+        rec = rec[0]
         # rows end with the last finite state
         assert len(rec.ts) == (rec.aborted_at or 61)
         if driver == "run":
             assert np.isfinite(rec.z_norm_max).all()
+
+
+def replay_data(prob, seed, T):
+    """Each round's (xi, phi) for all agents of one seed, replayed from
+    the agents' data streams in the order the store draws them."""
+    rngs = [agent_rng(seed, i, "data") for i in range(prob.m)]
+    rounds = []
+    for _ in range(T):
+        if prob.family == "quadratic":
+            z = np.array([rng.standard_normal(prob.r + prob.ni) for rng in rngs])
+            rounds.append((prob.noise_std_g * z[:, :prob.r],
+                           prob.noise_std_f * z[:, prob.r:]))
+        else:
+            f_g = np.array([[rng.integers(prob.N), rng.integers(prob.N)]
+                            for rng in rngs])
+            rounds.append((f_g[:, 1], f_g[:, 0]))
+    return rounds
+
+
+@pytest.mark.parametrize("family", sorted(BATCH_PROBLEMS))
+def test_l_audit_covers_every_round(family):
+    # l_norm1_max is the max over every round t < T of ||l(x^t; xi^t)||_1,
+    # the pair the update uses; l is replayed as the one-sample reference
+    # ERM oracle's g at the recorded x^t and the replayed xi^t
+    prob, T, seeds = BATCH_PROBLEMS[family], 40, [5, 6]
+    rec = Recorder()
+    recs = run_seeds(prob, ring_topology(3, 0.3), batch_schedules(), T, seeds,
+                     observers=[rec])
+    for s, (seed, batched) in enumerate(zip(seeds, recs)):
+        data = replay_data(prob, seed, T)
+        expect = np.max([np.abs(ErmReference(
+            prob, [xi], [phi], prob.own_block(state[0])).g).sum(axis=-1)
+            for state, (xi, phi) in zip(rec.states[s], data)], axis=0)
+        solo = run(prob, ring_topology(3, 0.3), batch_schedules(), T, seed)
+        for r in (batched, solo):
+            np.testing.assert_allclose(r.l_norm1_max, expect, rtol=1e-12,
+                                       atol=0)
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_one_softmax_pass_per_round(driver, monkeypatch):
+    # the audits read the round's oracle bundle: run builds one softmax
+    # pass per round, the baseline one per round plus one at the start;
+    # the passes of metric_eval's truth oracles are not counted
+    import ldpagg.algorithm as algorithm
+    import ldpagg.problems as problems
+    built, paused = [0], [False]
+    init, metric_eval = problems.SoftmaxPass.__init__, algorithm.metric_eval
+
+    def counting_init(self, *args):
+        built[0] += not paused[0]
+        init(self, *args)
+
+    def uncounted_metric_eval(*args, **kwargs):
+        paused[0] = True
+        try:
+            return metric_eval(*args, **kwargs)
+        finally:
+            paused[0] = False
+
+    monkeypatch.setattr(problems.SoftmaxPass, "__init__", counting_init)
+    monkeypatch.setattr(algorithm, "metric_eval", uncounted_metric_eval)
+    T = 150
+    DRIVERS[driver][0](BATCH_PROBLEMS["personalized"], ring_topology(3, 0.3),
+                       batch_schedules(), T, [1, 2])
+    assert built[0] == T + (driver == "baseline")

@@ -3,47 +3,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpagg.problems import (QuadraticProblem, make_personalized_problem,
-                             make_quadratic_problem, project_box)
-from ldpagg.schedules import AgentBank, agent_rng
+from ldpagg.algorithm import run
+from ldpagg.problems import make_personalized_problem, make_quadratic_problem
+from ldpagg.reference import ErmReference, h_value
+from ldpagg.schedules import (AgentBank, ConvexityCase, agent_rng,
+                              corollary1_preset)
+from ldpagg.topology import ring_topology
 
 
 def rngs_for(m, seed=0, tag="data"):
     return [agent_rng(seed, i, tag) for i in range(m)]
 
 
-def fill_store(problem, t_plus_1, keep_raw=True, seed=0):
-    store = problem.new_store(keep_raw=keep_raw)
+def fill_store(problem, t_plus_1, seed=0, raw=None):
+    """An unbatched store after t_plus_1 draws; raw, when given, collects
+    each draw's (last_xi, last_phi) as (raw["xi"], raw["phi"]) lists."""
+    store = problem.new_store()
     rngs = rngs_for(problem.m, seed)
     for _ in range(t_plus_1):
         problem.draw(store, rngs)
+        if raw is not None:
+            raw.setdefault("xi", []).append(store.last_xi.copy())
+            raw.setdefault("phi", []).append(store.last_phi.copy())
     return store
-
-
-class TestProjectBox:
-    def test_interior_unchanged(self):
-        x = np.array([0.2, -0.5])
-        lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
-        assert np.array_equal(project_box(x, lo, hi), x)
-
-    def test_clamp(self):
-        out = project_box(np.array([2.0, -3.0]), np.array([-1.0, -1.0]),
-                          np.array([1.0, 1.0]))
-        assert np.array_equal(out, [1.0, -1.0])
-
-    def test_idempotent_and_minimal_on_grid(self):
-        rng = np.random.default_rng(0)
-        lo, hi = np.array([-1.0, -2.0]), np.array([0.5, 1.0])
-        for _ in range(20):
-            x = rng.normal(0, 3, 2)
-            p = project_box(x, lo, hi)
-            assert np.array_equal(project_box(p, lo, hi), p)
-            # grid minimality oracle
-            g1 = np.linspace(lo[0], hi[0], 100)
-            g2 = np.linspace(lo[1], hi[1], 100)
-            G = np.stack(np.meshgrid(g1, g2), axis=-1).reshape(-1, 2)
-            dists = np.linalg.norm(G - x, axis=1)
-            assert np.linalg.norm(x - p) <= dists.min() + 1e-12
 
 
 class TestQuadraticErm:
@@ -68,14 +50,15 @@ class TestQuadraticErm:
         assert np.max(np.abs(ev.g - self.prob.g_true(Xown))) < 3 * tol
 
     def test_fast_path_equals_full_recompute(self):
-        store = fill_store(self.prob, 50)
+        raw = {}
+        store = fill_store(self.prob, 50, raw=raw)
         rng = np.random.default_rng(1)
         for _ in range(20):
             Xown = rng.uniform(-5, 5, (3, 2))
             Ytil = rng.normal(0, 1, (3, 2))
             Ztil = rng.normal(0, 1, (3, 2))
             fast = self.prob.erm_eval(store, Xown)
-            slow = self.prob.erm_eval_slow(store, Xown)
+            slow = ErmReference(self.prob, raw["xi"], raw["phi"], Xown)
             assert np.max(np.abs(fast.g - slow.g)) < 1e-12
             assert np.max(np.abs(fast.grad_f_x(Ytil) - slow.grad_f_x(Ytil))) < 1e-12
             assert np.max(np.abs(fast.grad_f_y(Ytil) - slow.grad_f_y(Ytil))) < 1e-12
@@ -83,22 +66,25 @@ class TestQuadraticErm:
 
     def test_empty_store_rejected(self):
         for prob in family_problems():
-            store = prob.new_store(keep_raw=True)
-            for oracle in (prob.erm_eval, prob.erm_eval_slow):
-                with pytest.raises(ValueError, match="empty"):
-                    oracle(store, np.zeros((prob.m, prob.ni)))
+            Xown = np.zeros((prob.m, prob.ni))
+            with pytest.raises(ValueError, match="empty"):
+                prob.erm_eval(prob.new_store(), Xown)
+            with pytest.raises(ValueError, match="empty"):
+                ErmReference(prob, [], [], Xown)
 
     def test_grad_x_matches_linear_form(self):
-        store = fill_store(self.prob, 20)
+        raw = {}
+        store = fill_store(self.prob, 20, raw=raw)
         Xown = np.full((3, 2), 0.7)
         ev = self.prob.erm_eval(store, Xown)
-        phi_mean = np.stack([np.mean(store.raw_phi[i], axis=0) for i in range(3)])
+        phi_mean = np.mean(raw["phi"], axis=0)
         expect = self.prob.alpha * (Xown - self.prob.c - phi_mean)
         assert np.allclose(ev.grad_f_x(np.zeros((3, 2))), expect, atol=1e-12)
 
     def test_gradients_vs_finite_differences(self):
         # central differences of the averaged h at fixed stored samples
-        store = fill_store(self.prob, 10)
+        raw = {}
+        store = fill_store(self.prob, 10, raw=raw)
         rng = np.random.default_rng(2)
         eps = 1e-5
         for _ in range(8):
@@ -108,8 +94,8 @@ class TestQuadraticErm:
             gx, gy = ev.grad_f_x(Y), ev.grad_f_y(Y)
 
             def h_avg(i, x, y):
-                return np.mean([self.prob.h_value(i, x, y, store.raw_phi[i][k])
-                                for k in range(store.count)])
+                return np.mean([h_value(self.prob, i, x, y, phi[i])
+                                for phi in raw["phi"]])
             for i in range(3):
                 for j in range(2):
                     dx = np.zeros(2); dx[j] = eps
@@ -127,7 +113,7 @@ class TestQuadraticErm:
         for t in ts:
             errs = []
             for seed in range(8):
-                store = fill_store(self.prob, t, keep_raw=False, seed=seed)
+                store = fill_store(self.prob, t, seed=seed)
                 Xown = np.zeros((3, 2))
                 ev = self.prob.erm_eval(store, Xown)
                 errs.append(np.linalg.norm(ev.g - self.prob.g_true(Xown)))
@@ -197,7 +183,7 @@ class TestQuadraticTruth:
     def test_unbiased_oracles(self):
         prob = make_quadratic_problem(m=2, ni=2, r=2, gamma=1.0,
                                       noise_std_g=0.3, noise_std_f=0.3, seed=9)
-        store = fill_store(prob, 100000, keep_raw=False)
+        store = fill_store(prob, 100000)
         xi_mean = store.xi_sum / store.count
         phi_mean = store.phi_sum / store.count
         se = 0.3 / np.sqrt(store.count)
@@ -215,14 +201,15 @@ class TestPersonalized:
         assert self.prob.ni == 3 * 2
 
     def test_fast_path_equals_full_recompute(self):
-        store = fill_store(self.prob, 40)
+        raw = {}
+        store = fill_store(self.prob, 40, raw=raw)
         rng = np.random.default_rng(1)
         for _ in range(10):
             Xown = rng.normal(0, 1, (3, self.prob.ni))
             Y = rng.normal(0, 1, (3, 1))
             Z = rng.normal(0, 1, (3, 1))
             fast = self.prob.erm_eval(store, Xown)
-            slow = self.prob.erm_eval_slow(store, Xown)
+            slow = ErmReference(self.prob, raw["xi"], raw["phi"], Xown)
             assert np.max(np.abs(fast.g - slow.g)) < 1e-12
             assert np.max(np.abs(fast.grad_f_x(Y) - slow.grad_f_x(Y))) < 1e-12
             assert np.max(np.abs(fast.grad_f_y(Y) - slow.grad_f_y(Y))) < 1e-12
@@ -249,7 +236,7 @@ class TestPersonalized:
             tot = 0.0
             for j in range(self.prob.N):
                 if wf[i, j]:
-                    tot += wf[i, j] * self.prob.h_value(i, x, float(y), j)
+                    tot += wf[i, j] * h_value(self.prob, i, x, float(y), j)
             return tot
         for i in range(3):
             for j in range(self.prob.ni):
@@ -270,7 +257,7 @@ class TestPersonalized:
             assert fd == pytest.approx(g[j], rel=1e-5, abs=1e-7)
 
     def test_unbiased_index_sampling(self):
-        store = fill_store(self.prob, 20000, keep_raw=False)
+        store = fill_store(self.prob, 20000)
         freq = store.counts_g / store.count
         assert np.max(np.abs(freq - 1.0 / self.prob.N)) < 0.01
 
@@ -288,15 +275,25 @@ class TestPersonalized:
             assert frac > 0.45
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.floats(-100, 100), min_size=3, max_size=3),
-       st.floats(-5, 0), st.floats(0, 5))
-def test_project_box_properties(xs, lo, hi):
-    x = np.array(xs)
-    lov, hiv = np.full(3, lo), np.full(3, hi)
-    p = project_box(x, lov, hiv)
-    assert np.all(p >= lov) and np.all(p <= hiv)
-    assert np.array_equal(project_box(p, lov, hiv), p)
+@settings(max_examples=10, deadline=None)
+@given(lo=st.floats(-1.0, 0.0), width=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_project_box_properties(lo, width, seed):
+    # every state of a run on a tight box, recorded through an observer,
+    # lies in the box; the noisy frames push the update out of it, so
+    # the projection is active
+    hi = lo + width
+    prob = make_quadratic_problem(m=3, ni=2, r=2, gamma=1.0, box=(lo, hi),
+                                  seed=4)
+    s = corollary1_preset(ConvexityCase.STRONGLY_CONVEX, 0.01, m=3,
+                          lambda0=(0.5, 1, 1), sigma=(1.0, 1.0, 1.0))
+    xs = []
+    run(prob, ring_topology(3, 0.3), s, 30, master_seed=seed,
+        observers=[lambda t, state, frame, ev, alive: xs.append(state[0])])
+    X = np.stack(xs)
+    assert X.shape == (31, 1, 3, prob.n)
+    assert np.all(X >= lo) and np.all(X <= hi)
+    assert np.any((X == lo) | (X == hi))
 
 
 def batch_rngs(m, batch, seed=0):
@@ -358,8 +355,9 @@ def test_reweighted_eval_equals_fresh_eval(prob, batch):
 @pytest.mark.parametrize("batch", [(), (3,)])
 @pytest.mark.parametrize("prob", family_problems(), ids=lambda p: p.family)
 def test_loss_only_truth_equals_full_pass(prob, batch):
-    # sample_l_norm1, g_true and F_true skip the per-sample gradients; they
-    # must equal the values computed from the oracle's full pass
+    # g_true, F_true and the bundle's l_newest and g_population skip the
+    # per-sample gradients; they must equal the values computed from the
+    # oracle's full pass
     rng = np.random.default_rng(3)
     store = prob.new_store(batch=batch)
     rngs = batch_rngs(prob.m, batch)
@@ -368,10 +366,10 @@ def test_loss_only_truth_equals_full_pass(prob, batch):
     Xown = rng.normal(0, 1, batch + (prob.m, prob.ni))
     full = prob.erm_eval(store, Xown)
     full.grad_f_x(rng.normal(0, 1, batch + (prob.m, prob.r)))
+    assert np.array_equal(full.g_population(), prob.g_true(Xown))
     if prob.family == "quadratic":
         assert np.array_equal(prob.g_true(Xown), full.lin)
-        assert np.array_equal(prob.sample_l_norm1(store, Xown),
-                              np.abs(full.lin + store.last_xi).sum(axis=-1))
+        assert np.array_equal(full.l_newest(), full.lin + store.last_xi)
         return
     loss = full.loss
     uni = np.full_like(loss, 1.0 / prob.N)
@@ -382,5 +380,5 @@ def test_loss_only_truth_equals_full_pass(prob, batch):
     assert np.array_equal(prob.g_true(Xown), G[..., None])
     assert np.array_equal(prob.F_true(Xown.reshape(batch + (prob.n,))), F)
     assert np.array_equal(
-        prob.sample_l_norm1(store, Xown),
-        np.abs(np.take_along_axis(loss, store.last_xi[..., None], -1)[..., 0]))
+        full.l_newest()[..., 0],
+        np.take_along_axis(loss, store.last_xi[..., None], -1)[..., 0])

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldpagg.reference import LaplaceStream, sample_laplace
 from ldpagg.schedules import (AgentBank, ConvexityCase, LaplaceParams,
-                              LaplaceStream, NoiseSchedule, ScheduleSet,
-                              StepsizeSchedule, agent_rng, broadcast_noise,
-                              check_conditions, corollary1_exponents,
-                              corollary1_preset, sample_laplace)
+                              NoiseSchedule, ScheduleSet, StepsizeSchedule,
+                              agent_rng, broadcast_noise, check_conditions,
+                              corollary1_exponents, corollary1_preset)
 
 
 def make_set(vx, vy, vz, sx, sy, sz, m=1):
