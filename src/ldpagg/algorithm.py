@@ -21,19 +21,21 @@ tracker error are observers; callers add theirs through observers=.
 Random streams: every (seed, agent, tag) triple has its own generator
 from agent_rng (tags theta, chi, zeta for the x, y, z noise, data for
 the samples, init for the start point; the baseline prefixes
-"baseline-"). Each noise tag and the data tag is drawn through one
-lockstep AgentBank over the S*m generators, whose row (s, i) (flat row
-s*m + i) is agent i's stream under seed s: uniforms for the noise,
-standard normals for the quadratic data, and the (f, g) sample indices
-for the personalized data. All banks advance by one (S*m, dim) draw per
-round, so a round's frame and samples for every agent of every seed are
-built at once while each agent's values stay those of its own stream.
+"baseline-"). Each noise tag is drawn through one lockstep AgentBank
+over the S*m generators, and the data tag through the bank of the sample
+store built on them; row (s, i) (flat row s*m + i) of a bank is agent
+i's stream under seed s: uniforms for the noise, standard normals for the
+quadratic data, and the (f, g) sample indices for the personalized data.
+All banks advance by one (S*m, dim) draw per round, so a round's frame
+and samples for every agent of every seed are built at once while each
+agent's values stay those of its own stream.
 
 Seeds never mix: every batched operation gives each seed's slice bitwise
 what the one-seed call gives it, so a seed's RunRecord does not depend on
 the batch it ran in. A seed whose state goes non-finite stops recording
-at that iteration; its rows stay in the batch arrays, where its
-non-finite values reach no other seed, and the others continue.
+at that iteration, which its record keeps as aborted_at; its rows stay in
+the batch arrays, where its non-finite values reach no other seed, and
+the others continue. Both drivers handle divergence this way.
 """
 
 from __future__ import annotations
@@ -65,34 +67,9 @@ class RunRecord:
     final_y: np.ndarray
     final_z: np.ndarray
     master_seed: int
-    baseline: bool = False
     aborted_at: int | None = None
     z_norm_max: np.ndarray = None       # per-agent sup_t ||z_i^t||_2
     l_norm1_max: np.ndarray = None      # per-agent sup_{t<T} ||l(x_i^t; xi_i^t)||_1
-
-
-class _AgentStreams:
-    """Per-(seed, agent) generators, independently seeded, one seed-major
-    list per stream tag: entry s*m + i is agent i's under seeds[s]."""
-
-    def __init__(self, seeds, m, prefix=""):
-        self.seeds = [int(s) for s in (seeds if np.iterable(seeds) else [seeds])]
-
-        def rngs(tag):
-            return [agent_rng(s, i, prefix + tag)
-                    for s in self.seeds for i in range(m)]
-        self.theta = rngs("theta")
-        self.chi = rngs("chi")
-        self.zeta = rngs("zeta")
-        self.data = rngs("data")
-        self.init = rngs("init")
-
-
-def _check_agents(problem, topology, schedules):
-    if topology.m != problem.m:
-        raise ValueError("topology and problem disagree on the agent count")
-    if schedules.m != problem.m:
-        raise ValueError("noise schedules and problem disagree on the agent count")
 
 
 def _split_weights(topology):
@@ -133,29 +110,34 @@ class _Batch:
     that seed goes non-finite."""
 
     def __init__(self, problem, topology, schedules, T, seeds, prefix,
-                 x0, init_radius, grid):
-        _check_agents(problem, topology, schedules)
+                 x0, init_radius):
         m, n, r = problem.m, problem.n, problem.r
+        if topology.m != m:
+            raise ValueError("topology and problem disagree on the agent count")
+        if schedules.m != m:
+            raise ValueError("noise schedules and problem disagree on the agent count")
         self.problem, self.T = problem, T
         self.W0, self.diagw = _split_weights(topology)
-        streams = _AgentStreams(seeds, m, prefix)
-        self.seeds = streams.seeds
+        self.seeds = [int(s) for s in seeds]
         S = len(self.seeds)
-        self.data = streams.data
+
+        def rngs(tag):
+            # independently seeded, seed-major: entry s*m + i is agent i's
+            # generator under seeds[s]
+            return [agent_rng(s, i, prefix + tag)
+                    for s in self.seeds for i in range(m)]
         # one lockstep bank per noise tag plus the per-agent Laplace
         # parameters; bank draws are views that the next refill overwrites
         self.noise = tuple(
-            (AgentBank(rngs, dim), LaplaceParams(sched), dim)
-            for rngs, sched, dim in ((streams.theta, schedules.noise_x, n),
-                                     (streams.chi, schedules.noise_y, r),
-                                     (streams.zeta, schedules.noise_z, r)))
-        self.store = problem.new_store(batch=(S,))
-        X = _init_x(problem, streams.init, init_radius) if x0 is None \
+            (AgentBank(rngs(tag), dim), LaplaceParams(sched), dim)
+            for tag, sched, dim in (("theta", schedules.noise_x, n),
+                                    ("chi", schedules.noise_y, r),
+                                    ("zeta", schedules.noise_z, r)))
+        self.store = problem.new_store(rngs("data"), batch=(S,))
+        X = _init_x(problem, rngs("init"), init_radius) if x0 is None \
             else np.broadcast_to(np.asarray(x0, dtype=float), (S, m, n))
         self.X0 = np.clip(X, problem.box_lo, problem.box_hi)
-        if grid is None:
-            grid = sampling_grid(T)
-        self.grid = set(int(g) for g in np.asarray(grid, dtype=int))
+        self.grid = set(sampling_grid(T).tolist())
         self.x_star = problem.x_star if problem.has_optimizer else None
         self.F_star = problem.F_star if problem.has_optimizer else None
         self.alive = np.ones(S, dtype=bool)
@@ -172,23 +154,19 @@ class _Batch:
             for bank, nu, dim in self.noise)
         return BroadcastFrame(x=X + Tx, y=Y + Ty, z=Z + Tz)
 
-    def retire_nonfinite(self, t, X, Y, Z, on_nonfinite="record"):
+    def retire_nonfinite(self, t, X, Y, Z):
         """End the live seeds whose state went non-finite at iteration t,
-        keeping that state and t for their records (on_nonfinite "raise"
-        raises instead). Returns whether any seed is still alive."""
+        keeping that state and t for their records. Returns whether any
+        seed is still alive."""
         total = X.sum(axis=(1, 2)) + Y.sum(axis=(1, 2)) + Z.sum(axis=(1, 2))
         bad = self.alive & ~np.isfinite(total)
         for s in np.flatnonzero(bad):
-            if on_nonfinite == "raise":
-                raise FloatingPointError(
-                    f"seed {self.seeds[s]}: non-finite state at iteration "
-                    f"{t}; reduce the initial stepsizes")
             self.final[s] = (X[s], Y[s], Z[s])
             self.aborted_at[s] = t
         self.alive &= ~bad
         return self.alive.any()
 
-    def drive(self, step, state, ev, observers, on_nonfinite="record"):
+    def drive(self, step, state, ev, observers):
         """The round loop of both drivers; returns the last state.
 
         Round t draws the frame of the iteration-t state, advances it with
@@ -203,7 +181,7 @@ class _Batch:
             for obs in observers:
                 obs(t, state, frame, ev_t, self.alive)
             state = new
-            if not self.retire_nonfinite(t + 1, *state, on_nonfinite):
+            if not self.retire_nonfinite(t + 1, *state):
                 return state
         frame = self.draw_frame(*state, self.T)
         for obs in observers:
@@ -219,7 +197,7 @@ class _Batch:
                     self.problem, *(a[s] for a in state), t,
                     x_star=self.x_star, F_star=self.F_star))
 
-    def records(self, state, baseline=False, z_max=None, l_max=None):
+    def records(self, state, z_max=None, l_max=None):
         """One RunRecord per seed, in seed order; state is the final
         (X, Y, Z) of the seeds still alive."""
         for s in np.flatnonzero(self.alive):
@@ -233,7 +211,7 @@ class _Batch:
                 ts=np.array([row["t"] for row in rows]),
                 columns={c: np.array([row[c] for row in rows]) for c in keys},
                 final_x=fx, final_y=fy, final_z=fz, master_seed=seed,
-                baseline=baseline, aborted_at=self.aborted_at[s],
+                aborted_at=self.aborted_at[s],
                 z_norm_max=None if z_max is None else z_max[s],
                 l_norm1_max=None if l_max is None else l_max[s]))
         return out
@@ -260,27 +238,24 @@ def iterate(X, Y, Z, frame, t, schedules, W0, diagw, problem, ev):
 
 
 def run_seeds(problem, topology, schedules, T, seeds, x0=None,
-              init_radius=10.0, observers=(), grid=None,
-              on_nonfinite="raise"):
+              init_radius=10.0, observers=()):
     """Drive T rounds for every seed in seeds at once and record metrics
     on a log sampling grid; returns one RunRecord per seed, in order.
 
     Each record is bitwise the one that seed gives run alone. x0, an
     (m, n) start shared by all seeds, replaces the random start.
     observers are called after the built-in ones (see the module
-    docstring). Non-finite state aborts with the offending seed and
-    iteration (on_nonfinite "record" instead ends that seed's record
-    there, sets its aborted_at and keeps running the others).
+    docstring). A seed whose state goes non-finite ends its record there
+    with its aborted_at set; the others keep running.
     """
-    b = _Batch(problem, topology, schedules, T, seeds, "", x0, init_radius,
-               grid)
+    b = _Batch(problem, topology, schedules, T, seeds, "", x0, init_radius)
     S, m, n, r = len(b.seeds), problem.m, problem.n, problem.r
     z_max = np.zeros((S, m))
     l_max = np.zeros((S, m))
     fgap_sum = np.zeros(S)
 
     def step(t, state, frame, _):
-        problem.draw(b.store, b.data)
+        problem.draw(b.store)
         ev = problem.erm_eval(b.store, problem.own_block(state[0]))
         return iterate(*state, frame, t, schedules, b.W0, b.diagw, problem,
                        ev), ev, None
@@ -306,7 +281,7 @@ def run_seeds(problem, topology, schedules, T, seeds, x0=None,
 
     own = [b.metric_rows] + ([fgap_runmean] if b.F_star is not None else [])
     state = b.drive(step, (b.X0, np.zeros((S, m, r)), np.zeros((S, m, r))),
-                    None, own + [premise_audit, *observers], on_nonfinite)
+                    None, own + [premise_audit, *observers])
     return b.records(state, z_max=z_max, l_max=l_max)
 
 
@@ -316,7 +291,7 @@ def run(problem, topology, schedules, T, master_seed, **kwargs):
 
 
 def baseline_seeds(problem, topology, schedules, T, seeds, x0=None,
-                   init_radius=10.0, grid=None, observers=()):
+                   init_radius=10.0, observers=()):
     """Conventional gradient-tracking template with DP noise on every
     shared variable and constant stepsizes, for every seed in seeds at
     once; returns one RunRecord per seed, bitwise what it gives alone.
@@ -325,13 +300,13 @@ def baseline_seeds(problem, topology, schedules, T, seeds, x0=None,
     s' = sum_j (I+W)_ij (s_j + noise) + g_i^t(x') - g_i^t(x)
     (written below via the zero-sum consensus identity), so injected
     noise accumulates in the tracked aggregate instead of being damped.
-    Divergence is recorded per seed, not raised; it is the expected
-    phenomenon.
+    Divergence is the expected phenomenon; it is recorded per seed as in
+    run_seeds.
     """
     b = _Batch(problem, topology, schedules, T, seeds, "baseline-", x0,
-               init_radius, grid)
+               init_radius)
     store = b.store
-    problem.draw(store, b.data)
+    problem.draw(store)
     ev = problem.erm_eval(store, problem.own_block(b.X0))
     G = ev.g.copy()  # aggregate tracker
     lam = schedules.lambda_x.lambda0  # constant stepsize, no decay
@@ -340,7 +315,7 @@ def baseline_seeds(problem, topology, schedules, T, seeds, x0=None,
         X, G, Q = state
         # ev is the oracle at X: last round's ev2, reweighted after the draw
         if store.count == t:
-            problem.draw(store, b.data)
+            problem.draw(store)
             ev = ev.reweighted(store)
         X_new = _descend(problem, b.W0, b.diagw, X, frame.x, lam,
                          ev.grad_f_x(G) + ev.grad_g_dot(Q))
@@ -360,7 +335,7 @@ def baseline_seeds(problem, topology, schedules, T, seeds, x0=None,
 
     state = b.drive(step, (b.X0, G, ev.grad_f_y(G)), ev,
                     [b.metric_rows, tracker_err, *observers])
-    return b.records(state, baseline=True)
+    return b.records(state)
 
 
 def baseline_gradient_tracking(problem, topology, schedules, T, master_seed,

@@ -6,19 +6,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+DENSE_BELOW = 100  # the sampling grid holds every t below this
+PER_DECADE = 30    # and about this many log-spaced t per decade above it
+MIN_POINTS = 5     # sampled points a rate fit needs in its window
 
-def sampling_grid(T: int, dense_below: int = 100, per_decade: int = 30) -> np.ndarray:
+
+def sampling_grid(T: int) -> np.ndarray:
     """Iteration indices at which metrics are recorded.
 
-    Every t below dense_below, then ~per_decade log-spaced integers per
+    Every t below DENSE_BELOW, then ~PER_DECADE log-spaced integers per
     decade, always including T. Sorted, unique, within [0, T].
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
-    pts = set(range(0, min(dense_below, T + 1)))
-    if T >= dense_below:
-        lo, hi = np.log10(dense_below), np.log10(max(T, dense_below + 1))
-        k = max(int(np.ceil((hi - lo) * per_decade)), 2)
+    pts = set(range(0, min(DENSE_BELOW, T + 1)))
+    if T >= DENSE_BELOW:
+        lo, hi = np.log10(DENSE_BELOW), np.log10(max(T, DENSE_BELOW + 1))
+        k = max(int(np.ceil((hi - lo) * PER_DECADE)), 2)
         pts.update(int(round(v)) for v in np.logspace(lo, hi, k))
         pts.add(T)
     return np.array(sorted(p for p in pts if 0 <= p <= T), dtype=int)
@@ -66,7 +70,7 @@ class SlopeFit:
         }
 
 
-def fit_rate(ts, values_per_seed, window=None, min_points=5) -> SlopeFit:
+def fit_rate(ts, values_per_seed, window=None) -> SlopeFit:
     """Least-squares slope of log10(cross-seed mean) against log10(t).
 
     values_per_seed is (n_seeds, len(ts)); all seeds must share the grid
@@ -83,8 +87,8 @@ def fit_rate(ts, values_per_seed, window=None, min_points=5) -> SlopeFit:
     mask = (ts >= t_lo) & (ts <= t_hi) & (ts > 0)
     mean = V.mean(axis=0)[mask]
     tw = ts[mask]
-    if tw.size < min_points:
-        raise ValueError(f"need at least {min_points} sampled points in the window")
+    if tw.size < MIN_POINTS:
+        raise ValueError(f"need at least {MIN_POINTS} sampled points in the window")
     if not np.all(np.isfinite(mean)) or np.any(mean <= 0):
         raise ValueError("non-finite or nonpositive values in the fit window")
     lx, ly = np.log10(tw), np.log10(mean)
@@ -102,13 +106,3 @@ def fit_rate(ts, values_per_seed, window=None, min_points=5) -> SlopeFit:
         ci = float("nan")
     return SlopeFit(slope, intercept, r2, float(t_lo), float(t_hi),
                     int(tw.size), int(V.shape[0]), ci)
-
-
-def mean_over_seeds(records, column):
-    """Stack one metric column across RunRecords sharing a grid; return (ts, matrix)."""
-    ts = records[0].ts
-    for r in records[1:]:
-        if not np.array_equal(r.ts, ts):
-            raise ValueError("records do not share a sampling grid")
-    V = np.stack([np.asarray(r.columns[column]) for r in records])
-    return ts, V

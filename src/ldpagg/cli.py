@@ -74,18 +74,19 @@ def _eps_columns(cfg, grid):
 
 def _batch_worker(args):
     (problem, topology, schedules, T, seeds, init_radius, baseline) = args
-    if baseline:
-        return baseline_seeds(problem, topology, schedules, T, seeds,
-                              init_radius=init_radius)
-    return run_seeds(problem, topology, schedules, T, seeds,
-                     init_radius=init_radius, on_nonfinite="record")
+    driver = baseline_seeds if baseline else run_seeds
+    return driver(problem, topology, schedules, T, seeds,
+                  init_radius=init_radius)
 
 
-def _cmd_run(args, baseline=False):
+def _cmd_run(args):
+    if args.seeds is not None and args.seeds < 1:
+        raise _UsageError(f"--seeds must be positive, not {args.seeds}")
+    baseline = args.baseline
     cfg = load_config(args.config)
     for w in cfg.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    seeds = args.seeds if args.seeds is not None else cfg.seeds
+    seeds = args.seeds or cfg.seeds
     out_dir = args.out if args.out is not None else cfg.out
     os.makedirs(out_dir, exist_ok=True)
     grid = sampling_grid(cfg.T)
@@ -225,8 +226,12 @@ def _cmd_analyze(args):
         header, data = _read_csv(os.path.join(args.indir, fname))
         if args.metric not in header:
             raise _UsageError(f"metric {args.metric!r} not in {fname}")
+        t = data[:, header.index("t")]
         if ts is None:
-            ts = data[:, header.index("t")]
+            ts, first = t, fname
+        elif not np.array_equal(t, ts):
+            raise _UsageError(f"{fname} is not sampled at the iterations of "
+                              f"{first} (an aborted seed?)")
         series.append(data[:, header.index(args.metric)])
     try:
         fit = fit_rate(ts, np.stack(series), window=window)
@@ -274,7 +279,8 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="simulate the main algorithm")
     p_base = sub.add_parser("baseline", help="simulate the gradient-tracking baseline")
-    for p in (p_run, p_base):
+    for p, baseline in ((p_run, False), (p_base, True)):
+        p.set_defaults(func=_cmd_run, baseline=baseline)
         add_config(p)
         p.add_argument("--seeds", type=int, default=None)
         p.add_argument("--out", default=None)
@@ -284,6 +290,7 @@ def main(argv=None) -> int:
                             "never affects results")
 
     p_budget = sub.add_parser("budget", help="cumulative privacy budget table")
+    p_budget.set_defaults(func=_cmd_budget)
     add_config(p_budget)
     p_budget.add_argument("--horizon", default="inf",
                           help="iteration count or 'inf'")
@@ -291,16 +298,19 @@ def main(argv=None) -> int:
                           default="recursion")
 
     p_cal = sub.add_parser("calibrate", help="noise scales for a target budget")
+    p_cal.set_defaults(func=_cmd_calibrate)
     add_config(p_cal)
     p_cal.add_argument("--epsilon", type=float, required=True)
     p_cal.add_argument("--out", default=None)
 
     p_an = sub.add_parser("analyze", help="log-log rate fit over seed CSVs")
+    p_an.set_defaults(func=_cmd_analyze)
     p_an.add_argument("--in", dest="indir", required=True)
     p_an.add_argument("--metric", required=True)
     p_an.add_argument("--window", default=None, help="t_lo,t_hi")
 
     p_val = sub.add_parser("validate", help="check a config without running")
+    p_val.set_defaults(func=_cmd_validate)
     add_config(p_val)
 
     args = parser.parse_args(argv)
@@ -308,25 +318,13 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        if args.command == "run":
-            return _cmd_run(args, baseline=False)
-        if args.command == "baseline":
-            return _cmd_run(args, baseline=True)
-        if args.command == "budget":
-            return _cmd_budget(args)
-        if args.command == "calibrate":
-            return _cmd_calibrate(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
+        return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    return 1
 
 
 if __name__ == "__main__":

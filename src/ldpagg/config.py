@@ -28,10 +28,17 @@ _TOPOLOGY_KEYS = {"type", "m", "w", "weights"}
 _SCHED_KEYS = {"preset", "delta", "lambda0", "sigma", "stepsize", "noise"}
 _STEP_KEYS = {"lambda0", "v"}
 _NOISE_KEYS = {"sigma", "varsigma"}
-_QUAD_KEYS = {"family", "ni", "r", "gamma", "alpha", "noise_std_g",
-              "noise_std_f", "box", "seed", "coeff_scale"}
-_PERS_KEYS = {"family", "classes", "features", "lam", "dataset_size", "box",
-              "seed", "spread", "primary_frac"}
+# per family: the factory and the type of each optional key; a key left
+# out takes the factory's default
+_PROBLEMS = {
+    "quadratic": (problems.make_quadratic_problem, {
+        "ni": int, "r": int, "gamma": float, "alpha": float,
+        "noise_std_g": float, "noise_std_f": float, "box": tuple,
+        "seed": int, "coeff_scale": float}),
+    "personalized": (problems.make_personalized_problem, {
+        "classes": int, "features": int, "lam": float, "dataset_size": int,
+        "box": tuple, "seed": int, "spread": float, "primary_frac": float}),
+}
 _SENS_KEYS = {"L_l", "L_h", "Lbar_l", "Lbar_h", "d_l", "d_z"}
 
 _PRESETS = {
@@ -132,33 +139,15 @@ def _build_problem(block, m):
     if not isinstance(block, dict) or "family" not in block:
         raise ConfigError("problem.family: required")
     fam = block["family"]
-    if fam == "quadratic":
-        _check_keys(block, _QUAD_KEYS, "problem")
-        box = block.get("box", [-1e6, 1e6])
-        if box[0] > box[1]:
-            raise ConfigError("problem.box: inverted bounds")
-        return problems.make_quadratic_problem(
-            m=m, ni=int(block.get("ni", 2)), r=int(block.get("r", 2)),
-            gamma=float(block.get("gamma", 1.0)),
-            alpha=float(block.get("alpha", 1.0)),
-            noise_std_g=float(block.get("noise_std_g", 0.1)),
-            noise_std_f=float(block.get("noise_std_f", 0.1)),
-            box=(box[0], box[1]), seed=int(block.get("seed", 0)),
-            coeff_scale=float(block.get("coeff_scale", 0.3)))
-    if fam == "personalized":
-        _check_keys(block, _PERS_KEYS, "problem")
-        box = block.get("box", [-1e6, 1e6])
-        if box[0] > box[1]:
-            raise ConfigError("problem.box: inverted bounds")
-        return problems.make_personalized_problem(
-            m=m, classes=int(block.get("classes", 5)),
-            features=int(block.get("features", 2)),
-            lam=float(block.get("lam", 1.0)),
-            dataset_size=int(block.get("dataset_size", 32)),
-            box=(box[0], box[1]), seed=int(block.get("seed", 0)),
-            spread=float(block.get("spread", 1.5)),
-            primary_frac=float(block.get("primary_frac", 0.6)))
-    raise ConfigError(f"problem.family: expected quadratic|personalized, got {fam!r}")
+    if not isinstance(fam, str) or fam not in _PROBLEMS:
+        raise ConfigError(f"problem.family: expected quadratic|personalized, got {fam!r}")
+    make, types = _PROBLEMS[fam]
+    _check_keys(block, {"family", *types}, "problem")
+    try:
+        return make(m=m, **{k: types[k](v) for k, v in block.items()
+                            if k != "family"})
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"problem: {e}") from None
 
 
 def load_config(path) -> RunConfig:
@@ -202,9 +191,7 @@ def parse_config(raw: dict) -> RunConfig:
         b = raw["sensitivity"]
         try:
             sens = SensitivityParams(
-                L_l=float(b["L_l"]), L_h=float(b["L_h"]),
-                Lbar_l=float(b["Lbar_l"]), Lbar_h=float(b["Lbar_h"]),
-                d_l=float(b["d_l"]), d_z=float(b["d_z"]),
+                **{k: float(b[k]) for k in _SENS_KEYS},
                 w_bar=topology.w_bar if topology.m > 1 else 0.5,
                 n_i=problem.ni, r=problem.r,
                 lambda_x=schedule_set.lambda_x,

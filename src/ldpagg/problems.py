@@ -17,9 +17,10 @@ sample for equality testing.
 
 Oracles take stacked per-agent arrays (..., m, .): leading axes are batch
 axes (the seeds of a batched run), and every batched call gives each
-slice bitwise what the unbatched call gives it. A store built with
-batch=(S,) holds its statistics as (S, m, .) and draws from S*m
-generators, seed-major (entry s*m + i is agent i under seed s).
+slice bitwise what the unbatched call gives it. A store is built on its
+data generators, one per row: new_store(data_rngs, batch=(S,)) holds its
+statistics as (S, m, .) and draws from S*m generators, seed-major (entry
+s*m + i is agent i under seed s).
 """
 
 from __future__ import annotations
@@ -37,17 +38,16 @@ class SampleStore:
     every seed, with a leading batch shape such as (S,)).
 
     Family-specific sufficient statistics live in subclass fields;
-    last_xi and last_phi hold the newest draw's samples.
+    last_xi and last_phi hold the newest draw's samples, and bank is the
+    lockstep bank over the data generators that every draw reads.
     """
 
-    def __init__(self, batch: tuple = ()):
+    def __init__(self, bank: AgentBank, batch: tuple = ()):
+        self.bank = bank
         self.batch = tuple(batch)
         self.count = 0
         self.last_xi = None
         self.last_phi = None
-        # lockstep bank over the data generators, bound to the generators
-        # of the first draw
-        self.bank = None
 
 
 class ProblemInstance:
@@ -66,7 +66,13 @@ class ProblemInstance:
     def n(self) -> int:
         return self.m * self.ni
 
-    def _set_own_index(self) -> None:
+    def _set_box_and_index(self, box) -> None:
+        """The (n,) box arrays, rejecting lo > hi, and the own-block index."""
+        lo, hi = box
+        if not np.all(np.asarray(lo) <= np.asarray(hi)):
+            raise ValueError("box bounds inverted")
+        self.box_lo = np.broadcast_to(np.asarray(lo, dtype=float), (self.n,)).copy()
+        self.box_hi = np.broadcast_to(np.asarray(hi, dtype=float), (self.n,)).copy()
         rows = np.arange(self.m)[:, None]
         cols = rows * self.ni + np.arange(self.ni)[None, :]
         self.own_index = (Ellipsis, rows, cols)
@@ -81,12 +87,14 @@ class ProblemInstance:
         return np.take(X.reshape(X.shape[:-2] + (-1,)), self._own_flat, axis=-1)
 
     # -- streaming ------------------------------------------------------
-    def new_store(self, batch: tuple = ()) -> SampleStore:
+    def new_store(self, data_rngs, batch: tuple = ()) -> SampleStore:
+        """An empty store that draws from data_rngs, one generator per
+        store row (prod(batch) * m of them)."""
         raise NotImplementedError
 
-    def draw(self, store: SampleStore, data_rngs) -> None:
-        """Acquire one (phi_i, xi_i) pair per agent (and seed) and append
-        to the store; data_rngs holds one generator per store row."""
+    def draw(self, store: SampleStore) -> None:
+        """Acquire one (phi_i, xi_i) pair per agent (and seed) from the
+        store's generators and append it to the store."""
         raise NotImplementedError
 
     def erm_eval(self, store: SampleStore, Xown: np.ndarray):
@@ -149,8 +157,8 @@ class ErmEvalQuadratic:
 
 
 class QuadraticStore(SampleStore):
-    def __init__(self, m, r, ni, batch=()):
-        super().__init__(batch)
+    def __init__(self, bank, m, r, ni, batch=()):
+        super().__init__(bank, batch)
         self.xi_sum = np.zeros(self.batch + (m, r))
         self.phi_sum = np.zeros(self.batch + (m, ni))
 
@@ -177,23 +185,16 @@ class QuadraticProblem(ProblemInstance):
         self.alpha = float(alpha)
         self.noise_std_g = float(noise_std_g)
         self.noise_std_f = float(noise_std_f)
-        lo, hi = box
-        if not np.all(np.asarray(lo) <= np.asarray(hi)):
-            raise ValueError("box bounds inverted")
-        self.box_lo = np.broadcast_to(np.asarray(lo, dtype=float), (self.n,)).copy()
-        self.box_hi = np.broadcast_to(np.asarray(hi, dtype=float), (self.n,)).copy()
         self._x_star = None
-        self._set_own_index()
+        self._set_box_and_index(box)
 
     # -- streaming ------------------------------------------------------
-    def new_store(self, batch: tuple = ()) -> QuadraticStore:
-        return QuadraticStore(self.m, self.r, self.ni, batch)
+    def new_store(self, data_rngs, batch: tuple = ()) -> QuadraticStore:
+        bank = AgentBank(data_rngs, self.r + self.ni, "standard_normal")
+        return QuadraticStore(bank, self.m, self.r, self.ni, batch)
 
-    def draw(self, store: QuadraticStore, data_rngs) -> None:
-        k = self.r + self.ni
-        if store.bank is None:
-            store.bank = AgentBank(data_rngs, k, "standard_normal")
-        z = store.bank.next().reshape(store.batch + (self.m, k))
+    def draw(self, store: QuadraticStore) -> None:
+        z = store.bank.next().reshape(store.batch + (self.m, self.r + self.ni))
         xi = self.noise_std_g * z[..., :self.r]
         phi = self.noise_std_f * z[..., self.r:]
         store.xi_sum += xi
@@ -251,10 +252,11 @@ class QuadraticProblem(ProblemInstance):
         return self.F_true(self.x_star)
 
 
-def make_quadratic_problem(m, ni, r, gamma, alpha=1.0, noise_std_g=0.1,
-                           noise_std_f=0.1, box=(-1e6, 1e6), seed=0,
-                           coeff_scale=0.3):
-    """Random quadratic instance with a reproducible seed."""
+def make_quadratic_problem(m, ni=2, r=2, gamma=1.0, alpha=1.0,
+                           noise_std_g=0.1, noise_std_f=0.1, box=(-1e6, 1e6),
+                           seed=0, coeff_scale=0.3):
+    """Random quadratic instance with a reproducible seed. The defaults
+    are those of a config problem block that omits the key."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 9041])))
     A = coeff_scale * rng.standard_normal((m, r, ni))
     b = rng.standard_normal((m, r))
@@ -270,8 +272,8 @@ def make_quadratic_problem(m, ni, r, gamma, alpha=1.0, noise_std_g=0.1,
 
 
 class PersonalizedStore(SampleStore):
-    def __init__(self, m, dataset_size, batch=()):
-        super().__init__(batch)
+    def __init__(self, bank, m, dataset_size, batch=()):
+        super().__init__(bank, batch)
         self.counts_f = np.zeros(self.batch + (m, dataset_size))
         self.counts_g = np.zeros(self.batch + (m, dataset_size))
 
@@ -367,17 +369,13 @@ class PersonalizedProblem(ProblemInstance):
         # (..., agent, sample, label) index of each sample's own logit
         self.label_index = (Ellipsis, np.arange(self.m)[:, None],
                             np.arange(self.N)[None, :], labels)
-        lo, hi = box
-        self.box_lo = np.broadcast_to(np.asarray(lo, dtype=float), (self.n,)).copy()
-        self.box_hi = np.broadcast_to(np.asarray(hi, dtype=float), (self.n,)).copy()
-        self._set_own_index()
+        self._set_box_and_index(box)
 
-    def new_store(self, batch: tuple = ()) -> PersonalizedStore:
-        return PersonalizedStore(self.m, self.N, batch)
+    def new_store(self, data_rngs, batch: tuple = ()) -> PersonalizedStore:
+        bank = AgentBank(data_rngs, 2, "integers", high=self.N)
+        return PersonalizedStore(bank, self.m, self.N, batch)
 
-    def draw(self, store: PersonalizedStore, data_rngs) -> None:
-        if store.bank is None:
-            store.bank = AgentBank(data_rngs, 2, "integers", high=self.N)
+    def draw(self, store: PersonalizedStore) -> None:
         idx = store.bank.next().copy()  # (f, g) index per generator
         rows = np.arange(len(idx))
         store.counts_f.reshape(-1, self.N)[rows, idx[:, 0]] += 1
@@ -423,10 +421,11 @@ class PersonalizedProblem(ProblemInstance):
         return grad.reshape(self.n)
 
 
-def make_personalized_problem(m, classes, features, lam, dataset_size=32,
-                              box=(-1e6, 1e6), seed=0, spread=1.5,
-                              primary_frac=0.6):
+def make_personalized_problem(m, classes=5, features=2, lam=1.0,
+                              dataset_size=32, box=(-1e6, 1e6), seed=0,
+                              spread=1.5, primary_frac=0.6):
     """Synthetic Gaussian-cluster datasets with heterogeneous class mixtures.
+    The defaults are those of a config problem block that omits the key.
 
     Agent i draws primary_frac of its data from classes i mod K and
     2i mod K and the rest uniformly from the other classes.

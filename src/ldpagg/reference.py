@@ -1,8 +1,9 @@
 """Independent oracles that the simulator is checked against.
 
 Centralized solvers, the single-agent Laplace noise stream, the
-per-sample objective h and the ERM oracle recomputed sample by sample
-from raw samples. Deliberately written without reuse of the simulator
+per-sample objective h, the ERM oracle recomputed sample by sample
+from raw samples, the closed-form ring spectrum and the cross-seed
+stacking of a metric column. Deliberately written without reuse of the simulator
 code paths so the distributed implementation can be checked against them.
 """
 
@@ -143,3 +144,25 @@ class ErmReference:
 
     def grad_g_dot(self, Z):
         return np.einsum("mrn,mr->mn", self._mean(self.xis, 1), Z)
+
+
+def ring_spectrum(m: int, w: float) -> np.ndarray:
+    """Closed-form circulant spectrum of the ring weight matrix, sorted ascending.
+
+    m = 2 is special: the two ring edges coincide, so the graph has a
+    single edge of weight w and the spectrum is {-2w, 0}.
+    """
+    if m == 2:
+        return np.array([-2.0 * w, 0.0])
+    k = np.arange(m)
+    return np.sort(2.0 * w * (np.cos(2.0 * np.pi * k / m) - 1.0))
+
+
+def mean_over_seeds(records, column):
+    """Stack one metric column across RunRecords sharing a grid; return (ts, matrix)."""
+    ts = records[0].ts
+    for r in records[1:]:
+        if not np.array_equal(r.ts, ts):
+            raise ValueError("records do not share a sampling grid")
+    V = np.stack([np.asarray(r.columns[column]) for r in records])
+    return ts, V

@@ -166,15 +166,3 @@ def trivial_topology() -> NetworkTopology:
         w_bar=0.0,
         contraction_norm=0.0,
     )
-
-
-def ring_spectrum(m: int, w: float) -> np.ndarray:
-    """Closed-form circulant spectrum of the ring weight matrix, sorted ascending.
-
-    m = 2 is special: the two ring edges coincide, so the graph has a
-    single edge of weight w and the spectrum is {-2w, 0}.
-    """
-    if m == 2:
-        return np.array([-2.0 * w, 0.0])
-    k = np.arange(m)
-    return np.sort(2.0 * w * (np.cos(2.0 * np.pi * k / m) - 1.0))

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpagg.algorithm import (BroadcastFrame, _AgentStreams, _consensus,
-                              _split_weights, baseline_gradient_tracking,
-                              baseline_seeds, iterate, run, run_seeds)
+from ldpagg.algorithm import (BroadcastFrame, _consensus, _split_weights,
+                              baseline_gradient_tracking, baseline_seeds,
+                              iterate, run, run_seeds)
 from ldpagg.problems import (QuadraticProblem, make_personalized_problem,
                              make_quadratic_problem)
 from ldpagg.reference import (ErmReference, LaplaceStream,
@@ -106,15 +106,14 @@ class TestIterate:
         topo = ring_topology(5, 0.3)
         s = noisefree_schedules(5)
         W0, diagw = _split_weights(topo)
-        streams = _AgentStreams(11, 5)
         rng = np.random.default_rng(4)
         X = rng.uniform(-1, 1, (5, prob.n))
         Y = np.zeros((5, 2))
         Z = np.zeros((5, 2))
-        store = prob.new_store()
+        store = prob.new_store([agent_rng(11, i, "data") for i in range(5)])
         for t in range(30):
             frame = BroadcastFrame(x=X, y=Y, z=Z)  # noise-free frames
-            prob.draw(store, streams.data)
+            prob.draw(store)
             ev = prob.erm_eval(store, prob.own_block(X))
             expect = Y.mean(axis=0) + s.lambda_y.value(t) * ev.g.mean(axis=0)
             X, Y, Z = iterate(X, Y, Z, frame, t, s, W0, diagw, prob, ev)
@@ -185,22 +184,13 @@ class TestRunMechanics:
             driver(prob, ring_topology(3, 0.3), noisefree_schedules(1), 10,
                    master_seed=0)
 
-    def test_nonfinite_raises_with_index(self):
+    def test_nonfinite_recorded(self):
         # unbounded box so blow-up is not clipped away
         prob = clean_quadratic(m=3, box=(-np.inf, np.inf))
         s = corollary1_preset(ConvexityCase.STRONGLY_CONVEX, 0.01, m=3,
                               lambda0=(1e150, 1, 1), sigma=(0.0, 0.0, 0.0))
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(FloatingPointError, match="iteration"):
-                run(prob, ring_topology(3, 0.3), s, 100, master_seed=0)
-
-    def test_nonfinite_recorded(self):
-        prob = clean_quadratic(m=3, box=(-np.inf, np.inf))
-        s = corollary1_preset(ConvexityCase.STRONGLY_CONVEX, 0.01, m=3,
-                              lambda0=(1e150, 1, 1), sigma=(0.0, 0.0, 0.0))
-        with np.errstate(over="ignore", invalid="ignore"):
-            rec = run(prob, ring_topology(3, 0.3), s, 100, master_seed=0,
-                      on_nonfinite="record")
+            rec = run(prob, ring_topology(3, 0.3), s, 100, master_seed=0)
         assert rec.aborted_at is not None and rec.aborted_at >= 1
 
     def test_z_and_l_suprema_tracked(self):
@@ -256,7 +246,6 @@ class TestBaseline:
             noise_z=broadcast_noise(0.0, 0.0, 5),
         )
         rec = baseline_gradient_tracking(prob, topo, s, 20000, master_seed=0)
-        assert rec.baseline
         xown = prob.own_block(rec.final_x).reshape(prob.n)
         assert np.max(np.abs(xown - prob.x_star)) < 1e-6
         assert rec.columns["tracker_err"][-1] < 1e-10
@@ -309,16 +298,15 @@ def run_batch_and_solo(driver, prob, schedules, T, seeds):
     """Batched and solo records of seeds, each with the frames and states
     a Recorder kept for it: lists of (record, frames, states)."""
     batched, solo = DRIVERS[driver]
-    kw = {"on_nonfinite": "record"} if driver == "run" else {}
     args = (prob, ring_topology(3, 0.3), schedules, T)
     with np.errstate(over="ignore", invalid="ignore"):
         rec = Recorder()
-        recs = batched(*args, seeds, observers=[rec], **kw)
+        recs = batched(*args, seeds, observers=[rec])
         recs = [(r, rec.frames[s], rec.states[s]) for s, r in enumerate(recs)]
         alone = []
         for seed in seeds:
             rec = Recorder()
-            r = solo(*args, seed, observers=[rec], **kw)
+            r = solo(*args, seed, observers=[rec])
             alone.append((r, rec.frames[0], rec.states[0]))
     return recs, alone
 

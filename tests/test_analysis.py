@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpagg.analysis import fit_rate, mean_over_seeds, metric_eval, sampling_grid
+from ldpagg.analysis import fit_rate, metric_eval, sampling_grid
 from ldpagg.problems import make_quadratic_problem
+from ldpagg.reference import mean_over_seeds
 
 
 class TestSamplingGrid:

@@ -9,6 +9,7 @@ from ldpagg import privacy
 from ldpagg.algorithm import baseline_gradient_tracking, run
 from ldpagg.cli import main
 from ldpagg.config import ConfigError, parse_config
+from ldpagg.problems import make_personalized_problem, make_quadratic_problem
 from ldpagg.schedules import ConvexityCase
 
 BASE = {
@@ -130,6 +131,27 @@ class TestParseConfig:
         cfg = parse_config(d)
         assert cfg.problem.family == "personalized"
         assert cfg.problem.r == 1
+
+    @pytest.mark.parametrize("family, make", [
+        ("quadratic", make_quadratic_problem),
+        ("personalized", make_personalized_problem)])
+    def test_family_only_block_is_factory_defaults(self, family, make):
+        # every problem default lives in the factory signature: a block
+        # with only the family builds what the factory builds from m
+        got = vars(parse_config(cfg_dict(problem={"family": family})).problem)
+        want = vars(make(m=3))
+        assert got.keys() == want.keys()
+        for k, v in want.items():
+            if isinstance(v, np.ndarray):
+                assert got[k].dtype == v.dtype and got[k].shape == v.shape, k
+                assert got[k].tobytes() == v.tobytes(), k
+            elif not isinstance(v, tuple):  # index tuples derive from m
+                assert got[k] == v, k
+
+    @pytest.mark.parametrize("family", ["quadratic", "personalized"])
+    def test_inverted_box_rejected(self, family):
+        with pytest.raises(ConfigError, match="inverted"):
+            parse_config(cfg_dict(problem={"family": family, "box": [1, -1]}))
 
     def test_calibration_block_rejected(self):
         with pytest.raises(ConfigError, match=r"config\.calibration: unknown key"):
@@ -253,10 +275,9 @@ class TestCliRun:
             path = write_cfg(tmp_path, dict(d, out=out), name=f"{command}.json")
             with np.errstate(over="ignore", invalid="ignore"):
                 assert main([command, "--config", path, "--threads", "1"]) == code
-                kw = {"on_nonfinite": "record"} if command == "run" else {}
                 alone = {s: driver(cfg.problem, cfg.topology, cfg.schedules,
-                                   cfg.T, s, init_radius=cfg.init_radius,
-                                   **kw).aborted_at for s in seeds}
+                                   cfg.T, s, init_radius=cfg.init_radius
+                                   ).aborted_at for s in seeds}
             with open(os.path.join(out, "manifest.json")) as f:
                 aborted = json.load(f)["aborted"]
             assert aborted == {str(s): a for s, a in alone.items() if a}
@@ -298,6 +319,37 @@ class TestCliUsageErrors:
         self.assert_usage_error(
             capsys, ["analyze", "--in", str(tmp_path), "--metric",
                      "err_to_opt_sq", "--window", window], "--window")
+
+    @pytest.mark.parametrize("command", ["run", "baseline"])
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_run_nonpositive_seeds(self, tmp_path, capsys, command, seeds):
+        out = tmp_path / "out"
+        path = write_cfg(tmp_path, cfg_dict(out=str(out)))
+        self.assert_usage_error(
+            capsys, [command, "--config", path, "--seeds", seeds,
+                     "--threads", "1"], "--seeds")
+        assert not out.exists()
+
+    def test_analyze_names_seed_on_another_grid(self, tmp_path, capsys):
+        # the diverging config of test_runtime_abort_keeps_finished_seeds:
+        # an aborted seed's CSV ends early, so its t column differs from
+        # the first file's and analyze names it
+        out = str(tmp_path / "out")
+        d = cfg_dict(seeds=6, T=60, out=out,
+                     schedules=copy.deepcopy(EXPLICIT_SCHED))
+        d["schedules"]["noise"]["y"] = {"sigma": 2e307, "varsigma": 0.05}
+        path = write_cfg(tmp_path, d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", path, "--threads", "1"]) == 2
+        capsys.readouterr()
+        with open(os.path.join(out, "manifest.json")) as f:
+            aborted = json.load(f)["aborted"]
+        # equal abort iterations (None: complete) mean equal t columns
+        ends = [aborted.get(str(s)) for s in range(11, 17)]
+        other = 11 + next(k for k, a in enumerate(ends) if a != ends[0])
+        self.assert_usage_error(
+            capsys, ["analyze", "--in", out, "--metric", "consensus_x"],
+            f"seed_{other}.csv")
 
     def test_analyze_missing_directory(self, tmp_path, capsys):
         missing = str(tmp_path / "missing")

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldpagg.algorithm import run
-from ldpagg.problems import make_personalized_problem, make_quadratic_problem
+from ldpagg.problems import (PersonalizedProblem, QuadraticProblem,
+                             make_personalized_problem, make_quadratic_problem)
 from ldpagg.reference import ErmReference, h_value
 from ldpagg.schedules import (AgentBank, ConvexityCase, agent_rng,
                               corollary1_preset)
@@ -18,10 +19,9 @@ def rngs_for(m, seed=0, tag="data"):
 def fill_store(problem, t_plus_1, seed=0, raw=None):
     """An unbatched store after t_plus_1 draws; raw, when given, collects
     each draw's (last_xi, last_phi) as (raw["xi"], raw["phi"]) lists."""
-    store = problem.new_store()
-    rngs = rngs_for(problem.m, seed)
+    store = problem.new_store(rngs_for(problem.m, seed))
     for _ in range(t_plus_1):
-        problem.draw(store, rngs)
+        problem.draw(store)
         if raw is not None:
             raw.setdefault("xi", []).append(store.last_xi.copy())
             raw.setdefault("phi", []).append(store.last_phi.copy())
@@ -68,7 +68,7 @@ class TestQuadraticErm:
         for prob in family_problems():
             Xown = np.zeros((prob.m, prob.ni))
             with pytest.raises(ValueError, match="empty"):
-                prob.erm_eval(prob.new_store(), Xown)
+                prob.erm_eval(prob.new_store(rngs_for(prob.m)), Xown)
             with pytest.raises(ValueError, match="empty"):
                 ErmReference(prob, [], [], Xown)
 
@@ -126,11 +126,10 @@ class TestQuadraticErm:
         # lockstep data bank; every round's (xi, phi) must be agent i's
         # own normal stream
         k = self.prob.r + self.prob.ni
-        store = self.prob.new_store()
-        rngs = rngs_for(self.prob.m, seed=5)
+        store = self.prob.new_store(rngs_for(self.prob.m, seed=5))
         replay = rngs_for(self.prob.m, seed=5)
         for _ in range(2100):
-            self.prob.draw(store, rngs)
+            self.prob.draw(store)
             for i in range(self.prob.m):
                 z = replay[i].standard_normal(k)
                 assert np.array_equal(store.last_xi[i],
@@ -189,6 +188,18 @@ class TestQuadraticTruth:
         se = 0.3 / np.sqrt(store.count)
         assert np.max(np.abs(xi_mean)) < 3 * se * 2  # small union slack
         assert np.max(np.abs(phi_mean)) < 3 * se * 2
+
+
+def test_inverted_box_rejected_by_constructors():
+    q = make_quadratic_problem(m=2)
+    p = make_personalized_problem(m=2, dataset_size=4)
+    for build in (lambda box: QuadraticProblem(q.A, q.b, q.c, q.d, 1.0, box=box),
+                  lambda box: PersonalizedProblem(p.feats, p.labels, 1.0, box=box),
+                  lambda box: make_quadratic_problem(m=2, box=box),
+                  lambda box: make_personalized_problem(m=2, box=box)):
+        with pytest.raises(ValueError, match="box bounds inverted"):
+            build((1.0, -1.0))
+        build((-1.0, -1.0))  # a degenerate box is admissible
 
 
 class TestPersonalized:
@@ -311,11 +322,10 @@ def test_index_replay_across_bank_refills(N, S, seed):
     # two scalar integers(N) draws, f then g
     prob = make_personalized_problem(m=2, classes=2, features=1, lam=0.5,
                                      dataset_size=N, seed=1)
-    store = prob.new_store(batch=(S,))
-    rngs = batch_rngs(prob.m, (S,), seed)
+    store = prob.new_store(batch_rngs(prob.m, (S,), seed), batch=(S,))
     replay = batch_rngs(prob.m, (S,), seed)
     for _ in range(2 * (AgentBank._BLOCK // 2) + 52):
-        prob.draw(store, rngs)
+        prob.draw(store)
         phi, xi = store.last_phi.reshape(-1), store.last_xi.reshape(-1)
         for k, rng in enumerate(replay):
             assert phi[k] == rng.integers(N)
@@ -334,16 +344,15 @@ def test_reweighted_eval_equals_fresh_eval(prob, batch):
     # the baseline re-weights last round's eval at the same points after
     # each draw; that must be bitwise the fresh oracle at those points
     rng = np.random.default_rng(2)
-    store = prob.new_store(batch=batch)
-    rngs = batch_rngs(prob.m, batch)
-    prob.draw(store, rngs)
+    store = prob.new_store(batch_rngs(prob.m, batch), batch=batch)
+    prob.draw(store)
     Xown = rng.normal(0, 1, batch + (prob.m, prob.ni))
     Y = rng.normal(0, 1, batch + (prob.m, prob.r))
     Z = rng.normal(0, 1, batch + (prob.m, prob.r))
     ev = prob.erm_eval(store, Xown)
     ev.grad_f_x(Y)  # the reweighted eval may reuse state built on read
     for _ in range(4):
-        prob.draw(store, rngs)
+        prob.draw(store)
         ev = ev.reweighted(store)
         fresh = prob.erm_eval(store, Xown)
         assert np.array_equal(ev.g, fresh.g)
@@ -359,10 +368,9 @@ def test_loss_only_truth_equals_full_pass(prob, batch):
     # per-sample gradients; they must equal the values computed from the
     # oracle's full pass
     rng = np.random.default_rng(3)
-    store = prob.new_store(batch=batch)
-    rngs = batch_rngs(prob.m, batch)
+    store = prob.new_store(batch_rngs(prob.m, batch), batch=batch)
     for _ in range(7):
-        prob.draw(store, rngs)
+        prob.draw(store)
     Xown = rng.normal(0, 1, batch + (prob.m, prob.ni))
     full = prob.erm_eval(store, Xown)
     full.grad_f_x(rng.normal(0, 1, batch + (prob.m, prob.r)))
