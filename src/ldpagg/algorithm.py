@@ -85,14 +85,6 @@ def _consensus(W0, diagw, hat, raw):
     return W0 @ hat + diagw[:, None] * raw
 
 
-def _init_x(problem, rngs, init_radius):
-    """Uniform random start in the box truncated to +-init_radius, (S, m, n)."""
-    lo = np.maximum(problem.box_lo, -init_radius)
-    hi = np.minimum(problem.box_hi, init_radius)
-    U = np.array([rng.random(problem.n) for rng in rngs])
-    return (lo + (hi - lo) * U).reshape(-1, problem.m, problem.n)
-
-
 def _descend(problem, W0, diagw, X, frame_x, lam, grad_own):
     """Consensus on the x frame, a step along each agent's own-block
     gradient, and the projection onto the box."""
@@ -134,8 +126,14 @@ class _Batch:
                                     ("chi", schedules.noise_y, r),
                                     ("zeta", schedules.noise_z, r)))
         self.store = problem.new_store(rngs("data"), batch=(S,))
-        X = _init_x(problem, rngs("init"), init_radius) if x0 is None \
-            else np.broadcast_to(np.asarray(x0, dtype=float), (S, m, n))
+        if x0 is None:
+            # uniform in the box truncated to +-init_radius
+            lo = np.maximum(problem.box_lo, -init_radius)
+            hi = np.minimum(problem.box_hi, init_radius)
+            U = np.array([rng.random(n) for rng in rngs("init")])
+            X = (lo + (hi - lo) * U).reshape(S, m, n)
+        else:
+            X = np.broadcast_to(np.asarray(x0, dtype=float), (S, m, n))
         self.X0 = np.clip(X, problem.box_lo, problem.box_hi)
         self.grid = set(sampling_grid(T).tolist())
         self.x_star = problem.x_star if problem.has_optimizer else None

@@ -34,11 +34,9 @@ def metric_eval(problem, X, Y, Z, t, x_star=None, F_star=None):
     Columns requiring a truth optimizer are omitted (not zero-filled)
     when the problem does not provide one.
     """
-    m = problem.m
-    xbar_stack = np.tile(X.mean(axis=0), (m, 1))
     row = {
         "t": float(t),
-        "consensus_x": float(np.sum((X - xbar_stack) ** 2)),
+        "consensus_x": float(np.sum((X - X.mean(axis=0)) ** 2)),
         "consensus_y": float(np.sum((Y - Y.mean(axis=0)) ** 2)),
         "consensus_z": float(np.sum((Z - Z.mean(axis=0)) ** 2)),
     }

@@ -20,7 +20,7 @@ from . import __version__
 from .algorithm import baseline_seeds, run_seeds
 from .analysis import fit_rate, sampling_grid
 from .config import ConfigError, load_config
-from .privacy import budgets, calibrate_noise, infinite_horizon_bound
+from .privacy import budgets, calibrate_noise
 from .schedules import check_conditions
 from .topology import validate as validate_matrix
 
@@ -69,7 +69,7 @@ def _eps_columns(cfg, grid):
         return None
     grid = np.asarray(grid, dtype=int)
     return {f"eps_cum_a{i}": eps_cum[grid] for i, (_, eps_cum) in
-            enumerate(budgets(cfg.T, cfg.sensitivity, s, warn=False))}
+            enumerate(budgets(cfg.T, cfg.sensitivity, s))}
 
 
 def _batch_worker(args):
@@ -110,11 +110,8 @@ def _cmd_run(args):
             kind = "warning" if baseline else "runtime abort"
             print(f"{kind}: seed {seed} went non-finite at iteration "
                   f"{rec.aborted_at}", file=sys.stderr)
-        eps = eps_cols
-        if eps is not None and len(rec.ts) != len(grid):
-            eps = {k: v[:len(rec.ts)] for k, v in eps.items()}
         _write_csv(os.path.join(out_dir, f"seed_{seed}.csv"),
-                   rec.ts, rec.columns, eps)
+                   rec.ts, rec.columns, eps_cols)
     complete = [r for r in records if r.aborted_at is None]
     if complete:
         ts = complete[0].ts
@@ -171,17 +168,18 @@ def _cmd_budget(args):
     horizon = _horizon(args.horizon)
     cfg = load_config(args.config)
     sens = _sensitivity(cfg)
-    s = cfg.schedules
+    try:
+        # the infinite-horizon table holds bound_inf alone, which does not
+        # depend on the source
+        accounts = budgets(horizon or 0, sens, cfg.schedules,
+                           args.source if horizon is not None else "recursion")
+    except ValueError as e:
+        raise _UsageError(e) from None
     print("agent,eps_x,eps_y,eps_z,eps_total,bound_inf")
-    if horizon is None:
-        for i, noise in enumerate(zip(s.noise_x, s.noise_y, s.noise_z)):
-            print(f"{i},,,,,{_fmt(infinite_horizon_bound(sens, *noise))}")
-        return 0
-    for i, (acct, _) in enumerate(budgets(horizon, sens, s,
-                                          source=args.source, warn=False)):
-        print(",".join([str(i), _fmt(acct.eps_x), _fmt(acct.eps_y),
-                        _fmt(acct.eps_z), _fmt(acct.eps_total),
-                        _fmt(acct.bound_inf)]))
+    for i, (acct, _) in enumerate(accounts):
+        eps = ("",) * 4 if horizon is None else (_fmt(acct.eps_x), _fmt(acct.eps_y),
+                                                 _fmt(acct.eps_z), _fmt(acct.eps_total))
+        print(",".join([str(i), *eps, _fmt(acct.bound_inf)]))
     return 0
 
 
@@ -192,7 +190,7 @@ def _cmd_calibrate(args):
     # for it keeps every agent's infinite-horizon bound within epsilon
     try:
         sx, sy, sz = calibrate_noise(args.epsilon, sens,
-                                     *cfg.schedules.max_varsigmas())
+                                     *cfg.schedules.varsigmas(max))
     except ValueError as e:
         raise _UsageError(e) from None
     patched = json.loads(json.dumps(cfg.raw))

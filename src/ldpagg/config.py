@@ -48,6 +48,17 @@ _PRESETS = {
 }
 
 
+def _checked(path, build, *args):
+    """build(*args), with a missing key or a bad value reported as a
+    ConfigError on path."""
+    try:
+        return build(*args)
+    except KeyError as e:
+        raise ConfigError(f"{path}: missing key {e}") from None
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{path}: {e}") from None
+
+
 def _check_keys(block, allowed, path):
     if not isinstance(block, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -76,14 +87,13 @@ def _build_topology(block):
     _check_keys(block, _TOPOLOGY_KEYS, "topology")
     kind = block.get("type")
     if kind == "ring":
-        return topo.ring_topology(int(block["m"]), float(block["w"]))
+        return _checked("topology", lambda: topo.ring_topology(
+            int(block["m"]), float(block["w"])))
     if kind == "trivial":
         return topo.trivial_topology()
     if kind == "matrix":
-        try:
-            return topo.from_matrix(np.asarray(block["weights"], dtype=float))
-        except ValueError as e:
-            raise ConfigError(f"topology.weights: {e}") from None
+        return _checked("topology.weights", lambda: topo.from_matrix(
+            np.asarray(block["weights"], dtype=float)))
     raise ConfigError(f"topology.type: expected ring|trivial|matrix, got {kind!r}")
 
 
@@ -91,7 +101,7 @@ def _triple(block, key, default):
     v = block.get(key, default)
     if np.isscalar(v):
         v = [v, v, v]
-    if len(v) != 3:
+    if not isinstance(v, list) or len(v) != 3:
         raise ConfigError(f"schedules.{key}: expected a scalar or a 3-list")
     return v
 
@@ -102,37 +112,32 @@ def _build_schedules(block, m):
         if "stepsize" in block or "noise" in block:
             raise ConfigError("schedules: preset excludes explicit stepsize/noise blocks")
         name = block["preset"]
-        if name not in _PRESETS:
+        if not isinstance(name, str) or name not in _PRESETS:
             raise ConfigError(f"schedules.preset: unknown preset {name!r}")
         case = _PRESETS[name]
-        delta = float(block.get("delta", 0.01))
-        lambda0 = [float(x) for x in _triple(block, "lambda0", 1.0)]
+        lambda0 = _triple(block, "lambda0", 1.0)
         sigma = _triple(block, "sigma", 1.0)
-        try:
-            return sched.corollary1_preset(case, delta, m=m, lambda0=lambda0,
-                                           sigma=sigma), case
-        except ValueError as e:
-            raise ConfigError(f"schedules.preset: {e}") from None
+        return _checked("schedules.preset", lambda: sched.corollary1_preset(
+            case, float(block.get("delta", 0.01)), m=m,
+            lambda0=[float(x) for x in lambda0], sigma=sigma)), case
     for part in ("stepsize", "noise"):
         if part not in block:
             raise ConfigError(f"schedules.{part}: required without a preset")
-    steps = {}
-    for ax in ("x", "y", "z"):
-        b = block["stepsize"].get(ax)
-        if b is None:
-            raise ConfigError(f"schedules.stepsize.{ax}: required")
-        _check_keys(b, _STEP_KEYS, f"schedules.stepsize.{ax}")
-        steps[ax] = StepsizeSchedule(float(b["lambda0"]), float(b["v"]))
-    noises = {}
-    for ax in ("x", "y", "z"):
-        b = block["noise"].get(ax)
-        if b is None:
-            raise ConfigError(f"schedules.noise.{ax}: required")
-        _check_keys(b, _NOISE_KEYS, f"schedules.noise.{ax}")
-        noises[ax] = broadcast_noise(b["sigma"], b["varsigma"], m)
-    return ScheduleSet(lambda_x=steps["x"], lambda_y=steps["y"],
-                       lambda_z=steps["z"], noise_x=noises["x"],
-                       noise_y=noises["y"], noise_z=noises["z"]), None
+    built = []  # lambda_x, lambda_y, lambda_z, noise_x, noise_y, noise_z
+    for part, keys, build in (
+            ("stepsize", _STEP_KEYS,
+             lambda b: StepsizeSchedule(float(b["lambda0"]), float(b["v"]))),
+            ("noise", _NOISE_KEYS,
+             lambda b: broadcast_noise(b["sigma"], b["varsigma"], m))):
+        _check_keys(block[part], {"x", "y", "z"}, f"schedules.{part}")
+        for ax in ("x", "y", "z"):
+            path = f"schedules.{part}.{ax}"
+            b = block[part].get(ax)
+            if b is None:
+                raise ConfigError(f"{path}: required")
+            _check_keys(b, keys, path)
+            built.append(_checked(path, build, b))
+    return ScheduleSet(*built), None
 
 
 def _build_problem(block, m):
@@ -143,11 +148,8 @@ def _build_problem(block, m):
         raise ConfigError(f"problem.family: expected quadratic|personalized, got {fam!r}")
     make, types = _PROBLEMS[fam]
     _check_keys(block, {"family", *types}, "problem")
-    try:
-        return make(m=m, **{k: types[k](v) for k, v in block.items()
-                            if k != "family"})
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"problem: {e}") from None
+    return _checked("problem", lambda: make(
+        m=m, **{k: types[k](v) for k, v in block.items() if k != "family"}))
 
 
 def load_config(path) -> RunConfig:
@@ -189,30 +191,26 @@ def parse_config(raw: dict) -> RunConfig:
     if "sensitivity" in raw:
         _check_keys(raw["sensitivity"], _SENS_KEYS, "sensitivity")
         b = raw["sensitivity"]
-        try:
-            sens = SensitivityParams(
-                **{k: float(b[k]) for k in _SENS_KEYS},
-                w_bar=topology.w_bar if topology.m > 1 else 0.5,
-                n_i=problem.ni, r=problem.r,
-                lambda_x=schedule_set.lambda_x,
-                lambda_y=schedule_set.lambda_y,
-                lambda_z=schedule_set.lambda_z)
-        except (KeyError, ValueError) as e:
-            raise ConfigError(f"sensitivity: {e}") from None
+        sens = _checked("sensitivity", lambda: SensitivityParams(
+            **{k: float(b[k]) for k in _SENS_KEYS},
+            w_bar=topology.w_bar if topology.m > 1 else 0.5,
+            n_i=problem.ni, r=problem.r, lambda_x=schedule_set.lambda_x,
+            lambda_y=schedule_set.lambda_y, lambda_z=schedule_set.lambda_z))
         if topology.m == 1:
             warnings_list.append("sensitivity accounting with m=1 uses w_bar=0.5 "
                                  "(no consensus damping exists)")
 
-    T = int(raw.get("T", 1000))
+    T = _checked("config.T", int, raw.get("T", 1000))
     if T < 0:
         raise ConfigError("config.T: must be nonnegative")
-    seeds = int(raw.get("seeds", 1))
+    seeds = _checked("config.seeds", int, raw.get("seeds", 1))
     if seeds < 1:
         raise ConfigError("config.seeds: must be positive")
     return RunConfig(
         raw=raw, topology=topology, schedules=schedule_set, case=case,
         problem=problem, T=T, seeds=seeds,
-        master_seed=int(raw.get("master_seed", 0)),
-        init_radius=float(raw.get("init_radius", 10.0)),
+        master_seed=_checked("config.master_seed", int, raw.get("master_seed", 0)),
+        init_radius=_checked("config.init_radius", float,
+                             raw.get("init_radius", 10.0)),
         sensitivity=sens,
         out=str(raw.get("out", "runs")), warnings=warnings_list)

@@ -6,12 +6,14 @@ intractable); the closed-form constants give the certificate bounds
 Delta_y <= C_y/(t+1)^(1+v_y), Delta_x <= C_x/(t+1)^(1+v_x-v_z),
 Delta_z <= C_z/(t+1)^(1+v_z). Budgets compose as
 eps_i(T) = sum_{t=1..T} (Dx/nu_x + Dy/nu_y + Dz/nu_z).
+
+t_contract, on each trajectory and account, is the first t at which the
+recursion contracts; the certificates dominate it only from there on.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,12 +104,10 @@ class SensitivityTrajectory:
     dx: np.ndarray
     dy: np.ndarray
     dz: np.ndarray
-    t_contract: int       # first t with all own-coefficients < 1
-    contraction_ok: bool  # True when t_contract == 0
+    t_contract: int  # first t with all own-coefficients < 1
 
 
-def sensitivity_trajectory(T: int, p: SensitivityParams,
-                           warn: bool = True) -> SensitivityTrajectory:
+def sensitivity_trajectory(T: int, p: SensitivityParams) -> SensitivityTrajectory:
     """Iterate the recursion from Delta^0 = 0 up to horizon T."""
     dx = np.zeros(T + 1)
     dy = np.zeros(T + 1)
@@ -121,13 +121,7 @@ def sensitivity_trajectory(T: int, p: SensitivityParams,
     if t_contract is None:
         # either T == 0 or the coefficient never dropped below 1
         t_contract = 0 if T == 0 and max(contraction_coefficients(0, p)) < 1.0 else T
-    if t_contract > 0 and warn:
-        warnings.warn(
-            f"sensitivity contraction coefficient >= 1 until t={t_contract}; "
-            "closed-form dominance only holds from there on",
-            RuntimeWarning, stacklevel=2)
-    return SensitivityTrajectory(dx=dx, dy=dy, dz=dz, t_contract=t_contract,
-                                 contraction_ok=(t_contract == 0))
+    return SensitivityTrajectory(dx=dx, dy=dy, dz=dz, t_contract=t_contract)
 
 
 @dataclass(frozen=True)
@@ -179,7 +173,6 @@ class PrivacyAccount:
     eps_y: float
     eps_z: float
     bound_inf: float
-    source: str
     t_contract: int = 0
 
     @property
@@ -193,8 +186,7 @@ def _noise_exponent_gaps(p: SensitivityParams, vs_x, vs_y, vs_z):
             p.lambda_z.v - vs_z)
 
 
-def infinite_horizon_bound(p: SensitivityParams, noise_x, noise_y, noise_z,
-                           consts: ClosedFormConstants = None) -> float:
+def infinite_horizon_bound(p: SensitivityParams, noise_x, noise_y, noise_z) -> float:
     """T -> infinity certificate; +inf when any exponent gap is nonpositive
     or the stepsize exponents admit no closed-form constants."""
     gx, gy, gz = _noise_exponent_gaps(p, noise_x.varsigma, noise_y.varsigma,
@@ -202,7 +194,7 @@ def infinite_horizon_bound(p: SensitivityParams, noise_x, noise_y, noise_z,
     if min(gx, gy, gz) <= 0:
         return float("inf")
     try:
-        c = consts if consts is not None else closed_form_constants(p)
+        c = closed_form_constants(p)
     except ValueError:
         return float("inf")
     return (SQRT2 * c.Cx / (noise_x.sigma * gx)
@@ -211,7 +203,7 @@ def infinite_horizon_bound(p: SensitivityParams, noise_x, noise_y, noise_z,
 
 
 def budgets(T: int, p: SensitivityParams, schedules: ScheduleSet,
-            source: str = "recursion", warn: bool = True):
+            source: str = "recursion"):
     """Cumulative budget of every agent over t = 1..T from one recursion.
 
     Returns one (PrivacyAccount, eps_cum) pair per agent, where eps_cum
@@ -228,7 +220,7 @@ def budgets(T: int, p: SensitivityParams, schedules: ScheduleSet,
         raise ValueError("budget accounting requires positive noise scales")
     t_contract = 0
     if source == "recursion":
-        traj = sensitivity_trajectory(T, p, warn=warn)
+        traj = sensitivity_trajectory(T, p)
         t_contract = traj.t_contract
         ts = np.arange(1, T + 1)
 
@@ -255,18 +247,17 @@ def budgets(T: int, p: SensitivityParams, schedules: ScheduleSet,
         acct = PrivacyAccount(
             T=T, eps_x=float(np.sum(ex)), eps_y=float(np.sum(ey)),
             eps_z=float(np.sum(ez)),
-            bound_inf=infinite_horizon_bound(p, *triple), source=source,
-            t_contract=t_contract)
+            bound_inf=infinite_horizon_bound(p, *triple), t_contract=t_contract)
         out[triple] = (acct, eps_cum)
     return [out[triple] for triple in triples]
 
 
 def budget(T: int, p: SensitivityParams, noise_x, noise_y, noise_z,
-           source: str = "recursion", warn: bool = True) -> PrivacyAccount:
+           source: str = "recursion") -> PrivacyAccount:
     """Cumulative budget for one agent over t = 1..T (see budgets)."""
     one = ScheduleSet(p.lambda_x, p.lambda_y, p.lambda_z,
                       (noise_x,), (noise_y,), (noise_z,))
-    return budgets(T, p, one, source, warn)[0][0]
+    return budgets(T, p, one, source)[0][0]
 
 
 def calibrate_noise(eps_target: float, p: SensitivityParams,

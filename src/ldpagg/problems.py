@@ -25,7 +25,6 @@ s*m + i is agent i under seed s).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -120,24 +119,22 @@ class ProblemInstance:
         raise NotImplementedError
 
 
-@dataclass
 class ErmEvalQuadratic:
-    """Closed-form ERM quantities for the quadratic family at fixed points."""
+    """Closed-form ERM quantities for the quadratic family at fixed points
+    Xown against a store's samples; lin = A_i x + b_i depends on the
+    points only."""
 
-    prob: "QuadraticProblem"
-    Xown: np.ndarray
-    lin: np.ndarray  # A_i x + b_i: depends on the points only
-    xi_mean: np.ndarray
-    phi_mean: np.ndarray
-    last_xi: np.ndarray
-    g: np.ndarray = field(init=False)
-
-    def __post_init__(self):
+    def __init__(self, prob, store, Xown, lin):
+        if store.count < 1:
+            raise ValueError("empty sample store")
+        self.prob, self.Xown, self.lin = prob, Xown, lin
+        self.phi_mean = store.phi_sum / store.count
+        self.last_xi = store.last_xi
         # g_i^t(x) = (A_i x + b_i) + mean(xi)
-        self.g = self.lin + self.xi_mean
+        self.g = lin + store.xi_sum / store.count
 
     def reweighted(self, store: "QuadraticStore") -> "ErmEvalQuadratic":
-        return self.prob._eval(store, self.Xown, self.lin)
+        return ErmEvalQuadratic(self.prob, store, self.Xown, self.lin)
 
     def l_newest(self) -> np.ndarray:
         return self.lin + self.last_xi
@@ -167,8 +164,7 @@ class QuadraticProblem(ProblemInstance):
     family = "quadratic"
     has_optimizer = True
 
-    def __init__(self, A, b, c, d, gamma, alpha=1.0, noise_std_g=0.0,
-                 noise_std_f=0.0, box=(-1e6, 1e6)):
+    def __init__(self, A, b, c, d, gamma, alpha, noise_std_g, noise_std_f, box):
         A = np.asarray(A, dtype=float)
         if A.ndim != 3:
             raise ValueError("A must have shape (m, r, n_i)")
@@ -203,13 +199,7 @@ class QuadraticProblem(ProblemInstance):
         store.count += 1
 
     def erm_eval(self, store: QuadraticStore, Xown: np.ndarray) -> ErmEvalQuadratic:
-        return self._eval(store, Xown, self.g_true(Xown))
-
-    def _eval(self, store, Xown, lin):
-        if store.count < 1:
-            raise ValueError("empty sample store")
-        return ErmEvalQuadratic(self, Xown, lin, store.xi_sum / store.count,
-                                store.phi_sum / store.count, store.last_xi)
+        return ErmEvalQuadratic(self, store, Xown, self.g_true(Xown))
 
     # -- truth ----------------------------------------------------------
     def g_true(self, Xown: np.ndarray) -> np.ndarray:
@@ -315,6 +305,8 @@ class ErmEvalPersonalized:
     weights; the pass depends on the points only."""
 
     def __init__(self, sm, store):
+        if store.count < 1:
+            raise ValueError("empty sample store")
         self.sm = sm
         self.prob = sm.prob
         self.loss = sm.loss
@@ -325,7 +317,7 @@ class ErmEvalPersonalized:
         self.g = np.einsum("...mn,...mn->...m", self.wg, self.loss)[..., None]
 
     def reweighted(self, store: PersonalizedStore) -> "ErmEvalPersonalized":
-        return self.prob._eval(store, self.sm)
+        return ErmEvalPersonalized(self.sm, store)
 
     def l_newest(self):
         xi = self.last_xi  # one loss per (seed, agent) row
@@ -386,22 +378,14 @@ class PersonalizedProblem(ProblemInstance):
         store.count += 1
 
     def erm_eval(self, store, Xown):
-        return self._eval(store, SoftmaxPass(self, Xown))
-
-    def _eval(self, store, sm):
-        if store.count < 1:
-            raise ValueError("empty sample store")
-        return ErmEvalPersonalized(sm, store)
+        return ErmEvalPersonalized(SoftmaxPass(self, Xown), store)
 
     # -- truth (population = uniform over the fixed dataset) ------------
     def g_true(self, Xown):
         return SoftmaxPass(self, Xown)._population()[1][..., None]
 
-    def _population_pass(self, xown):
-        return SoftmaxPass(self, xown.reshape(xown.shape[:-1] + (self.m, self.ni)))
-
     def F_true(self, xown):
-        sm = self._population_pass(xown)
+        sm = SoftmaxPass(self, xown.reshape(xown.shape[:-1] + (self.m, self.ni)))
         uni, G = sm._population()
         g = G.mean(axis=-1)[..., None, None]
         per_agent = np.einsum("...mn,...mn->...m", uni,
@@ -410,7 +394,7 @@ class PersonalizedProblem(ProblemInstance):
         return float(F) if F.ndim == 0 else F
 
     def grad_F_true(self, xown):
-        sm = self._population_pass(xown)
+        sm = SoftmaxPass(self, xown.reshape(self.m, self.ni))
         uni, G = sm._population()
         gradG = sm._own(np.einsum("...mn,...mnkd->...mkd", uni, sm.grad))
         g = G.mean()

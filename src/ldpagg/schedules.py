@@ -72,20 +72,11 @@ class ScheduleSet:
         if not (len(self.noise_x) == len(self.noise_y) == len(self.noise_z)):
             raise ValueError("noise schedule lists must have equal length")
 
-    def min_varsigmas(self):
-        """(varsigma_x, varsigma_y, varsigma_z) minimized over agents."""
-        return (
-            min(s.varsigma for s in self.noise_x),
-            min(s.varsigma for s in self.noise_y),
-            min(s.varsigma for s in self.noise_z),
-        )
-
-    def max_varsigmas(self):
-        return (
-            max(s.varsigma for s in self.noise_x),
-            max(s.varsigma for s in self.noise_y),
-            max(s.varsigma for s in self.noise_z),
-        )
+    def varsigmas(self, over):
+        """(varsigma_x, varsigma_y, varsigma_z), each reduced over the
+        agents by over (min or max)."""
+        return tuple(over(s.varsigma for s in noise)
+                     for noise in (self.noise_x, self.noise_y, self.noise_z))
 
 
 def broadcast_noise(sigma, varsigma, m: int) -> tuple:
@@ -117,8 +108,8 @@ def check_conditions(s: ScheduleSet, case: ConvexityCase) -> ConditionReport:
     zero tolerance since exponents are exact configuration values.
     """
     vx, vy, vz = s.lambda_x.v, s.lambda_y.v, s.lambda_z.v
-    cx, cy, cz = s.min_varsigmas()
-    mx, my, mz = s.max_varsigmas()
+    cx, cy, cz = s.varsigmas(min)
+    mx, my, mz = s.varsigmas(max)
 
     checks = [
         ("1 > v_x > v_z", 1.0 > vx > vz),
@@ -168,8 +159,6 @@ def corollary1_preset(
     check_conditions for its case; an inadmissible delta is rejected.
     """
     vx, vy, vz, sx, sy, sz = corollary1_exponents(case, delta)
-    if not (1.0 > vx > vz and 0.5 > vz > vy > 0.0):
-        raise ValueError(f"delta={delta} pushes preset exponents out of range")
     s = ScheduleSet(
         lambda_x=StepsizeSchedule(lambda0[0], vx),
         lambda_y=StepsizeSchedule(lambda0[1], vy),

@@ -3,11 +3,13 @@
 The weight convention is the "zero-sum" one: w_ij > 0 on edges,
 w_ii = -sum_j w_ij, so both row and column sums of W vanish and
 I + W acts as a doubly stochastic mixing matrix on connected graphs.
+validate reports the five structural conditions on a candidate W; they
+are written once, in ValidationReport.conditions, and its ok reads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +29,7 @@ class NetworkTopology:
     neighbor_sets: tuple
     rho2_abs: float
     w_bar: float
-    contraction_norm: float = field(default=np.nan)
+    contraction_norm: float
 
     def __post_init__(self):
         self.weights.setflags(write=False)
@@ -43,7 +45,6 @@ class ValidationReport:
     symmetry_residual: float
     contraction_norm: float
     offdiag_nonneg: bool
-    ok: bool
     rho2_abs: float | None = None
     w_bar: float | None = None
 
@@ -56,16 +57,18 @@ class ValidationReport:
             ("off-diagonal entries nonnegative", self.offdiag_nonneg, 0.0),
         ]
 
+    @property
+    def ok(self) -> bool:
+        """Whether W meets every condition."""
+        return all(passed for _, passed, _ in self.conditions())
+
 
 def _spectral(W: np.ndarray):
     """Return (rho2_abs, contraction_norm) from a dense symmetric eigensolve."""
     m = W.shape[0]
-    eigs = np.linalg.eigvalsh(W)
+    eigs = np.linalg.eigvalsh(W)  # ascending
     # second largest by algebraic value; m = 1 has no second eigenvalue
-    if m == 1:
-        rho2_abs = 1.0
-    else:
-        rho2_abs = abs(np.sort(eigs)[-2])
+    rho2_abs = abs(eigs[-2]) if m > 1 else 1.0
     ones = np.ones((m, m)) / m
     contraction = np.linalg.norm(np.eye(m) + W - ones, 2)
     return rho2_abs, contraction
@@ -88,13 +91,6 @@ def validate(W: np.ndarray) -> ValidationReport:
     np.fill_diagonal(offdiag, 0.0)
     offdiag_ok = bool(np.all(offdiag >= 0.0))
     rho2_abs, contraction = _spectral(W)
-    ok = (
-        row_res < STRUCT_TOL
-        and col_res < STRUCT_TOL
-        and sym_res < STRUCT_TOL
-        and contraction < 1.0 - STRUCT_TOL
-        and offdiag_ok
-    )
     report = ValidationReport(
         m=m,
         row_sum_residual=row_res,
@@ -102,9 +98,8 @@ def validate(W: np.ndarray) -> ValidationReport:
         symmetry_residual=sym_res,
         contraction_norm=contraction,
         offdiag_nonneg=offdiag_ok,
-        ok=ok,
     )
-    if ok:
+    if report.ok:
         report.rho2_abs = rho2_abs
         report.w_bar = float(np.min(np.abs(np.diag(W))))
     return report
@@ -147,7 +142,6 @@ def ring_topology(m: int, w: float) -> NetworkTopology:
     for i in range(m):
         W[i, (i + 1) % m] = w
         W[i, (i - 1) % m] = w
-    np.fill_diagonal(W, 0.0)
     np.fill_diagonal(W, -W.sum(axis=1))
     return from_matrix(W)
 

@@ -97,7 +97,7 @@ class TestPrivacyAccounting:
         s = cfg.schedules
         nx, ny, nz = s.noise_x[0], s.noise_y[0], s.noise_z[0]
 
-        traj = sensitivity_trajectory(100000, p, warn=False)
+        traj = sensitivity_trajectory(100000, p)
         ts = np.arange(1, 100001)
         terms = (traj.dx[1:] / np.array([nx.laplace_param(t) for t in ts])
                  + traj.dy[1:] / np.array([ny.laplace_param(t) for t in ts])
@@ -109,13 +109,13 @@ class TestPrivacyAccounting:
         bound = infinite_horizon_bound(p, nx, ny, nz)
         assert np.isfinite(bound)
         for T in (100, 1000, 10000, 100000):
-            cf = budget(T, p, nx, ny, nz, source="closed_form", warn=False)
+            cf = budget(T, p, nx, ny, nz, source="closed_form")
             assert cum[T] <= cf.eps_total + 1e-12
             assert cf.eps_total <= bound + 1e-12
 
     def test_sensitivity_dominance(self, budget_fixture):
         p = budget_fixture.sensitivity
-        traj = sensitivity_trajectory(100000, p, warn=False)
+        traj = sensitivity_trajectory(100000, p)
         assert traj.t_contract < 100
         vx, vy, vz = p.lambda_x.v, p.lambda_y.v, p.lambda_z.v
         c = closed_form_constants(p)

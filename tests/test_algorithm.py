@@ -86,7 +86,8 @@ class TestIterate:
         b = np.tile(rng.standard_normal((1, r)), (m, 1))
         c = np.tile(rng.standard_normal((1, ni)), (m, 1))
         d = np.tile(rng.standard_normal((1, r)), (m, 1))
-        prob = QuadraticProblem(A, b, c, d, gamma=1.0, box=(-10, 10))
+        prob = QuadraticProblem(A, b, c, d, gamma=1.0, alpha=1.0, noise_std_g=0.0,
+                                noise_std_f=0.0, box=(-10, 10))
         # identical estimates of the full stacked vector as well
         own = np.tile(np.linspace(-1, 1, ni), m)
         x0 = np.tile(own, (m, 1))

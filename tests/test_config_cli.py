@@ -75,6 +75,10 @@ class TestParseConfig:
         d["bogus"] = 1
         with pytest.raises(ConfigError, match=r"config\.bogus: unknown key"):
             parse_config(d)
+        d = cfg_dict(schedules=copy.deepcopy(EXPLICIT_SCHED))
+        d["schedules"]["noise"]["w"] = d["schedules"]["noise"]["x"]
+        with pytest.raises(ConfigError, match=r"schedules\.noise\.w: unknown key"):
+            parse_config(d)
 
     def test_preset_excludes_explicit_blocks(self):
         d = cfg_dict()
@@ -195,7 +199,7 @@ class TestCliRun:
         s = cfg.schedules
         for i in range(3):
             acct = privacy.budget(200, cfg.sensitivity, s.noise_x[i],
-                                  s.noise_y[i], s.noise_z[i], warn=False)
+                                  s.noise_y[i], s.noise_z[i])
             eps = last[header.index(f"eps_cum_a{i}")]
             assert eps == pytest.approx(acct.eps_total, rel=1e-12)
 
@@ -296,6 +300,39 @@ class TestCliRun:
         assert main([]) == 1
 
 
+@pytest.mark.parametrize("keys, value, where", [
+    (("topology", "m"), ..., "topology"),
+    (("topology", "w"), "x", "topology"),
+    (("schedules", "stepsize", "x", "v"), ..., "schedules.stepsize.x"),
+    (("schedules", "noise", "x", "sigma"), "a", "schedules.noise.x"),
+    (("seeds",), "two", "config.seeds"),
+    (("T",), "abc", "config.T"),
+    (("schedules", "delta"), "x", "schedules.preset"),
+    (("schedules", "preset"), ["corollary1-sc"], "schedules.preset"),
+    (("schedules", "stepsize"), [0.5, 0.1], "schedules.stepsize"),
+    (("schedules", "lambda0"), None, "schedules.lambda0"),
+], ids=["topology.m-missing", "topology.w", "stepsize.x.v-missing",
+        "noise.x.sigma", "seeds", "T", "delta", "preset-list", "stepsize-list",
+        "lambda0-null"])
+def test_bad_config_value_is_config_error(tmp_path, capsys, keys, value, where):
+    # a missing (...), non-numeric or malformed value is one config
+    # error line on the path of its block, with exit code 1
+    d = cfg_dict()
+    if "stepsize" in keys or "noise" in keys:
+        d["schedules"] = copy.deepcopy(EXPLICIT_SCHED)
+    block = d
+    for k in keys[:-1]:
+        block = block[k]
+    if value is ...:
+        del block[keys[-1]]
+    else:
+        block[keys[-1]] = value
+    assert main(["validate", "--config", write_cfg(tmp_path, d)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {where}: ")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 class TestCliUsageErrors:
     # each bad argument gives one error line on stderr and exit code 1
     def assert_usage_error(self, capsys, argv, fragment):
@@ -351,6 +388,30 @@ class TestCliUsageErrors:
             capsys, ["analyze", "--in", out, "--metric", "consensus_x"],
             f"seed_{other}.csv")
 
+    @pytest.mark.parametrize("horizon", ["inf", "1000"])
+    def test_budget_zero_sigma(self, tmp_path, capsys, horizon):
+        d = cfg_dict(sensitivity=copy.deepcopy(SENS),
+                     schedules=copy.deepcopy(EXPLICIT_SCHED))
+        d["schedules"]["noise"]["x"]["sigma"] = 0.0
+        self.assert_usage_error(
+            capsys, ["budget", "--config", write_cfg(tmp_path, d),
+                     "--horizon", horizon], "positive noise scales")
+
+    def test_budget_closed_form_without_constants(self, tmp_path, capsys):
+        # v_z < v_y admits no closed-form constants; only the infinite
+        # horizon table, which holds bound_inf alone, has rows
+        d = cfg_dict(sensitivity=copy.deepcopy(SENS),
+                     schedules=copy.deepcopy(EXPLICIT_SCHED))
+        d["schedules"]["stepsize"]["y"]["v"] = 0.2
+        path = write_cfg(tmp_path, d)
+        self.assert_usage_error(
+            capsys, ["budget", "--config", path, "--horizon", "100",
+                     "--source", "closed_form"], "constants require")
+        assert main(["budget", "--config", path, "--horizon", "inf",
+                     "--source", "closed_form"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[1:] == [f"{i},,,,,inf" for i in range(3)]
+
     def test_analyze_missing_directory(self, tmp_path, capsys):
         missing = str(tmp_path / "missing")
         self.assert_usage_error(
@@ -391,8 +452,7 @@ class TestCliBudget:
         assert len(lines) == 4
         for i in range(3):
             acct = privacy.budget(300, cfg.sensitivity, s.noise_x[i],
-                                  s.noise_y[i], s.noise_z[i], source=source,
-                                  warn=False)
+                                  s.noise_y[i], s.noise_z[i], source=source)
             expect = ",".join([str(i)] + ["%.17g" % v for v in (
                 acct.eps_x, acct.eps_y, acct.eps_z, acct.eps_total,
                 acct.bound_inf)])

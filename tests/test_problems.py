@@ -193,7 +193,9 @@ class TestQuadraticTruth:
 def test_inverted_box_rejected_by_constructors():
     q = make_quadratic_problem(m=2)
     p = make_personalized_problem(m=2, dataset_size=4)
-    for build in (lambda box: QuadraticProblem(q.A, q.b, q.c, q.d, 1.0, box=box),
+    for build in (lambda box: QuadraticProblem(q.A, q.b, q.c, q.d, 1.0, alpha=1.0,
+                                               noise_std_g=0.0, noise_std_f=0.0,
+                                               box=box),
                   lambda box: PersonalizedProblem(p.feats, p.labels, 1.0, box=box),
                   lambda box: make_quadratic_problem(m=2, box=box),
                   lambda box: make_personalized_problem(m=2, box=box)):

@@ -112,3 +112,19 @@ def test_contraction_vs_spectral_gap(m, w):
     # while the topology itself stays valid
     t = ring_topology(m, w)
     assert t.contraction_norm <= 1.0 - t.rho2_abs + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 6), w=st.floats(0.05, 0.45),
+       i=st.integers(0, 5), j=st.integers(0, 5),
+       bump=st.sampled_from([0.0, 1e-12, 1e-3, -0.5, 0.5]))
+def test_report_ok_reads_its_conditions(m, w, i, j, bump):
+    # a ring (zero matrix for m = 1) with one entry bumped: ok is exactly
+    # the conjunction of the listed conditions, and the spectral data is
+    # filled in exactly when it holds
+    W = np.asarray(ring_topology(m, w).weights).copy() if m > 1 else np.zeros((1, 1))
+    W[i % m, j % m] += bump
+    rep = validate(W)
+    assert rep.ok == all(passed for _, passed, _ in rep.conditions())
+    assert (rep.rho2_abs is not None) == rep.ok
+    assert (rep.w_bar is not None) == rep.ok
