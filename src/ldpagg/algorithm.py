@@ -17,6 +17,8 @@ ev the round's step built at that state (at t = T the bundle carried to
 it, None for the main algorithm) and the live-seed mask. Metric rows,
 the F_gap running mean, the z/l premise audits and the baseline's
 tracker error are observers; callers add theirs through observers=.
+The round works in place only on arrays it has just allocated, so an
+emitted state or frame is never written again and may be kept uncopied.
 
 Random streams: every (seed, agent, tag) triple has its own generator
 from agent_rng (tags theta, chi, zeta for the x, y, z noise, data for
@@ -87,11 +89,17 @@ def _consensus(W0, diagw, hat, raw):
 
 def _descend(problem, W0, diagw, X, frame_x, lam, grad_own):
     """Consensus on the x frame, a step along each agent's own-block
-    gradient, and the projection onto the box."""
-    U = np.zeros_like(X)
-    U[problem.own_index] = grad_own
-    return np.clip(X + _consensus(W0, diagw, frame_x, X) - lam * U,
-                   problem.box_lo, problem.box_hi)
+    gradient, and the projection onto the box, in one fresh array.
+
+    Elementwise this is clip(X + (W0 @ frame_x + diagw X) - lam U, lo, hi)
+    with U = grad_own on the own blocks and 0 elsewhere; v - lam * 0.0 is
+    v bitwise, so only the own blocks are stepped.
+    """
+    out = np.matmul(W0, frame_x)
+    out += diagw[:, None] * X
+    out += X
+    out[problem.own_index] -= lam * grad_own
+    return np.clip(out, problem.box_lo, problem.box_hi, out=out)
 
 
 class _Batch:
@@ -150,7 +158,10 @@ class _Batch:
         Tx, Ty, Tz = (laplace_from_uniform(
             bank.draw_centered().reshape(shape + (dim,)), nu.at(t))
             for bank, nu, dim in self.noise)
-        return BroadcastFrame(x=X + Tx, y=Y + Ty, z=Z + Tz)
+        Tx += X  # the noise arrays are fresh: add the state in place
+        Ty += Y
+        Tz += Z
+        return BroadcastFrame(x=Tx, y=Ty, z=Tz)
 
     def retire_nonfinite(self, t, X, Y, Z):
         """End the live seeds whose state went non-finite at iteration t,

@@ -20,7 +20,7 @@ from . import __version__
 from .algorithm import baseline_seeds, run_seeds
 from .analysis import fit_rate, sampling_grid
 from .config import ConfigError, load_config
-from .privacy import budgets, calibrate_noise
+from .privacy import accountable, budgets, calibrate_noise
 from .schedules import check_conditions
 from .topology import validate as validate_matrix
 
@@ -62,14 +62,11 @@ def _eps_columns(cfg, grid):
     Returns None unless a sensitivity block and positive noise scales are
     configured; identical across seeds (the accountant is seed-free).
     """
-    if cfg.sensitivity is None:
-        return None
-    s = cfg.schedules
-    if any(n.sigma <= 0 for n in s.noise_x + s.noise_y + s.noise_z):
+    if cfg.sensitivity is None or not accountable(cfg.schedules):
         return None
     grid = np.asarray(grid, dtype=int)
     return {f"eps_cum_a{i}": eps_cum[grid] for i, (_, eps_cum) in
-            enumerate(budgets(cfg.T, cfg.sensitivity, s))}
+            enumerate(budgets(cfg.T, cfg.sensitivity, cfg.schedules))}
 
 
 def _batch_worker(args):

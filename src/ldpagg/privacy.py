@@ -202,6 +202,12 @@ def infinite_horizon_bound(p: SensitivityParams, noise_x, noise_y, noise_z) -> f
             + SQRT2 * c.Cz / (noise_z.sigma * gz))
 
 
+def accountable(schedules: ScheduleSet) -> bool:
+    """Whether budgets accepts schedules: no noise scale sigma is <= 0."""
+    s = schedules
+    return not any(n.sigma <= 0 for n in s.noise_x + s.noise_y + s.noise_z)
+
+
 def budgets(T: int, p: SensitivityParams, schedules: ScheduleSet,
             source: str = "recursion"):
     """Cumulative budget of every agent over t = 1..T from one recursion.
@@ -215,9 +221,9 @@ def budgets(T: int, p: SensitivityParams, schedules: ScheduleSet,
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
-    triples = list(zip(schedules.noise_x, schedules.noise_y, schedules.noise_z))
-    if any(s.sigma <= 0 for triple in triples for s in triple):
+    if not accountable(schedules):
         raise ValueError("budget accounting requires positive noise scales")
+    triples = list(zip(schedules.noise_x, schedules.noise_y, schedules.noise_z))
     t_contract = 0
     if source == "recursion":
         traj = sensitivity_trajectory(T, p)

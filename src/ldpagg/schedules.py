@@ -180,11 +180,22 @@ def corollary1_preset(
 def laplace_from_uniform(u: np.ndarray, nu) -> np.ndarray:
     """Inverse-CDF transform: u uniform on [-1/2, 1/2) -> Laplace(nu).
 
-    nu may be a scalar or any shape broadcastable against u (used to
-    transform a whole stacked frame with per-agent parameters at once).
+    Returns a fresh array of u's shape and leaves u unmodified. nu may be
+    a scalar or an array that broadcasts to u's shape without widening it
+    (an (m, 1) column of per-agent parameters transforms a whole stacked
+    frame at once). Each element takes the ufunc sequence of
+    -nu * sign(u) * log(max(1 - 2|u|, 1e-300)), evaluated in place in two
+    buffers.
     """
-    arg = np.maximum(1.0 - 2.0 * np.abs(u), 1e-300)
-    return -nu * np.sign(u) * np.log(arg)
+    arg = np.abs(u)
+    arg *= 2.0
+    np.subtract(1.0, arg, out=arg)
+    np.maximum(arg, 1e-300, out=arg)
+    np.log(arg, out=arg)
+    out = np.sign(u)
+    out *= -nu
+    out *= arg
+    return out
 
 
 class AgentBank:

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpagg.algorithm import (BroadcastFrame, _consensus, _split_weights,
-                              baseline_gradient_tracking, baseline_seeds,
-                              iterate, run, run_seeds)
+from ldpagg.algorithm import (BroadcastFrame, _consensus, _descend,
+                              _split_weights, baseline_gradient_tracking,
+                              baseline_seeds, iterate, run, run_seeds)
 from ldpagg.problems import (QuadraticProblem, make_personalized_problem,
                              make_quadratic_problem)
 from ldpagg.reference import (ErmReference, LaplaceStream,
@@ -371,6 +371,71 @@ def test_aborted_seeds_leave_the_batch(driver):
         assert len(rec.ts) == (rec.aborted_at or 61)
         if driver == "run":
             assert np.isfinite(rec.z_norm_max).all()
+
+
+class Keeper:
+    """Observer that keeps the emitted frames and states themselves, not
+    copies, with the live-seed mask of each call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, t, state, frame, ev, alive):
+        self.calls.append((frame, state, alive.copy()))
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+@pytest.mark.parametrize("family", sorted(BATCH_PROBLEMS))
+def test_emitted_arrays_are_never_written_again(driver, family):
+    # the drivers work in place on fresh arrays only: every frame and state
+    # an observer was handed still holds what a copying Recorder saw
+    keep, rec = Keeper(), Recorder()
+    DRIVERS[driver][0](BATCH_PROBLEMS[family], ring_topology(3, 0.3),
+                       batch_schedules(), 30, [3, 4], observers=[keep, rec])
+    seen = defaultdict(int)
+    for frame, state, alive in keep.calls:
+        for s in np.flatnonzero(alive):
+            k, seen[s] = seen[s], seen[s] + 1
+            for name in ("x", "y", "z"):
+                assert np.array_equal(getattr(frame, name)[s],
+                                      getattr(rec.frames[s][k], name))
+            for a, b in zip(state, rec.states[s][k]):
+                assert np.array_equal(a[s], b)
+    assert dict(seen) == {0: 31, 1: 31}
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), S=st.integers(1, 3),
+       family=st.sampled_from(sorted(BATCH_PROBLEMS)))
+def test_round_leaves_its_inputs_unchanged(seed, S, family):
+    # iterate and _descend read X and the frame without writing them, and
+    # _descend gives bitwise clip(X + consensus - lam U), U being grad_own
+    # on the own blocks and zero elsewhere, also at -0.0 and the box ends
+    prob = BATCH_PROBLEMS[family]
+    m, n, r = prob.m, prob.n, prob.r
+    s = batch_schedules()
+    W0, diagw = _split_weights(ring_topology(m, 0.3))
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0.0, 20.0, (S, m, n))
+    X.reshape(-1)[rng.choice(X.size, 2, replace=False)] = -0.0
+    Y, Z = rng.normal(0.0, 1.0, (2, S, m, r))
+    frame = BroadcastFrame(*(a + rng.normal(0.0, 1.0, a.shape)
+                             for a in (X, Y, Z)))
+    inputs = [a.copy() for a in (X, Y, Z, frame.x, frame.y, frame.z)]
+    store = prob.new_store([agent_rng(seed, i, "data") for i in range(S * m)],
+                           batch=(S,))
+    prob.draw(store)
+    ev = prob.erm_eval(store, prob.own_block(X))
+    grad_own = ev.grad_f_x(Y) + ev.grad_g_dot(Z)
+    U = np.zeros_like(X)
+    U[prob.own_index] = grad_own
+    expect = np.clip(X + _consensus(W0, diagw, frame.x, X) - 0.7 * U,
+                     prob.box_lo, prob.box_hi)
+    got = _descend(prob, W0, diagw, X, frame.x, 0.7, grad_own)
+    assert got.tobytes() == expect.tobytes()
+    iterate(X, Y, Z, frame, 3, s, W0, diagw, prob, ev)
+    for a, b in zip((X, Y, Z, frame.x, frame.y, frame.z), inputs):
+        assert a.tobytes() == b.tobytes()
 
 
 def replay_data(prob, seed, T):

@@ -216,6 +216,21 @@ class TestCliRun:
             header = f.readline().strip().split(",")
         assert "eps_cum_a2" in header
 
+    def test_zero_sigma_run_has_no_eps_columns(self, tmp_path):
+        # one agent's sigma = 0 leaves nothing to account: the run writes
+        # its metrics without eps columns, where `budget` refuses
+        out = str(tmp_path / "out")
+        d = cfg_dict(out=out, seeds=1, T=50, sensitivity=copy.deepcopy(SENS),
+                     schedules=copy.deepcopy(MIXED_SCHED))
+        d["schedules"]["noise"]["z"]["sigma"] = [1.0, 0.0, 5.0]
+        path = write_cfg(tmp_path, d)
+        assert not privacy.accountable(parse_config(d).schedules)
+        assert main(["run", "--config", path, "--threads", "1"]) == 0
+        with open(os.path.join(out, "seed_11.csv")) as f:
+            header = f.readline().strip().split(",")
+        assert "err_to_opt_sq" in header
+        assert not any(c.startswith("eps_cum") for c in header)
+
     def test_same_seed_identical_bytes_across_threads(self, tmp_path):
         # with 3 seeds and 2 threads one worker runs a 2-seed batch
         for seeds in (2, 3):

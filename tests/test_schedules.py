@@ -7,7 +7,8 @@ from ldpagg.reference import LaplaceStream, sample_laplace
 from ldpagg.schedules import (AgentBank, ConvexityCase, LaplaceParams,
                               NoiseSchedule, ScheduleSet, StepsizeSchedule,
                               agent_rng, broadcast_noise, check_conditions,
-                              corollary1_exponents, corollary1_preset)
+                              corollary1_exponents, corollary1_preset,
+                              laplace_from_uniform)
 
 
 def make_set(vx, vy, vz, sx, sy, sz, m=1):
@@ -111,6 +112,34 @@ class TestLaplace:
         xs = np.concatenate([a.draw(1.5, 3), a.draw(1.5, 7), a.draw(1.5, 2)])
         ys = b.draw(1.5, 12)
         assert np.array_equal(xs, ys)
+
+
+@settings(max_examples=40, deadline=None)
+@given(S=st.integers(1, 3), m=st.integers(1, 4), dim=st.integers(0, 6),
+       seed=st.integers(0, 2 ** 32 - 1),
+       nu=st.sampled_from(["scalar", "column", "zero"]))
+def test_laplace_from_uniform_is_the_textbook_transform_bitwise(S, m, dim,
+                                                                 seed, nu):
+    # the in-place transform gives every element the ufunc sequence of the
+    # textbook expression, also at u = -1/2 (the 1e-300 guard), u = +-0
+    # and |u| next to 1/2, and never writes into u
+    rng = np.random.default_rng(seed)
+    u = rng.random((S, m, dim)) - 0.5
+    special = [-0.5, 0.0, -0.0, np.nextafter(0.5, 0.0),
+               -np.nextafter(0.5, 0.0), np.nextafter(-0.5, 0.0)]
+    flat = u.reshape(-1)
+    picks = rng.choice(flat.size, min(flat.size, len(special)), replace=False)
+    flat[picks] = special[:len(picks)]
+    nu = {"scalar": float(rng.uniform(0.0, 5.0)),
+          "column": rng.uniform(0.0, 5.0, (m, 1)),
+          "zero": 0.0}[nu]
+    before = u.copy()
+    got = laplace_from_uniform(u, nu)
+    expect = -nu * np.sign(u) * np.log(np.maximum(1.0 - 2.0 * np.abs(u), 1e-300))
+    assert got.shape == u.shape and got.dtype == expect.dtype
+    assert got.tobytes() == expect.tobytes()
+    assert u.tobytes() == before.tobytes()
+    assert not np.shares_memory(got, u)
 
 
 class TestRngStreams:
