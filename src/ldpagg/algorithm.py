@@ -17,20 +17,21 @@ ev the round's step built at that state (at t = T the bundle carried to
 it, None for the main algorithm) and the live-seed mask. Metric rows,
 the F_gap running mean, the z/l premise audits and the baseline's
 tracker error are observers; callers add theirs through observers=.
-The round works in place only on arrays it has just allocated, so an
-emitted state or frame is never written again and may be kept uncopied.
+The round works in place only on arrays it has just allocated (a frame
+in the fresh noise slabs the banks hand out once), so an emitted state
+or frame is never written again and may be kept uncopied.
 
 Random streams: every (seed, agent, tag) triple has its own generator
 from agent_rng (tags theta, chi, zeta for the x, y, z noise, data for
 the samples, init for the start point; the baseline prefixes
-"baseline-"). Each noise tag is drawn through one lockstep AgentBank
-over the S*m generators, and the data tag through the bank of the sample
-store built on them; row (s, i) (flat row s*m + i) of a bank is agent
-i's stream under seed s: uniforms for the noise, standard normals for the
-quadratic data, and the (f, g) sample indices for the personalized data.
-All banks advance by one (S*m, dim) draw per round, so a round's frame
-and samples for every agent of every seed are built at once while each
-agent's values stay those of its own stream.
+"baseline-"). Each noise tag is drawn through one lockstep NoiseBank
+over the S*m generators, which transforms by chunks of rounds, and the
+data tag through the AgentBank of the sample store built on them; row
+(s, i) (flat row s*m + i) of a bank is agent i's stream under seed s:
+Laplace noise, standard normals for the quadratic data, and the (f, g)
+sample indices for the personalized data. All banks advance by one
+draw per round, so a round's frame and samples for every agent of every
+seed are built at once while each agent's values stay its stream's.
 
 Seeds never mix: every batched operation gives each seed's slice bitwise
 what the one-seed call gives it, so a seed's RunRecord does not depend on
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import metric_eval, sampling_grid
-from .schedules import AgentBank, LaplaceParams, agent_rng, laplace_from_uniform
+from .schedules import NoiseBank, agent_rng
 
 
 @dataclass
@@ -126,10 +127,9 @@ class _Batch:
             # generator under seeds[s]
             return [agent_rng(s, i, prefix + tag)
                     for s in self.seeds for i in range(m)]
-        # one lockstep bank per noise tag plus the per-agent Laplace
-        # parameters; bank draws are views that the next refill overwrites
+        # one lockstep bank per noise tag; its round counter is the clock
         self.noise = tuple(
-            (AgentBank(rngs(tag), dim), LaplaceParams(sched), dim)
+            NoiseBank(rngs(tag), sched, dim)
             for tag, sched, dim in (("theta", schedules.noise_x, n),
                                     ("chi", schedules.noise_y, r),
                                     ("zeta", schedules.noise_z, r)))
@@ -151,14 +151,12 @@ class _Batch:
         self.final = [None] * S
         self.aborted_at = [None] * S
 
-    def draw_frame(self, X, Y, Z, t):
-        """The broadcast frame of the iteration-t state, for every seed and
-        agent at once."""
-        shape = X.shape[:-1]  # (S, m)
-        Tx, Ty, Tz = (laplace_from_uniform(
-            bank.draw_centered().reshape(shape + (dim,)), nu.at(t))
-            for bank, nu, dim in self.noise)
-        Tx += X  # the noise arrays are fresh: add the state in place
+    def draw_frame(self, X, Y, Z):
+        """The broadcast frame of the next round's state, for every seed
+        and agent at once; the noise banks count the rounds."""
+        Tx, Ty, Tz = (bank.next().reshape(A.shape)
+                      for bank, A in zip(self.noise, (X, Y, Z)))
+        Tx += X  # the noise slabs are fresh: add the state in place
         Ty += Y
         Tz += Z
         return BroadcastFrame(x=Tx, y=Ty, z=Tz)
@@ -185,14 +183,14 @@ class _Batch:
         early once every seed has gone non-finite.
         """
         for t in range(self.T):
-            frame = self.draw_frame(*state, t)
+            frame = self.draw_frame(*state)
             new, ev_t, ev = step(t, state, frame, ev)
             for obs in observers:
                 obs(t, state, frame, ev_t, self.alive)
             state = new
             if not self.retire_nonfinite(t + 1, *state):
                 return state
-        frame = self.draw_frame(*state, self.T)
+        frame = self.draw_frame(*state)
         for obs in observers:
             obs(self.T, state, frame, ev, self.alive)
         return state

@@ -182,10 +182,10 @@ def laplace_from_uniform(u: np.ndarray, nu) -> np.ndarray:
 
     Returns a fresh array of u's shape and leaves u unmodified. nu may be
     a scalar or an array that broadcasts to u's shape without widening it
-    (an (m, 1) column of per-agent parameters transforms a whole stacked
-    frame at once). Each element takes the ufunc sequence of
-    -nu * sign(u) * log(max(1 - 2|u|, 1e-300)), evaluated in place in two
-    buffers.
+    (a (k, 1, m, 1) array of per-round, per-agent parameters transforms k
+    rounds of stacked frames at once). Each element takes the ufunc
+    sequence of -nu * sign(u) * log(max(1 - 2|u|, 1e-300)), evaluated in
+    place in two buffers.
     """
     arg = np.abs(u)
     arg *= 2.0
@@ -226,8 +226,8 @@ class AgentBank:
                              dtype=np.int64 if fill == "integers" else float)
         self._pos = self._buf.shape[1]
 
-    def next(self) -> np.ndarray:
-        """The next (m, dim) draw: a view that a later refill overwrites."""
+    def _take(self, k: int) -> np.ndarray:
+        """The next k rounds, at most to the block's end, as a view."""
         if self._pos == self._buf.shape[1]:
             for rng, row in zip(self._rngs, self._buf):
                 if self._fill == "integers":
@@ -235,26 +235,53 @@ class AgentBank:
                 else:
                     getattr(rng, self._fill)(out=row)
             self._pos = 0
-        out = self._buf[:, self._pos]
-        self._pos += 1
+        out = self._buf[:, self._pos:self._pos + k]
+        self._pos += out.shape[1]
         return out
 
-    def draw_centered(self) -> np.ndarray:
-        """Fresh (m, dim) uniforms on [-1/2, 1/2); row i continues
-        rngs[i].random() (reference.LaplaceStream replays it)."""
-        return self.next() - 0.5
+    def next(self) -> np.ndarray:
+        """The next (rows, dim) draw: a view that a later refill overwrites."""
+        return self._take(1)[:, 0]
 
 
-class LaplaceParams:
-    """Per-agent Laplace parameters of a noise-schedule tuple as an (m, 1)
-    column, evaluated once per distinct schedule and gathered by index."""
+class NoiseBank(AgentBank):
+    """AgentBank of one noise tag that yields Laplace noise: row s*m + i of
+    round t is laplace_from_uniform(u - 1/2, noise[i].laplace_param(t)) on
+    agent i's next dim uniforms under seed s (reference.LaplaceStream
+    replays it). One transform call covers a chunk of
+    max(1, _CHUNK // (rows * dim)) rounds, capped at the rounds left in the
+    refill block; the transform is elementwise, so no value depends on it."""
 
-    def __init__(self, noise):
+    _CHUNK = 8192
+
+    def __init__(self, rngs, noise, dim: int):
+        super().__init__(rngs, dim)
         self.distinct = list(dict.fromkeys(noise))
-        self.index = np.array([self.distinct.index(s) for s in noise])
+        self._index = np.array([self.distinct.index(s) for s in noise])
+        self._k = max(1, self._CHUNK // max(self._buf.shape[0] * dim, 1))
+        self._t = 0  # the round of the next draw
+        self._slabs = []  # the chunk's rounds not yet drawn, last first
 
-    def at(self, t: int) -> np.ndarray:
-        return np.array([s.laplace_param(t) for s in self.distinct])[self.index, None]
+    def laplace_params(self, ts) -> np.ndarray:
+        """(len(ts), m) per-agent Laplace parameters at the rounds ts,
+        evaluated once per distinct schedule and gathered by agent."""
+        return np.array([[s.laplace_param(t) for s in self.distinct]
+                         for t in ts])[:, self._index]
+
+    def next(self) -> np.ndarray:
+        """The next round's (rows, dim) noise: a contiguous slab of a fresh
+        chunk that the bank never writes again."""
+        if not self._slabs:
+            u = self._take(self._k).transpose(1, 0, 2)
+            k, rows, dim = u.shape
+            u = np.subtract(u, 0.5, out=np.empty(u.shape))  # round-major
+            nu = self.laplace_params(range(self._t, self._t + k))
+            m = nu.shape[1]
+            chunk = laplace_from_uniform(u.reshape(k, rows // m, m, dim),
+                                         nu[:, None, :, None])
+            self._slabs = list(chunk.reshape(u.shape)[::-1])
+        self._t += 1
+        return self._slabs.pop()
 
 
 def agent_rng(master_seed: int, agent_id: int, stream_tag: str) -> np.random.Generator:

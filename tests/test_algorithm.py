@@ -12,8 +12,9 @@ from ldpagg.problems import (QuadraticProblem, make_personalized_problem,
                              make_quadratic_problem)
 from ldpagg.reference import (ErmReference, LaplaceStream,
                               centralized_trajectory)
-from ldpagg.schedules import (ConvexityCase, ScheduleSet, StepsizeSchedule,
-                              agent_rng, broadcast_noise, corollary1_preset,
+from ldpagg.schedules import (AgentBank, ConvexityCase, NoiseBank,
+                              ScheduleSet, StepsizeSchedule, agent_rng,
+                              broadcast_noise, corollary1_preset,
                               laplace_from_uniform)
 from ldpagg.topology import ring_topology, trivial_topology
 
@@ -232,6 +233,50 @@ class TestFrameAudit:
                 assert np.array_equal(frame.x[i], X[i] + nx)
                 assert np.array_equal(frame.y[i], Y[i] + ny)
                 assert np.array_equal(frame.z[i], Z[i] + nz)
+
+    @pytest.mark.parametrize("driver, prefix", [(run, ""),
+                                                (baseline_gradient_tracking,
+                                                 "baseline-")])
+    def test_frames_replay_across_chunk_and_refill_boundaries(self, driver,
+                                                              prefix):
+        # per-agent schedules, one with sigma = 0, and T past a chunk
+        # boundary inside a refill block and past a refill boundary of the
+        # theta and chi banks: the chunked transform gives each frame
+        # bitwise what the per-round reference gives it
+        m, seed = 5, 4
+        prob = make_quadratic_problem(m=m, ni=2, r=2, gamma=1.0,
+                                      box=(-10, 10), seed=7)
+        for dim in (prob.n, prob.r):  # a chunk ends inside a refill block
+            assert NoiseBank._CHUNK // (m * dim) < AgentBank._BLOCK // dim
+        T = max(AgentBank._BLOCK // dim for dim in (prob.n, prob.r)) + 1
+        s = ScheduleSet(
+            lambda_x=StepsizeSchedule(0.05, 0.58),
+            lambda_y=StepsizeSchedule(1.0, 0.02),
+            lambda_z=StepsizeSchedule(1.0, 0.03),
+            noise_x=broadcast_noise([0.8, 0.0, 0.3, 0.8, 0.3],
+                                    [0.55, 0.5, 0.6, 0.55, 0.6], m),
+            noise_y=broadcast_noise([0.2, 0.0, 0.2, 0.5, 0.2],
+                                    [0.01, 0.0, 0.01, 0.015, 0.01], m),
+            noise_z=broadcast_noise([0.2, 0.0, 0.4, 0.4, 0.2],
+                                    [0.02, 0.0, 0.025, 0.025, 0.02], m))
+        rec = Recorder()
+        driver(prob, ring_topology(m, 0.3), s, T, master_seed=seed,
+               observers=[rec])
+        assert len(rec.frames[0]) == T + 1
+
+        streams = [[LaplaceStream(agent_rng(seed, i, prefix + tag))
+                    for i in range(m)] for tag in ("theta", "chi", "zeta")]
+        noise = (s.noise_x, s.noise_y, s.noise_z)
+        dims = (prob.n, prob.r, prob.r)
+        for t, (frame, state) in enumerate(zip(rec.frames[0],
+                                               rec.states[0])):
+            for sent, A, tag_streams, sched, dim in zip(
+                    (frame.x, frame.y, frame.z), state, streams, noise, dims):
+                for i in range(m):
+                    nu = sched[i].laplace_param(t)
+                    expect = A[i] + laplace_from_uniform(
+                        tag_streams[i].draw_centered(dim), nu)
+                    assert sent[i].tobytes() == expect.tobytes()
 
 
 class TestBaseline:
@@ -502,3 +547,32 @@ def test_one_softmax_pass_per_round(driver, monkeypatch):
     DRIVERS[driver][0](BATCH_PROBLEMS["personalized"], ring_topology(3, 0.3),
                        batch_schedules(), T, [1, 2])
     assert built[0] == T + (driver == "baseline")
+
+
+def test_one_transform_call_per_noise_chunk(monkeypatch):
+    # at the sc_paper shape (m = 5, S = 3, n = 10, r = 2) each noise bank
+    # transforms a chunk of rounds per laplace_from_uniform call; a chunk
+    # ends at the bank's chunk size or at the end of a refill block
+    import ldpagg.schedules as schedules
+    calls = [0]
+    transform = schedules.laplace_from_uniform
+
+    def counting(u, nu):
+        calls[0] += 1
+        return transform(u, nu)
+
+    monkeypatch.setattr(schedules, "laplace_from_uniform", counting)
+    m, S, T = 5, 3, 2000
+    prob = make_quadratic_problem(m=m, ni=2, r=2, gamma=1.0, box=(-10, 10),
+                                  seed=7)
+    s = corollary1_preset(ConvexityCase.STRONGLY_CONVEX, 0.01, m=m,
+                          lambda0=(0.5, 1, 1), sigma=(1, 1, 1))
+    run_seeds(prob, ring_topology(m, 0.3), s, T, list(range(S)))
+    expect = 0
+    for dim in (prob.n, prob.r, prob.r):
+        block = max(1, AgentBank._BLOCK // dim)
+        chunk = min(block, max(1, NoiseBank._CHUNK // (S * m * dim)))
+        per_block = -(-block // chunk)
+        draws = T + 1
+        expect += draws // block * per_block + -(-(draws % block) // chunk)
+    assert calls[0] == expect < 3 * (T + 1)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldpagg.reference import LaplaceStream, sample_laplace
-from ldpagg.schedules import (AgentBank, ConvexityCase, LaplaceParams,
+from ldpagg.schedules import (AgentBank, ConvexityCase, NoiseBank,
                               NoiseSchedule, ScheduleSet, StepsizeSchedule,
                               agent_rng, broadcast_noise, check_conditions,
                               corollary1_exponents, corollary1_preset,
@@ -166,20 +166,64 @@ def test_bank_rows_replay_agent_streams_across_refills(m, dim, extra, seed, tag)
     bank = AgentBank([agent_rng(seed, i, tag) for i in range(m)], dim)
     streams = [LaplaceStream(agent_rng(seed, i, tag)) for i in range(m)]
     for _ in range(rounds):
-        u = bank.draw_centered()
+        u = bank.next() - 0.5
         assert u.shape == (m, dim)
         for i in range(m):
             assert np.array_equal(u[i], streams[i].draw_centered(dim))
 
 
+def hetero_noise(m):
+    """m <= 4 per-agent schedules: agent 0 has sigma = 0, agents 1 and 2
+    share a schedule, agent 3 has its own."""
+    a, b = NoiseSchedule(1.3, 0.6), NoiseSchedule(0.4, 0.1)
+    return (NoiseSchedule(0.0, 0.2), a, a, b)[:m]
+
+
+@settings(max_examples=20, deadline=None)
+@given(S=st.integers(1, 3), m=st.integers(1, 4),
+       dim=st.sampled_from([0, 1, 3, 400, 2049, 5000]),
+       extra=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 4),
+       tag=st.sampled_from(["theta", "chi", "zeta"]))
+def test_noise_bank_replays_reference_streams(S, m, dim, extra, seed, tag):
+    # row s*m + i of round t is agent i's reference Laplace draw under seed
+    # s; the rounds cross at least two refill boundaries and so at least
+    # two chunk boundaries (a chunk never spans a refill)
+    noise = hetero_noise(m)
+    rows = [(seed + s, i) for s in range(S) for i in range(m)]
+    bank = NoiseBank([agent_rng(sd, i, tag) for sd, i in rows], noise, dim)
+    block = max(1, AgentBank._BLOCK // max(dim, 1))
+    chunk = min(block, max(1, NoiseBank._CHUNK // max(S * m * dim, 1)))
+    rounds = 2 * block + chunk + extra + 1
+    streams = [LaplaceStream(agent_rng(sd, i, tag)) for sd, i in rows]
+    slabs, copies = [], []
+    for t in range(rounds):
+        slab = bank.next()
+        assert slab.shape == (S * m, dim) and slab.flags.c_contiguous
+        for row, (stream, (_, i)) in enumerate(zip(streams, rows)):
+            expect = laplace_from_uniform(stream.draw_centered(dim),
+                                          noise[i].laplace_param(t))
+            assert slab[row].tobytes() == expect.tobytes()
+        slabs.append(slab)
+        copies.append(slab.copy())
+    # every slab is kept alive, so disjoint address ranges mean no two
+    # rounds share memory; later draws left every slab as it was
+    spans = sorted((a.__array_interface__["data"][0], a.nbytes)
+                   for a in slabs if a.size)
+    for (lo, size), (nxt, _) in zip(spans, spans[1:]):
+        assert lo + size <= nxt
+    for slab, copy in zip(slabs, copies):
+        assert slab.tobytes() == copy.tobytes()
+
+
 def test_laplace_params_gather_matches_per_agent_schedules():
     noise = broadcast_noise([1.0, 0.5, 1.0, 2.0, 0.5], [0.1, 0.1, 0.1, 0.3, 0.1], 5)
-    params = LaplaceParams(noise)
-    assert len(params.distinct) == 3
-    for t in (0, 1, 17, 10 ** 5):
-        col = params.at(t)
-        assert col.shape == (5, 1)
-        assert np.array_equal(col[:, 0], [s.laplace_param(t) for s in noise])
+    bank = NoiseBank([agent_rng(0, i, "theta") for i in range(5)], noise, 1)
+    assert len(bank.distinct) == 3
+    ts = (0, 1, 17, 10 ** 5)
+    params = bank.laplace_params(ts)
+    assert params.shape == (len(ts), 5)
+    for t, row in zip(ts, params):
+        assert np.array_equal(row, [s.laplace_param(t) for s in noise])
 
 
 @settings(max_examples=30, deadline=None)
