@@ -249,8 +249,8 @@ def run_seeds(problem, topology, schedules, T, seeds, x0=None,
     """Drive T rounds for every seed in seeds at once and record metrics
     on a log sampling grid; returns one RunRecord per seed, in order.
 
-    Each record is bitwise the one that seed gives run alone. x0, an
-    (m, n) start shared by all seeds, replaces the random start.
+    Each record is bitwise what that seed gives in a batch of its own.
+    x0, an (m, n) start shared by all seeds, replaces the random start.
     observers are called after the built-in ones (see the module
     docstring). A seed whose state goes non-finite ends its record there
     with its aborted_at set; the others keep running.
@@ -290,11 +290,6 @@ def run_seeds(problem, topology, schedules, T, seeds, x0=None,
     state = b.drive(step, (b.X0, np.zeros((S, m, r)), np.zeros((S, m, r))),
                     None, own + [premise_audit, *observers])
     return b.records(state, z_max=z_max, l_max=l_max)
-
-
-def run(problem, topology, schedules, T, master_seed, **kwargs):
-    """One seed: the S = 1 call of run_seeds (same keyword arguments)."""
-    return run_seeds(problem, topology, schedules, T, [master_seed], **kwargs)[0]
 
 
 def baseline_seeds(problem, topology, schedules, T, seeds, x0=None,
@@ -343,10 +338,3 @@ def baseline_seeds(problem, topology, schedules, T, seeds, x0=None,
     state = b.drive(step, (b.X0, G, ev.grad_f_y(G)), ev,
                     [b.metric_rows, tracker_err, *observers])
     return b.records(state)
-
-
-def baseline_gradient_tracking(problem, topology, schedules, T, master_seed,
-                               **kwargs):
-    """One seed: the S = 1 call of baseline_seeds (same keyword arguments)."""
-    return baseline_seeds(problem, topology, schedules, T, [master_seed],
-                          **kwargs)[0]

@@ -258,14 +258,6 @@ def budgets(T: int, p: SensitivityParams, schedules: ScheduleSet,
     return [out[triple] for triple in triples]
 
 
-def budget(T: int, p: SensitivityParams, noise_x, noise_y, noise_z,
-           source: str = "recursion") -> PrivacyAccount:
-    """Cumulative budget for one agent over t = 1..T (see budgets)."""
-    one = ScheduleSet(p.lambda_x, p.lambda_y, p.lambda_z,
-                      (noise_x,), (noise_y,), (noise_z,))
-    return budgets(T, p, one, source)[0][0]
-
-
 def calibrate_noise(eps_target: float, p: SensitivityParams,
                     varsigma_x: float, varsigma_y: float, varsigma_z: float):
     """Noise scales (sigma_x, sigma_y, sigma_z) meeting a target budget.
@@ -273,8 +265,8 @@ def calibrate_noise(eps_target: float, p: SensitivityParams,
     Each closed-form component equals eps_target/3 by construction, so
     the infinite-horizon bound is <= eps_target.
     """
-    if eps_target <= 0:
-        raise ValueError("target budget must be positive")
+    if not 0 < eps_target < math.inf:
+        raise ValueError("target budget must be finite and positive")
     gx, gy, gz = _noise_exponent_gaps(p, varsigma_x, varsigma_y, varsigma_z)
     if min(gx, gy, gz) <= 0:
         raise ValueError("noise decay exponents leave no positive gap")
@@ -282,27 +274,3 @@ def calibrate_noise(eps_target: float, p: SensitivityParams,
     return (3.0 * SQRT2 * c.Cx / (gx * eps_target),
             3.0 * SQRT2 * c.Cy / (gy * eps_target),
             3.0 * SQRT2 * c.Cz / (gz * eps_target))
-
-
-@dataclass
-class BoundCheckReport:
-    """Post-hoc audit of the configured d_z / d_l against a finished run."""
-
-    empirical_d_z: float
-    empirical_d_l: float
-    configured_d_z: float
-    configured_d_l: float
-    ok: bool
-
-
-def empirical_bound_check(record, p: SensitivityParams) -> BoundCheckReport:
-    """Compare a run's trajectory suprema with the configured bounds.
-
-    A violation flags the budget as unsound for that run (the recursion
-    premises did not hold).
-    """
-    emp_z = float(np.max(record.z_norm_max))
-    emp_l = float(np.max(record.l_norm1_max))
-    ok = emp_z <= p.d_z and emp_l <= p.d_l
-    return BoundCheckReport(empirical_d_z=emp_z, empirical_d_l=emp_l,
-                            configured_d_z=p.d_z, configured_d_l=p.d_l, ok=ok)

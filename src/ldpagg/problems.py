@@ -342,9 +342,8 @@ class ErmEvalPersonalized:
 
 class PersonalizedProblem(ProblemInstance):
     family = "personalized"
-    has_optimizer = False
 
-    def __init__(self, feats, labels, lam, box=(-1e6, 1e6)):
+    def __init__(self, feats, labels, lam, box):
         feats = np.asarray(feats, dtype=float)
         labels = np.asarray(labels, dtype=int)
         if lam < 0:

@@ -29,8 +29,8 @@ class StepsizeSchedule:
     v: float
 
     def __post_init__(self):
-        if self.lambda0 <= 0:
-            raise ValueError("initial stepsize must be positive")
+        if not 0 < self.lambda0 < math.inf:
+            raise ValueError("initial stepsize must be finite and positive")
         if not (0.0 < self.v < 1.0):
             raise ValueError("stepsize decay exponent must lie in (0, 1)")
 
@@ -46,8 +46,8 @@ class NoiseSchedule:
     varsigma: float
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("noise scale must be nonnegative")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("noise scale must be finite and nonnegative")
 
     def laplace_param(self, t: int) -> float:
         return self.sigma / (SQRT2 * (t + 1) ** self.varsigma)

@@ -152,11 +152,4 @@ def trivial_topology() -> NetworkTopology:
     rho2_abs is 1 by convention (there is no second eigenvalue) and
     w_bar is 0; the sensitivity recursion is not meaningful for m = 1.
     """
-    return NetworkTopology(
-        m=1,
-        weights=np.zeros((1, 1)),
-        neighbor_sets=(frozenset(),),
-        rho2_abs=1.0,
-        w_bar=0.0,
-        contraction_norm=0.0,
-    )
+    return from_matrix(np.zeros((1, 1)))

@@ -9,11 +9,11 @@ import time
 import numpy as np
 import pytest
 
-from ldpagg.algorithm import baseline_seeds, run, run_seeds
+from ldpagg.algorithm import baseline_seeds, run_seeds
 from ldpagg.analysis import fit_rate
 from ldpagg.cli import main as cli_main
 from ldpagg.config import load_config
-from ldpagg.privacy import (budget, calibrate_noise, closed_form_constants,
+from ldpagg.privacy import (calibrate_noise, closed_form_constants,
                             contraction_coefficients, infinite_horizon_bound,
                             sensitivity_trajectory)
 from ldpagg.problems import make_personalized_problem, make_quadratic_problem
@@ -91,7 +91,7 @@ class TestRateClasses:
 
 
 class TestPrivacyAccounting:
-    def test_finite_cumulative_budget(self, budget_fixture):
+    def test_finite_cumulative_budget(self, budget_fixture, one_agent_budget):
         cfg = budget_fixture
         p = cfg.sensitivity
         s = cfg.schedules
@@ -109,7 +109,7 @@ class TestPrivacyAccounting:
         bound = infinite_horizon_bound(p, nx, ny, nz)
         assert np.isfinite(bound)
         for T in (100, 1000, 10000, 100000):
-            cf = budget(T, p, nx, ny, nz, source="closed_form")
+            cf = one_agent_budget(T, p, nx, ny, nz, source="closed_form")
             assert cum[T] <= cf.eps_total + 1e-12
             assert cf.eps_total <= bound + 1e-12
 
@@ -159,8 +159,9 @@ class TestReductions:
         x0 = np.full((1, 4), 0.5)
         T = 10000
         xs = []
-        run(prob, trivial_topology(), s, T, master_seed=0, x0=x0,
-            observers=[lambda t, state, frame, ev, alive: xs.append(state[0])])
+        run_seeds(prob, trivial_topology(), s, T, [0], x0=x0,
+                  observers=[lambda t, state, frame, ev, alive:
+                             xs.append(state[0])])
         ref = centralized_trajectory(prob, s, T, x0[0])
         assert len(xs) == T + 1
         dev = max(np.max(np.abs(X[0, 0] - ref[t])) for t, X in enumerate(xs))

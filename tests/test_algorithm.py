@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldpagg.algorithm import (BroadcastFrame, _consensus, _descend,
-                              _split_weights, baseline_gradient_tracking,
-                              baseline_seeds, iterate, run, run_seeds)
+                              _split_weights, baseline_seeds, iterate,
+                              run_seeds)
 from ldpagg.problems import (QuadraticProblem, make_personalized_problem,
                              make_quadratic_problem)
 from ldpagg.reference import (ErmReference, LaplaceStream,
@@ -52,8 +52,8 @@ class TestCentralizedReduction:
         s = noisefree_schedules(1)
         x0 = np.full((1, 4), 0.5)
         rec = Recorder()
-        run(prob, trivial_topology(), s, 2000, master_seed=0, x0=x0,
-            observers=[rec])
+        run_seeds(prob, trivial_topology(), s, 2000, [0], x0=x0,
+                  observers=[rec])
         ref = centralized_trajectory(prob, s, 2000, x0[0])
         dev = max(np.max(np.abs(st[0][0] - ref[t]))
                   for t, st in enumerate(rec.states[0]))
@@ -62,8 +62,8 @@ class TestCentralizedReduction:
     def test_converges_to_reference_optimum(self):
         prob = clean_quadratic(m=1, ni=4, r=2)
         s = noisefree_schedules(1)
-        rec = run(prob, trivial_topology(), s, 20000, master_seed=0,
-                  x0=np.zeros((1, 4)))
+        rec = run_seeds(prob, trivial_topology(), s, 20000, [0],
+                        x0=np.zeros((1, 4)))[0]
         assert np.max(np.abs(rec.final_x[0] - prob.x_star)) < 1e-4
 
 
@@ -72,7 +72,7 @@ class TestIterate:
         prob = clean_quadratic()
         topo = ring_topology(5, 0.3)
         s = noisefree_schedules(5)
-        rec = run(prob, topo, s, 5000, master_seed=1)
+        rec = run_seeds(prob, topo, s, 5000, [1])[0]
         err = rec.columns["err_to_opt_sq"]
         assert err[-1] < 1e-3 * err[0]
         fgap = rec.columns["F_gap"]
@@ -93,7 +93,7 @@ class TestIterate:
         own = np.tile(np.linspace(-1, 1, ni), m)
         x0 = np.tile(own, (m, 1))
         s = noisefree_schedules(m)
-        rec = run(prob, ring_topology(m, 0.3), s, 500, master_seed=2, x0=x0)
+        rec = run_seeds(prob, ring_topology(m, 0.3), s, 500, [2], x0=x0)[0]
         # cyclic equivariance: rotating the agent index rotates the
         # stacked estimate by one block
         for i in range(m):
@@ -138,8 +138,8 @@ class TestIterate:
 class TestRunMechanics:
     def test_zero_horizon(self):
         prob = clean_quadratic()
-        rec = run(prob, ring_topology(5, 0.3), noisefree_schedules(5), 0,
-                  master_seed=0)
+        rec = run_seeds(prob, ring_topology(5, 0.3), noisefree_schedules(5), 0,
+                        [0])[0]
         assert np.array_equal(rec.ts, [0.0])
         assert rec.final_x.shape == (5, prob.n)
         assert rec.aborted_at is None
@@ -150,8 +150,8 @@ class TestRunMechanics:
         topo = ring_topology(3, 0.3)
         s = corollary1_preset(ConvexityCase.STRONGLY_CONVEX, 0.01, m=3,
                               lambda0=(0.5, 1, 1), sigma=(0.5, 0.5, 0.5))
-        a = run(prob, topo, s, 300, master_seed=42)
-        b = run(prob, topo, s, 300, master_seed=42)
+        a = run_seeds(prob, topo, s, 300, [42])[0]
+        b = run_seeds(prob, topo, s, 300, [42])[0]
         assert np.array_equal(a.final_x, b.final_x)
         assert np.array_equal(a.columns["err_to_opt_sq"],
                               b.columns["err_to_opt_sq"])
@@ -161,30 +161,32 @@ class TestRunMechanics:
         topo = ring_topology(3, 0.3)
         s = corollary1_preset(ConvexityCase.STRONGLY_CONVEX, 0.01, m=3,
                               lambda0=(0.5, 1, 1), sigma=(0.5, 0.5, 0.5))
-        a = run(prob, topo, s, 100, master_seed=1)
-        b = run(prob, topo, s, 100, master_seed=2)
+        a = run_seeds(prob, topo, s, 100, [1])[0]
+        b = run_seeds(prob, topo, s, 100, [2])[0]
         assert not np.array_equal(a.final_x, b.final_x)
 
     def test_agent_count_mismatch_rejected(self):
         prob = clean_quadratic(m=3)
         with pytest.raises(ValueError):
-            run(prob, ring_topology(4, 0.3), noisefree_schedules(4), 10,
-                master_seed=0)
+            run_seeds(prob, ring_topology(4, 0.3), noisefree_schedules(4), 10,
+                      [0])
 
-    @pytest.mark.parametrize("driver", [run, baseline_gradient_tracking])
+    @pytest.mark.parametrize("driver", [run_seeds, baseline_seeds],
+                             ids=["run", "baseline_gradient_tracking"])
     def test_topology_size_mismatch_rejected(self, driver):
         prob = clean_quadratic(m=3)
         with pytest.raises(ValueError, match="topology"):
             driver(prob, ring_topology(4, 0.3), noisefree_schedules(3), 10,
-                   master_seed=0)
+                   [0])
 
-    @pytest.mark.parametrize("driver", [run, baseline_gradient_tracking])
+    @pytest.mark.parametrize("driver", [run_seeds, baseline_seeds],
+                             ids=["run", "baseline_gradient_tracking"])
     def test_schedule_size_mismatch_rejected(self, driver):
         # a 1-agent schedule set must not be broadcast to all agents
         prob = clean_quadratic(m=3)
         with pytest.raises(ValueError, match="schedules"):
             driver(prob, ring_topology(3, 0.3), noisefree_schedules(1), 10,
-                   master_seed=0)
+                   [0])
 
     def test_nonfinite_recorded(self):
         # unbounded box so blow-up is not clipped away
@@ -192,13 +194,13 @@ class TestRunMechanics:
         s = corollary1_preset(ConvexityCase.STRONGLY_CONVEX, 0.01, m=3,
                               lambda0=(1e150, 1, 1), sigma=(0.0, 0.0, 0.0))
         with np.errstate(over="ignore", invalid="ignore"):
-            rec = run(prob, ring_topology(3, 0.3), s, 100, master_seed=0)
+            rec = run_seeds(prob, ring_topology(3, 0.3), s, 100, [0])[0]
         assert rec.aborted_at is not None and rec.aborted_at >= 1
 
     def test_z_and_l_suprema_tracked(self):
         prob = clean_quadratic(m=3)
-        rec = run(prob, ring_topology(3, 0.3), noisefree_schedules(3), 200,
-                  master_seed=0)
+        rec = run_seeds(prob, ring_topology(3, 0.3), noisefree_schedules(3),
+                        200, [0])[0]
         assert rec.z_norm_max.shape == (3,)
         assert np.all(rec.z_norm_max >= 0)
         assert np.all(rec.l_norm1_max > 0)
@@ -215,7 +217,7 @@ class TestFrameAudit:
                               lambda0=(0.5, 1, 1), sigma=(0.8, 0.8, 0.8))
         T = 50
         rec = Recorder()
-        run(prob, topo, s, T, master_seed=9, observers=[rec])
+        run_seeds(prob, topo, s, T, [9], observers=[rec])
         assert len(rec.frames[0]) == T + 1 and len(rec.states[0]) == T + 1
 
         theta = [LaplaceStream(agent_rng(9, i, "theta")) for i in range(3)]
@@ -234,9 +236,9 @@ class TestFrameAudit:
                 assert np.array_equal(frame.y[i], Y[i] + ny)
                 assert np.array_equal(frame.z[i], Z[i] + nz)
 
-    @pytest.mark.parametrize("driver, prefix", [(run, ""),
-                                                (baseline_gradient_tracking,
-                                                 "baseline-")])
+    @pytest.mark.parametrize(
+        "driver, prefix", [(run_seeds, ""), (baseline_seeds, "baseline-")],
+        ids=["run-", "baseline_gradient_tracking-baseline-"])
     def test_frames_replay_across_chunk_and_refill_boundaries(self, driver,
                                                               prefix):
         # per-agent schedules, one with sigma = 0, and T past a chunk
@@ -260,8 +262,7 @@ class TestFrameAudit:
             noise_z=broadcast_noise([0.2, 0.0, 0.4, 0.4, 0.2],
                                     [0.02, 0.0, 0.025, 0.025, 0.02], m))
         rec = Recorder()
-        driver(prob, ring_topology(m, 0.3), s, T, master_seed=seed,
-               observers=[rec])
+        driver(prob, ring_topology(m, 0.3), s, T, [seed], observers=[rec])
         assert len(rec.frames[0]) == T + 1
 
         streams = [[LaplaceStream(agent_rng(seed, i, prefix + tag))
@@ -291,7 +292,7 @@ class TestBaseline:
             noise_y=broadcast_noise(0.0, 0.0, 5),
             noise_z=broadcast_noise(0.0, 0.0, 5),
         )
-        rec = baseline_gradient_tracking(prob, topo, s, 20000, master_seed=0)
+        rec = baseline_seeds(prob, topo, s, 20000, [0])[0]
         xown = prob.own_block(rec.final_x).reshape(prob.n)
         assert np.max(np.abs(xown - prob.x_star)) < 1e-6
         assert rec.columns["tracker_err"][-1] < 1e-10
@@ -307,7 +308,7 @@ class TestBaseline:
             noise_y=broadcast_noise(0.05, 0.0, 5),
             noise_z=broadcast_noise(0.05, 0.0, 5),
         )
-        recs = [baseline_gradient_tracking(prob, topo, s, 2000, master_seed=k)
+        recs = [baseline_seeds(prob, topo, s, 2000, [k])[0]
                 for k in range(5)]
         err = np.mean([r.columns["tracker_err"] for r in recs], axis=0)
         ts = recs[0].ts
@@ -324,8 +325,7 @@ BATCH_PROBLEMS = {
     "personalized": make_personalized_problem(m=3, classes=3, features=2,
                                               lam=0.8, dataset_size=8, seed=6),
 }
-DRIVERS = {"run": (run_seeds, run),
-           "baseline": (baseline_seeds, baseline_gradient_tracking)}
+DRIVERS = {"run": run_seeds, "baseline": baseline_seeds}
 
 
 def batch_schedules(sigma_x=0.1, sigma_y=0.1):
@@ -343,7 +343,7 @@ def batch_schedules(sigma_x=0.1, sigma_y=0.1):
 def run_batch_and_solo(driver, prob, schedules, T, seeds):
     """Batched and solo records of seeds, each with the frames and states
     a Recorder kept for it: lists of (record, frames, states)."""
-    batched, solo = DRIVERS[driver]
+    batched = DRIVERS[driver]
     args = (prob, ring_topology(3, 0.3), schedules, T)
     with np.errstate(over="ignore", invalid="ignore"):
         rec = Recorder()
@@ -352,7 +352,7 @@ def run_batch_and_solo(driver, prob, schedules, T, seeds):
         alone = []
         for seed in seeds:
             rec = Recorder()
-            r = solo(*args, seed, observers=[rec])
+            r = batched(*args, [seed], observers=[rec])[0]
             alone.append((r, rec.frames[0], rec.states[0]))
     return recs, alone
 
@@ -435,8 +435,8 @@ def test_emitted_arrays_are_never_written_again(driver, family):
     # the drivers work in place on fresh arrays only: every frame and state
     # an observer was handed still holds what a copying Recorder saw
     keep, rec = Keeper(), Recorder()
-    DRIVERS[driver][0](BATCH_PROBLEMS[family], ring_topology(3, 0.3),
-                       batch_schedules(), 30, [3, 4], observers=[keep, rec])
+    DRIVERS[driver](BATCH_PROBLEMS[family], ring_topology(3, 0.3),
+                    batch_schedules(), 30, [3, 4], observers=[keep, rec])
     seen = defaultdict(int)
     for frame, state, alive in keep.calls:
         for s in np.flatnonzero(alive):
@@ -514,7 +514,8 @@ def test_l_audit_covers_every_round(family):
         expect = np.max([np.abs(ErmReference(
             prob, [xi], [phi], prob.own_block(state[0])).g).sum(axis=-1)
             for state, (xi, phi) in zip(rec.states[s], data)], axis=0)
-        solo = run(prob, ring_topology(3, 0.3), batch_schedules(), T, seed)
+        solo = run_seeds(prob, ring_topology(3, 0.3), batch_schedules(), T,
+                         [seed])[0]
         for r in (batched, solo):
             np.testing.assert_allclose(r.l_norm1_max, expect, rtol=1e-12,
                                        atol=0)
@@ -544,8 +545,8 @@ def test_one_softmax_pass_per_round(driver, monkeypatch):
     monkeypatch.setattr(problems.SoftmaxPass, "__init__", counting_init)
     monkeypatch.setattr(algorithm, "metric_eval", uncounted_metric_eval)
     T = 150
-    DRIVERS[driver][0](BATCH_PROBLEMS["personalized"], ring_topology(3, 0.3),
-                       batch_schedules(), T, [1, 2])
+    DRIVERS[driver](BATCH_PROBLEMS["personalized"], ring_topology(3, 0.3),
+                    batch_schedules(), T, [1, 2])
     assert built[0] == T + (driver == "baseline")
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ldpagg import privacy
-from ldpagg.algorithm import baseline_gradient_tracking, run
+from ldpagg.algorithm import baseline_seeds, run_seeds
 from ldpagg.cli import main
 from ldpagg.config import ConfigError, parse_config
 from ldpagg.problems import make_personalized_problem, make_quadratic_problem
@@ -185,7 +185,8 @@ class TestCliRun:
         assert "err_to_opt_sq" in header
         assert "eps_cum_a0" in header and "eps_cum_a2" in header
 
-    def test_eps_columns_end_at_per_agent_budget(self, tmp_path):
+    def test_eps_columns_end_at_per_agent_budget(self, tmp_path,
+                                                 one_agent_budget):
         out = str(tmp_path / "out")
         d = cfg_dict(out=out, seeds=1, sensitivity=copy.deepcopy(SENS),
                      schedules=copy.deepcopy(MIXED_SCHED))
@@ -198,8 +199,8 @@ class TestCliRun:
         cfg = parse_config(d)
         s = cfg.schedules
         for i in range(3):
-            acct = privacy.budget(200, cfg.sensitivity, s.noise_x[i],
-                                  s.noise_y[i], s.noise_z[i])
+            acct = one_agent_budget(200, cfg.sensitivity, s.noise_x[i],
+                                    s.noise_y[i], s.noise_z[i])
             eps = last[header.index(f"eps_cum_a{i}")]
             assert eps == pytest.approx(acct.eps_total, rel=1e-12)
 
@@ -288,15 +289,15 @@ class TestCliRun:
         d["schedules"]["noise"]["y"] = {"sigma": 2e307, "varsigma": 0.05}
         cfg = parse_config(d)
         seeds = [cfg.master_seed + k for k in range(cfg.seeds)]
-        for command, driver, code in (("run", run, 2),
-                                      ("baseline", baseline_gradient_tracking, 0)):
+        for command, driver, code in (("run", run_seeds, 2),
+                                      ("baseline", baseline_seeds, 0)):
             out = str(tmp_path / command)
             path = write_cfg(tmp_path, dict(d, out=out), name=f"{command}.json")
             with np.errstate(over="ignore", invalid="ignore"):
                 assert main([command, "--config", path, "--threads", "1"]) == code
                 alone = {s: driver(cfg.problem, cfg.topology, cfg.schedules,
-                                   cfg.T, s, init_radius=cfg.init_radius
-                                   ).aborted_at for s in seeds}
+                                   cfg.T, [s], init_radius=cfg.init_radius
+                                   )[0].aborted_at for s in seeds}
             with open(os.path.join(out, "manifest.json")) as f:
                 aborted = json.load(f)["aborted"]
             assert aborted == {str(s): a for s, a in alone.items() if a}
@@ -320,6 +321,9 @@ class TestCliRun:
     (("topology", "w"), "x", "topology"),
     (("schedules", "stepsize", "x", "v"), ..., "schedules.stepsize.x"),
     (("schedules", "noise", "x", "sigma"), "a", "schedules.noise.x"),
+    (("schedules", "noise", "x", "sigma"), float("nan"), "schedules.noise.x"),
+    (("schedules", "stepsize", "x", "lambda0"), float("inf"),
+     "schedules.stepsize.x"),
     (("seeds",), "two", "config.seeds"),
     (("T",), "abc", "config.T"),
     (("schedules", "delta"), "x", "schedules.preset"),
@@ -327,11 +331,13 @@ class TestCliRun:
     (("schedules", "stepsize"), [0.5, 0.1], "schedules.stepsize"),
     (("schedules", "lambda0"), None, "schedules.lambda0"),
 ], ids=["topology.m-missing", "topology.w", "stepsize.x.v-missing",
-        "noise.x.sigma", "seeds", "T", "delta", "preset-list", "stepsize-list",
+        "noise.x.sigma", "noise.x.sigma-nan", "stepsize.x.lambda0-inf",
+        "seeds", "T", "delta", "preset-list", "stepsize-list",
         "lambda0-null"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, keys, value, where):
-    # a missing (...), non-numeric or malformed value is one config
-    # error line on the path of its block, with exit code 1
+    # a missing (...), non-numeric, non-finite (NaN and Infinity are JSON
+    # literals to Python) or malformed value is one config error line on
+    # the path of its block, with exit code 1
     d = cfg_dict()
     if "stepsize" in keys or "noise" in keys:
         d["schedules"] = copy.deepcopy(EXPLICIT_SCHED)
@@ -427,6 +433,18 @@ class TestCliUsageErrors:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[1:] == [f"{i},,,,,inf" for i in range(3)]
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_calibrate_nonfinite_epsilon(self, tmp_path, capsys, epsilon):
+        # nan would write "sigma": NaN, which is not JSON; inf writes
+        # sigma = 0, which budget refuses
+        out = tmp_path / "calibrated.json"
+        path = write_cfg(tmp_path, cfg_dict(sensitivity=copy.deepcopy(SENS),
+                                            schedules=copy.deepcopy(EXPLICIT_SCHED)))
+        self.assert_usage_error(
+            capsys, ["calibrate", "--config", path, "--epsilon", epsilon,
+                     "--out", str(out)], "finite and positive")
+        assert not out.exists()
+
     def test_analyze_missing_directory(self, tmp_path, capsys):
         missing = str(tmp_path / "missing")
         self.assert_usage_error(
@@ -455,7 +473,8 @@ class TestCliBudget:
         assert np.isfinite(bound) and bound > 0
 
     @pytest.mark.parametrize("source", ["recursion", "closed_form"])
-    def test_budget_rows_match_per_agent_budget(self, tmp_path, capsys, source):
+    def test_budget_rows_match_per_agent_budget(self, tmp_path, capsys, source,
+                                                one_agent_budget):
         d = cfg_dict(sensitivity=copy.deepcopy(SENS),
                      schedules=copy.deepcopy(MIXED_SCHED))
         path = write_cfg(tmp_path, d)
@@ -466,8 +485,9 @@ class TestCliBudget:
         s = cfg.schedules
         assert len(lines) == 4
         for i in range(3):
-            acct = privacy.budget(300, cfg.sensitivity, s.noise_x[i],
-                                  s.noise_y[i], s.noise_z[i], source=source)
+            acct = one_agent_budget(300, cfg.sensitivity, s.noise_x[i],
+                                    s.noise_y[i], s.noise_z[i],
+                                    source=source)
             expect = ",".join([str(i)] + ["%.17g" % v for v in (
                 acct.eps_x, acct.eps_y, acct.eps_z, acct.eps_total,
                 acct.bound_inf)])

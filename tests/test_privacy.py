@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ldpagg.privacy import (PrivacyAccount, SensitivityParams, budget,
-                            budgets, calibrate_noise, closed_form_constants,
-                            contraction_coefficients, empirical_bound_check,
-                            infinite_horizon_bound, sensitivity_step,
-                            sensitivity_trajectory)
+from ldpagg.privacy import (PrivacyAccount, SensitivityParams, budgets,
+                            calibrate_noise, closed_form_constants,
+                            contraction_coefficients, infinite_horizon_bound,
+                            sensitivity_step, sensitivity_trajectory)
 from ldpagg.schedules import NoiseSchedule, ScheduleSet, StepsizeSchedule
 
 
@@ -105,14 +104,15 @@ class TestContraction:
         traj = sensitivity_trajectory(100, p)
         assert traj.t_contract == 0
 
-    def test_large_stepsize_delays_contraction(self):
+    def test_large_stepsize_delays_contraction(self, one_agent_budget):
         p = fixture_params(lambda_x=StepsizeSchedule(5.0, 0.95))
         assert contraction_coefficients(0, p)[2] >= 1.0
         traj = sensitivity_trajectory(1000, p)
         assert traj.t_contract > 0
         assert max(contraction_coefficients(traj.t_contract, p)) < 1.0
         # each account carries the signal of the recursion it summed
-        assert budget(1000, p, *fixture_noise()).t_contract == traj.t_contract
+        acct = one_agent_budget(1000, p, *fixture_noise())
+        assert acct.t_contract == traj.t_contract
 
 
 class TestClosedForm:
@@ -140,43 +140,44 @@ class TestClosedForm:
 
 
 class TestBudget:
-    def test_zero_horizon(self):
-        acc = budget(0, fixture_params(), *fixture_noise())
+    def test_zero_horizon(self, one_agent_budget):
+        acc = one_agent_budget(0, fixture_params(), *fixture_noise())
         assert acc.eps_total == 0.0
         assert acc.T == 0
 
-    def test_monotone_in_T(self):
+    def test_monotone_in_T(self, one_agent_budget):
         p = fixture_params()
         nx, ny, nz = fixture_noise()
         prev = 0.0
         for T in (10, 100, 1000):
-            acc = budget(T, p, nx, ny, nz)
+            acc = one_agent_budget(T, p, nx, ny, nz)
             assert acc.eps_total > prev
             prev = acc.eps_total
 
-    def test_three_way_dominance(self):
+    def test_three_way_dominance(self, one_agent_budget):
         p = fixture_params()
         nx, ny, nz = fixture_noise()
         for T in (100, 1000, 10000):
-            rec = budget(T, p, nx, ny, nz, source="recursion")
-            cf = budget(T, p, nx, ny, nz, source="closed_form")
+            rec = one_agent_budget(T, p, nx, ny, nz, source="recursion")
+            cf = one_agent_budget(T, p, nx, ny, nz, source="closed_form")
             assert rec.eps_total <= cf.eps_total + 1e-12
             assert cf.eps_total <= cf.bound_inf + 1e-12
 
-    def test_tail_convergence(self):
+    def test_tail_convergence(self, one_agent_budget):
         p = fixture_params()
         nx, ny, nz = fixture_noise()
-        e3 = budget(1000, p, nx, ny, nz).eps_total
-        e4 = budget(10000, p, nx, ny, nz).eps_total
-        e5 = budget(100000, p, nx, ny, nz).eps_total
+        e3 = one_agent_budget(1000, p, nx, ny, nz).eps_total
+        e4 = one_agent_budget(10000, p, nx, ny, nz).eps_total
+        e5 = one_agent_budget(100000, p, nx, ny, nz).eps_total
         assert e5 - e4 < 0.2 * (e4 - e3)
 
-    def test_closed_form_sums_match_direct_expression(self):
+    def test_closed_form_sums_match_direct_expression(self,
+                                                      one_agent_budget):
         # independent recomputation of the closed-form budget components
         p = fixture_params()
         nx, ny, nz = fixture_noise()
         T = 5000
-        cf = budget(T, p, nx, ny, nz, source="closed_form")
+        cf = one_agent_budget(T, p, nx, ny, nz, source="closed_form")
         c = closed_form_constants(p)
         ts = np.arange(2.0, T + 2.0)
         ex = np.sum(math.sqrt(2) * c.Cx / (1.0 * ts ** (1 + 0.95 - 0.12 - 0.03)))
@@ -186,7 +187,7 @@ class TestBudget:
         assert cf.eps_y == pytest.approx(ey, rel=1e-12)
         assert cf.eps_z == pytest.approx(ez, rel=1e-12)
 
-    def test_inf_bound_matches_analytic_formula(self):
+    def test_inf_bound_matches_analytic_formula(self, one_agent_budget):
         p = fixture_params()
         nx, ny, nz = fixture_noise()
         c = closed_form_constants(p)
@@ -195,7 +196,7 @@ class TestBudget:
                   + math.sqrt(2) * c.Cz / (1e6 * (0.12 - 0.06)))
         assert infinite_horizon_bound(p, nx, ny, nz) == pytest.approx(expect, rel=1e-14)
         # and the infinite bound dominates every finite closed-form budget
-        cf = budget(100000, p, nx, ny, nz, source="closed_form")
+        cf = one_agent_budget(100000, p, nx, ny, nz, source="closed_form")
         assert cf.eps_total <= cf.bound_inf
 
     def test_inf_bound_infinite_when_gap_closed(self):
@@ -204,15 +205,16 @@ class TestBudget:
         _, ny, nz = fixture_noise()
         assert infinite_horizon_bound(p, nx, ny, nz) == float("inf")
 
-    def test_rejects_nonpositive_sigma(self):
+    def test_rejects_nonpositive_sigma(self, one_agent_budget):
         p = fixture_params()
         _, ny, nz = fixture_noise()
         with pytest.raises(ValueError):
-            budget(10, p, NoiseSchedule(0.0, 0.03), ny, nz)
+            one_agent_budget(10, p, NoiseSchedule(0.0, 0.03), ny, nz)
 
-    def test_rejects_unknown_source(self):
+    def test_rejects_unknown_source(self, one_agent_budget):
         with pytest.raises(ValueError):
-            budget(10, fixture_params(), *fixture_noise(), source="exact")
+            one_agent_budget(10, fixture_params(), *fixture_noise(),
+                             source="exact")
 
     def test_eps_total_is_component_sum(self):
         acc = PrivacyAccount(T=5, eps_x=1.0, eps_y=2.0, eps_z=3.5,
@@ -234,14 +236,15 @@ def mixed_schedules(p):
 class TestBudgets:
     @pytest.mark.parametrize("source", ["recursion", "closed_form"])
     @pytest.mark.parametrize("T", [0, 1, 777])
-    def test_entries_equal_single_agent_budget(self, source, T):
+    def test_entries_equal_single_agent_budget(self, source, T,
+                                               one_agent_budget):
         p = fixture_params()
         s = mixed_schedules(p)
         out = budgets(T, p, s, source=source)
         assert len(out) == 4
         for i, (acct, eps_cum) in enumerate(out):
-            one = budget(T, p, s.noise_x[i], s.noise_y[i], s.noise_z[i],
-                         source=source)
+            one = one_agent_budget(T, p, s.noise_x[i], s.noise_y[i],
+                                   s.noise_z[i], source=source)
             assert acct == one  # bitwise equal fields
             assert eps_cum.shape == (T + 1,) and eps_cum[0] == 0.0
             assert np.all(np.diff(eps_cum) > 0)
@@ -261,13 +264,13 @@ class TestBudgets:
         with pytest.raises(ValueError, match="positive noise"):
             budgets(10, p, s)
 
-    def test_inf_bound_infinite_without_closed_form(self):
+    def test_inf_bound_infinite_without_closed_form(self, one_agent_budget):
         # v_z < v_y leaves no certificate constants, but the recursion
         # budget still exists
         p = fixture_params(lambda_z=StepsizeSchedule(0.08, 0.05))
         nx, ny, nz = fixture_noise()
         assert infinite_horizon_bound(p, nx, ny, nz) == float("inf")
-        acct = budget(100, p, nx, ny, nz)
+        acct = one_agent_budget(100, p, nx, ny, nz)
         assert np.isfinite(acct.eps_total) and acct.bound_inf == float("inf")
 
 
@@ -300,21 +303,9 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_noise(0.0, fixture_params(), 0.03, 0.05, 0.06)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_rejects_nonfinite_target(self, eps):
+        # nan would patch sigma = NaN into the config, inf sigma = 0
+        with pytest.raises(ValueError, match="finite"):
+            calibrate_noise(eps, fixture_params(), 0.03, 0.05, 0.06)
 
-class TestEmpiricalBoundCheck:
-    class FakeRecord:
-        def __init__(self, z, l):
-            self.z_norm_max = np.asarray(z)
-            self.l_norm1_max = np.asarray(l)
-
-    def test_pass(self):
-        rep = empirical_bound_check(self.FakeRecord([0.4, 0.9], [0.05, 0.08]),
-                                    fixture_params())
-        assert rep.ok
-        assert rep.empirical_d_z == pytest.approx(0.9)
-
-    def test_flags_violation(self):
-        rep = empirical_bound_check(self.FakeRecord([1.5], [0.05]),
-                                    fixture_params())
-        assert not rep.ok
-        assert rep.configured_d_z == 1.0

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpagg.algorithm import run
+from ldpagg.algorithm import run_seeds
 from ldpagg.problems import (PersonalizedProblem, QuadraticProblem,
                              make_personalized_problem, make_quadratic_problem)
 from ldpagg.reference import ErmReference, h_value
@@ -301,8 +301,9 @@ def test_project_box_properties(lo, width, seed):
     s = corollary1_preset(ConvexityCase.STRONGLY_CONVEX, 0.01, m=3,
                           lambda0=(0.5, 1, 1), sigma=(1.0, 1.0, 1.0))
     xs = []
-    run(prob, ring_topology(3, 0.3), s, 30, master_seed=seed,
-        observers=[lambda t, state, frame, ev, alive: xs.append(state[0])])
+    run_seeds(prob, ring_topology(3, 0.3), s, 30, [seed],
+              observers=[lambda t, state, frame, ev, alive:
+                         xs.append(state[0])])
     X = np.stack(xs)
     assert X.shape == (31, 1, 3, prob.n)
     assert np.all(X >= lo) and np.all(X <= hi)

@@ -63,6 +63,9 @@ class TestTrivial:
         assert t.m == 1
         assert t.weights[0, 0] == 0.0
         assert t.neighbor_sets == (frozenset(),)
+        assert t.w_bar == 0.0
+        assert t.contraction_norm == 0.0
+        assert not t.weights.flags.writeable
 
     def test_rho2_convention(self):
         assert trivial_topology().rho2_abs == 1.0
