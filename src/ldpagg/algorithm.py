@@ -315,8 +315,9 @@ def baseline_seeds(problem, topology, schedules, T, seeds, x0=None,
 
     def step(t, state, frame, ev):
         X, G, Q = state
-        # ev is the oracle at X: last round's ev2, reweighted after the draw
-        if store.count == t:
+        # ev is the oracle at X: last round's ev2, reweighted after the
+        # draw; round 0 uses the draw made before the loop
+        if t:
             problem.draw(store)
             ev = ev.reweighted(store)
         X_new = _descend(problem, b.W0, b.diagw, X, frame.x, lam,

@@ -8,6 +8,7 @@ downgraded to warnings so ablation runs remain possible.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field
 
@@ -28,17 +29,13 @@ _TOPOLOGY_KEYS = {"type", "m", "w", "weights"}
 _SCHED_KEYS = {"preset", "delta", "lambda0", "sigma", "stepsize", "noise"}
 _STEP_KEYS = {"lambda0", "v"}
 _NOISE_KEYS = {"sigma", "varsigma"}
-# per family: the factory and the type of each optional key; a key left
-# out takes the factory's default
-_PROBLEMS = {
-    "quadratic": (problems.make_quadratic_problem, {
-        "ni": int, "r": int, "gamma": float, "alpha": float,
-        "noise_std_g": float, "noise_std_f": float, "box": tuple,
-        "seed": int, "coeff_scale": float}),
-    "personalized": (problems.make_personalized_problem, {
-        "classes": int, "features": int, "lam": float, "dataset_size": int,
-        "box": tuple, "seed": int, "spread": float, "primary_frac": float}),
-}
+# per family: the factory and the type of each optional key, which is
+# every factory parameter but m, typed by its default; a key left out
+# takes that default
+_PROBLEMS = {fam: (make, {k: type(q.default) for k, q in
+                          inspect.signature(make).parameters.items() if k != "m"})
+             for fam, make in (("quadratic", problems.make_quadratic_problem),
+                               ("personalized", problems.make_personalized_problem))}
 _SENS_KEYS = {"L_l", "L_h", "Lbar_l", "Lbar_h", "d_l", "d_z"}
 
 _PRESETS = {

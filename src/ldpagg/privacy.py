@@ -46,22 +46,21 @@ class SensitivityParams:
 
     def __post_init__(self):
         for name in ("L_l", "L_h", "Lbar_l", "Lbar_h", "d_l", "d_z"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
         if not (0 < self.w_bar < 1):
             raise ValueError("w_bar must lie in (0, 1)")
         if self.n_i < 1 or self.r < 1:
             raise ValueError("dimensions must be positive")
 
 
-def contraction_coefficients(t: int, p: SensitivityParams):
-    """Own-Delta multipliers of the recursion at time t, order (y, z, x)."""
-    lam_x = p.lambda_x.value(t)
-    lam_z = p.lambda_z.value(t)
+def _coef_x(p: SensitivityParams, lam_x, lam_z):
+    """Delta_x's own multiplier in the recursion. Those of Delta_y and
+    Delta_z are the constant 1 - w_bar < 1, which this one never falls
+    below, so the recursion contracts exactly when it is < 1."""
     sn = math.sqrt(p.n_i)
-    coef_x = 1.0 - p.w_bar + sn * p.Lbar_h * lam_x \
+    return 1.0 - p.w_bar + sn * p.Lbar_h * lam_x \
         + sn * p.Lbar_l * p.d_z * lam_x / lam_z
-    return (1.0 - p.w_bar, 1.0 - p.w_bar, coef_x)
 
 
 def sensitivity_step(dx, dy, dz, t, p: SensitivityParams):
@@ -86,9 +85,8 @@ def sensitivity_step(dx, dy, dz, t, p: SensitivityParams):
         + (sr * p.Lbar_h * lam_z / lam_y) * (dy_new + dy)
         + 2.0 * sr * p.L_h * lam_z / (t + 1)
     )
-    coef_x = contraction_coefficients(t, p)[2]
     dx_new = (
-        coef_x * dx
+        _coef_x(p, lam_x, lam_z) * dx
         + (sn * p.Lbar_h * lam_x / lam_y) * (dy_new + dy)
         + (sn * p.L_l * lam_x / lam_z) * (dz_new + dz)
         + 2.0 * sn * p.L_h * lam_x / (t + 1)
@@ -104,7 +102,7 @@ class SensitivityTrajectory:
     dx: np.ndarray
     dy: np.ndarray
     dz: np.ndarray
-    t_contract: int  # first t with all own-coefficients < 1
+    t_contract: int  # first t < T with Delta_x's own coefficient < 1, else T
 
 
 def sensitivity_trajectory(T: int, p: SensitivityParams) -> SensitivityTrajectory:
@@ -112,15 +110,11 @@ def sensitivity_trajectory(T: int, p: SensitivityParams) -> SensitivityTrajector
     dx = np.zeros(T + 1)
     dy = np.zeros(T + 1)
     dz = np.zeros(T + 1)
-    t_contract = None
+    t_contract = next((t for t in range(T) if _coef_x(
+        p, p.lambda_x.value(t), p.lambda_z.value(t)) < 1.0), T)
     for t in range(T):
-        if t_contract is None and max(contraction_coefficients(t, p)) < 1.0:
-            t_contract = t
         dx[t + 1], dy[t + 1], dz[t + 1] = sensitivity_step(
             dx[t], dy[t], dz[t], t, p)
-    if t_contract is None:
-        # either T == 0 or the coefficient never dropped below 1
-        t_contract = 0 if T == 0 and max(contraction_coefficients(0, p)) < 1.0 else T
     return SensitivityTrajectory(dx=dx, dy=dy, dz=dz, t_contract=t_contract)
 
 

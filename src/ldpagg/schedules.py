@@ -48,6 +48,8 @@ class NoiseSchedule:
     def __post_init__(self):
         if not 0 <= self.sigma < math.inf:
             raise ValueError("noise scale must be finite and nonnegative")
+        if not math.isfinite(self.varsigma):
+            raise ValueError("noise decay exponent must be finite")
 
     def laplace_param(self, t: int) -> float:
         return self.sigma / (SQRT2 * (t + 1) ** self.varsigma)

@@ -3,8 +3,9 @@
 The weight convention is the "zero-sum" one: w_ij > 0 on edges,
 w_ii = -sum_j w_ij, so both row and column sums of W vanish and
 I + W acts as a doubly stochastic mixing matrix on connected graphs.
-validate reports the five structural conditions on a candidate W; they
-are written once, in ValidationReport.conditions, and its ok reads them.
+validate lists the five structural conditions on a candidate W as
+(name, passed, residual) triples; from_matrix builds a topology only
+when every one passes, and only then solves for its spectrum.
 """
 
 from __future__ import annotations
@@ -35,51 +36,9 @@ class NetworkTopology:
         self.weights.setflags(write=False)
 
 
-@dataclass
-class ValidationReport:
-    """Per-condition pass/fail with measured residuals for a candidate W."""
-
-    m: int
-    row_sum_residual: float
-    col_sum_residual: float
-    symmetry_residual: float
-    contraction_norm: float
-    offdiag_nonneg: bool
-    rho2_abs: float | None = None
-    w_bar: float | None = None
-
-    def conditions(self):
-        return [
-            ("row sums zero", self.row_sum_residual < STRUCT_TOL, self.row_sum_residual),
-            ("column sums zero", self.col_sum_residual < STRUCT_TOL, self.col_sum_residual),
-            ("symmetric", self.symmetry_residual < STRUCT_TOL, self.symmetry_residual),
-            ("contraction norm < 1", self.contraction_norm < 1.0 - STRUCT_TOL, self.contraction_norm),
-            ("off-diagonal entries nonnegative", self.offdiag_nonneg, 0.0),
-        ]
-
-    @property
-    def ok(self) -> bool:
-        """Whether W meets every condition."""
-        return all(passed for _, passed, _ in self.conditions())
-
-
-def _spectral(W: np.ndarray):
-    """Return (rho2_abs, contraction_norm) from a dense symmetric eigensolve."""
-    m = W.shape[0]
-    eigs = np.linalg.eigvalsh(W)  # ascending
-    # second largest by algebraic value; m = 1 has no second eigenvalue
-    rho2_abs = abs(eigs[-2]) if m > 1 else 1.0
-    ones = np.ones((m, m)) / m
-    contraction = np.linalg.norm(np.eye(m) + W - ones, 2)
-    return rho2_abs, contraction
-
-
-def validate(W: np.ndarray) -> ValidationReport:
-    """Check a square matrix against the structural graph-weight conditions.
-
-    Report-style: never raises on a bad matrix; rho2_abs / w_bar are filled
-    in only when all conditions pass.
-    """
+def validate(W: np.ndarray) -> list:
+    """The structural conditions on a square matrix, as (name, passed,
+    residual) triples. Report-style: never raises on a bad matrix."""
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ValueError("W must be a square matrix")
@@ -89,30 +48,24 @@ def validate(W: np.ndarray) -> ValidationReport:
     sym_res = float(np.max(np.abs(W - W.T)))
     offdiag = W.copy()
     np.fill_diagonal(offdiag, 0.0)
-    offdiag_ok = bool(np.all(offdiag >= 0.0))
-    rho2_abs, contraction = _spectral(W)
-    report = ValidationReport(
-        m=m,
-        row_sum_residual=row_res,
-        col_sum_residual=col_res,
-        symmetry_residual=sym_res,
-        contraction_norm=contraction,
-        offdiag_nonneg=offdiag_ok,
-    )
-    if report.ok:
-        report.rho2_abs = rho2_abs
-        report.w_bar = float(np.min(np.abs(np.diag(W))))
-    return report
+    contraction = np.linalg.norm(np.eye(m) + W - np.ones((m, m)) / m, 2)
+    return [
+        ("row sums zero", row_res < STRUCT_TOL, row_res),
+        ("column sums zero", col_res < STRUCT_TOL, col_res),
+        ("symmetric", sym_res < STRUCT_TOL, sym_res),
+        ("contraction norm < 1", contraction < 1.0 - STRUCT_TOL, contraction),
+        ("off-diagonal entries nonnegative", bool(np.all(offdiag >= 0.0)), 0.0),
+    ]
 
 
 def from_matrix(W: np.ndarray) -> NetworkTopology:
     """Build a topology from an explicit weight matrix, or raise if invalid."""
     W = np.array(W, dtype=float)
-    report = validate(W)
-    if not report.ok:
-        failed = [name for name, passed, _ in report.conditions() if not passed]
+    conditions = validate(W)
+    failed = [name for name, passed, _ in conditions if not passed]
+    if failed:
         raise ValueError(f"invalid weight matrix: failed {failed}")
-    m = report.m
+    m = W.shape[0]
     neighbors = tuple(
         frozenset(int(j) for j in range(m) if j != i and W[i, j] > 0.0) for i in range(m)
     )
@@ -122,9 +75,10 @@ def from_matrix(W: np.ndarray) -> NetworkTopology:
         m=m,
         weights=W,
         neighbor_sets=neighbors,
-        rho2_abs=report.rho2_abs,
-        w_bar=report.w_bar,
-        contraction_norm=report.contraction_norm,
+        # second largest eigenvalue by algebraic value; m = 1 has none
+        rho2_abs=abs(np.linalg.eigvalsh(W)[-2]) if m > 1 else 1.0,
+        w_bar=float(np.min(np.abs(np.diag(W)))),
+        contraction_norm=conditions[3][2],  # "contraction norm < 1"
     )
 
 

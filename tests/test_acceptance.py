@@ -14,8 +14,7 @@ from ldpagg.analysis import fit_rate
 from ldpagg.cli import main as cli_main
 from ldpagg.config import load_config
 from ldpagg.privacy import (calibrate_noise, closed_form_constants,
-                            contraction_coefficients, infinite_horizon_bound,
-                            sensitivity_trajectory)
+                            infinite_horizon_bound, sensitivity_trajectory)
 from ldpagg.problems import make_personalized_problem, make_quadratic_problem
 from ldpagg.reference import (centralized_trajectory, h_value, mean_over_seeds,
                               sample_laplace)
@@ -113,7 +112,7 @@ class TestPrivacyAccounting:
             assert cum[T] <= cf.eps_total + 1e-12
             assert cf.eps_total <= bound + 1e-12
 
-    def test_sensitivity_dominance(self, budget_fixture):
+    def test_sensitivity_dominance(self, budget_fixture, own_coef_x):
         p = budget_fixture.sensitivity
         traj = sensitivity_trajectory(100000, p)
         assert traj.t_contract < 100
@@ -124,7 +123,7 @@ class TestPrivacyAccounting:
         assert np.all(traj.dy[t] * shift ** (1 + vy) <= c.Cy)
         assert np.all(traj.dx[t] * shift ** (1 + vx - vz) <= c.Cx)
         assert np.all(traj.dz[t] * shift ** (1 + vz) <= c.Cz)
-        assert max(contraction_coefficients(traj.t_contract, p)) < 1.0
+        assert own_coef_x(traj.t_contract, p) < 1.0
 
     def test_calibration_round_trip(self, budget_fixture):
         p = budget_fixture.sensitivity

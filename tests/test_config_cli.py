@@ -1,4 +1,6 @@
 import copy
+import glob
+import inspect
 import json
 import os
 
@@ -41,6 +43,28 @@ MIXED_SCHED = copy.deepcopy(EXPLICIT_SCHED)
 MIXED_SCHED["noise"]["x"] = {"sigma": [1.0, 0.5, 2.0], "varsigma": [0.03, 0.5, 0.7]}
 MIXED_SCHED["noise"]["y"] = {"sigma": [1.0, 3.0, 0.2], "varsigma": [0.05, 0.01, 0.08]}
 MIXED_SCHED["noise"]["z"] = {"sigma": [1.0, 0.7, 5.0], "varsigma": [0.06, 0.1, 0.02]}
+
+
+def factory_params():
+    """A pytest.param (family, key, default as JSON) for every parameter
+    of a problem factory but m."""
+    return [pytest.param(fam, k, json.loads(json.dumps(q.default)),
+                         id=f"{fam}.{k}")
+            for fam, make in (("quadratic", make_quadratic_problem),
+                              ("personalized", make_personalized_problem))
+            for k, q in inspect.signature(make).parameters.items() if k != "m"]
+
+
+def assert_same_problem(got, want):
+    """Equal fields, arrays bitwise; index tuples derive from m."""
+    got, want = vars(got), vars(want)
+    assert got.keys() == want.keys()
+    for k, v in want.items():
+        if isinstance(v, np.ndarray):
+            assert got[k].dtype == v.dtype and got[k].shape == v.shape, k
+            assert got[k].tobytes() == v.tobytes(), k
+        elif not isinstance(v, tuple):
+            assert got[k] == v, k
 
 
 def cfg_dict(**over):
@@ -142,15 +166,22 @@ class TestParseConfig:
     def test_family_only_block_is_factory_defaults(self, family, make):
         # every problem default lives in the factory signature: a block
         # with only the family builds what the factory builds from m
-        got = vars(parse_config(cfg_dict(problem={"family": family})).problem)
-        want = vars(make(m=3))
-        assert got.keys() == want.keys()
-        for k, v in want.items():
-            if isinstance(v, np.ndarray):
-                assert got[k].dtype == v.dtype and got[k].shape == v.shape, k
-                assert got[k].tobytes() == v.tobytes(), k
-            elif not isinstance(v, tuple):  # index tuples derive from m
-                assert got[k] == v, k
+        assert_same_problem(
+            parse_config(cfg_dict(problem={"family": family})).problem,
+            make(m=3))
+
+    @pytest.mark.parametrize("family, key, default", factory_params())
+    def test_factory_parameter_is_key(self, family, key, default):
+        # each factory parameter but m is a problem key, and setting it
+        # to its default builds what leaving it out builds
+        assert_same_problem(
+            parse_config(cfg_dict(problem={"family": family, key: default})).problem,
+            parse_config(cfg_dict(problem={"family": family})).problem)
+
+    @pytest.mark.parametrize("family", ["quadratic", "personalized"])
+    def test_m_is_not_a_problem_key(self, family):
+        with pytest.raises(ConfigError, match=r"problem\.m: unknown key"):
+            parse_config(cfg_dict(problem={"family": family, "m": 3}))
 
     @pytest.mark.parametrize("family", ["quadratic", "personalized"])
     def test_inverted_box_rejected(self, family):
@@ -330,10 +361,15 @@ class TestCliRun:
     (("schedules", "preset"), ["corollary1-sc"], "schedules.preset"),
     (("schedules", "stepsize"), [0.5, 0.1], "schedules.stepsize"),
     (("schedules", "lambda0"), None, "schedules.lambda0"),
+    (("schedules", "noise", "x", "varsigma"), float("nan"),
+     "schedules.noise.x"),
+    (("sensitivity", "d_l"), float("nan"), "sensitivity"),
+    (("sensitivity", "d_z"), float("inf"), "sensitivity"),
 ], ids=["topology.m-missing", "topology.w", "stepsize.x.v-missing",
         "noise.x.sigma", "noise.x.sigma-nan", "stepsize.x.lambda0-inf",
         "seeds", "T", "delta", "preset-list", "stepsize-list",
-        "lambda0-null"])
+        "lambda0-null", "noise.x.varsigma-nan", "sensitivity.d_l-nan",
+        "sensitivity.d_z-inf"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, keys, value, where):
     # a missing (...), non-numeric, non-finite (NaN and Infinity are JSON
     # literals to Python) or malformed value is one config error line on
@@ -341,6 +377,8 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, keys, value, where):
     d = cfg_dict()
     if "stepsize" in keys or "noise" in keys:
         d["schedules"] = copy.deepcopy(EXPLICIT_SCHED)
+    if keys[0] == "sensitivity":
+        d["sensitivity"] = copy.deepcopy(SENS)
     block = d
     for k in keys[:-1]:
         block = block[k]
@@ -575,7 +613,7 @@ class TestCliValidate:
 
     def test_bundled_configs_validate(self, capsys):
         root = os.path.join(os.path.dirname(__file__), "..", "configs")
-        for name in ("quadratic_sc.json", "quadratic_cvx.json",
-                     "personalized_ncvx.json", "budget_fixture.json"):
-            assert main(["validate", "--config",
-                         os.path.join(root, name)]) == 0
+        paths = glob.glob(os.path.join(root, "*.json"))
+        assert paths
+        for path in paths:
+            assert main(["validate", "--config", path]) == 0, path

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldpagg.privacy import (PrivacyAccount, SensitivityParams, budgets,
                             calibrate_noise, closed_form_constants,
-                            contraction_coefficients, infinite_horizon_bound,
+                            infinite_horizon_bound,
                             sensitivity_step, sensitivity_trajectory)
 from ldpagg.schedules import NoiseSchedule, ScheduleSet, StepsizeSchedule
 
@@ -98,21 +100,43 @@ class TestSensitivityStep:
 
 
 class TestContraction:
-    def test_fixture_contracts_immediately(self):
+    def test_fixture_contracts_immediately(self, own_coef_x):
         p = fixture_params()
-        assert max(contraction_coefficients(0, p)) < 1.0
+        assert own_coef_x(0, p) < 1.0
         traj = sensitivity_trajectory(100, p)
         assert traj.t_contract == 0
 
-    def test_large_stepsize_delays_contraction(self, one_agent_budget):
+    def test_large_stepsize_delays_contraction(self, one_agent_budget,
+                                               own_coef_x):
         p = fixture_params(lambda_x=StepsizeSchedule(5.0, 0.95))
-        assert contraction_coefficients(0, p)[2] >= 1.0
+        assert own_coef_x(0, p) >= 1.0
         traj = sensitivity_trajectory(1000, p)
         assert traj.t_contract > 0
-        assert max(contraction_coefficients(traj.t_contract, p)) < 1.0
+        assert own_coef_x(traj.t_contract, p) < 1.0
         # each account carries the signal of the recursion it summed
         acct = one_agent_budget(1000, p, *fixture_noise())
         assert acct.t_contract == traj.t_contract
+
+
+@settings(max_examples=150, deadline=None)
+@given(T=st.integers(0, 300), w_bar=st.floats(0.01, 0.99),
+       n_i=st.integers(1, 5), Lbar_h=st.floats(0.0, 2.0),
+       Lbar_l=st.floats(0.0, 2.0), d_z=st.floats(0.0, 2.0),
+       lam_x=st.tuples(st.floats(1e-3, 0.5), st.floats(0.05, 0.95)),
+       lam_z=st.tuples(st.floats(1e-2, 2.0), st.floats(0.05, 0.95)))
+def test_t_contract_is_first_contracting_step(own_coef_x, T, w_bar, n_i,
+                                              Lbar_h, Lbar_l, d_z, lam_x,
+                                              lam_z):
+    # t_contract is the first t < T at which Delta_x's own coefficient is
+    # below 1, or T when there is none; the ranges give all three of
+    # t_contract = 0, 0 < t_contract < T and T
+    p = fixture_params(w_bar=w_bar, n_i=n_i, Lbar_h=Lbar_h, Lbar_l=Lbar_l,
+                       d_z=d_z, lambda_x=StepsizeSchedule(*lam_x),
+                       lambda_z=StepsizeSchedule(*lam_z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = sensitivity_trajectory(T, p)
+    expect = next((t for t in range(T) if own_coef_x(t, p) < 1.0), T)
+    assert traj.t_contract == expect
 
 
 class TestClosedForm:

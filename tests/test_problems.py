@@ -147,7 +147,7 @@ class TestQuadraticTruth:
 
     def test_fixture_instance_regression(self):
         import json, os
-        path = os.path.join(os.path.dirname(__file__), "..", "configs",
+        path = os.path.join(os.path.dirname(__file__),
                             "quadratic_sc_xstar.json")
         with open(path) as f:
             fx = json.load(f)

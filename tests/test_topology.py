@@ -24,8 +24,7 @@ class TestRing:
         t = ring_topology(5, 0.3)
         assert np.allclose(np.diag(t.weights), -0.6)
         assert t.w_bar == pytest.approx(0.6)
-        rep = validate(np.asarray(t.weights))
-        assert rep.ok
+        assert all(passed for _, passed, _ in validate(t.weights))
         for i, ns in enumerate(t.neighbor_sets):
             assert ns == {(i + 1) % 5, (i - 1) % 5}
 
@@ -71,23 +70,28 @@ class TestTrivial:
         assert trivial_topology().rho2_abs == 1.0
 
 
+def failed(W):
+    """The failed conditions of W, as {name: residual}."""
+    return {name: res for name, passed, res in validate(W) if not passed}
+
+
 class TestValidate:
     def test_zero_matrix_fails_contraction(self):
-        rep = validate(np.zeros((3, 3)))
-        assert not rep.ok
-        assert rep.contraction_norm == pytest.approx(1.0)
+        fails = failed(np.zeros((3, 3)))
+        assert list(fails) == ["contraction norm < 1"]
+        assert fails["contraction norm < 1"] == pytest.approx(1.0)
 
     def test_nonzero_column_sum_fails(self):
         W = np.array([[-0.3, 0.3], [0.4, -0.3]])
-        rep = validate(W)
-        assert not rep.ok
-        assert rep.col_sum_residual > 1e-9
+        fails = failed(W)
+        assert "column sums zero" in fails
+        assert fails["column sums zero"] > 1e-9
 
-    def test_report_fills_spectral_only_when_valid(self):
-        rep = validate(np.zeros((3, 3)))
-        assert rep.rho2_abs is None and rep.w_bar is None
-        rep = validate(np.asarray(ring_topology(4, 0.2).weights))
-        assert rep.rho2_abs is not None and rep.w_bar == pytest.approx(0.4)
+    def test_spectral_data_only_for_valid_matrix(self):
+        with pytest.raises(ValueError):
+            from_matrix(np.zeros((3, 3)))
+        t = from_matrix(np.asarray(ring_topology(4, 0.2).weights))
+        assert t.rho2_abs == pytest.approx(0.4) and t.w_bar == pytest.approx(0.4)
 
     def test_from_matrix_raises_with_condition_names(self):
         with pytest.raises(ValueError, match="contraction"):
@@ -121,13 +125,17 @@ def test_contraction_vs_spectral_gap(m, w):
 @given(m=st.integers(1, 6), w=st.floats(0.05, 0.45),
        i=st.integers(0, 5), j=st.integers(0, 5),
        bump=st.sampled_from([0.0, 1e-12, 1e-3, -0.5, 0.5]))
-def test_report_ok_reads_its_conditions(m, w, i, j, bump):
-    # a ring (zero matrix for m = 1) with one entry bumped: ok is exactly
-    # the conjunction of the listed conditions, and the spectral data is
-    # filled in exactly when it holds
+def test_from_matrix_raises_exactly_on_failed_condition(m, w, i, j, bump):
+    # a ring (zero matrix for m = 1) with one entry bumped: from_matrix
+    # raises exactly when a listed condition fails, and otherwise carries
+    # the spectral data of W
     W = np.asarray(ring_topology(m, w).weights).copy() if m > 1 else np.zeros((1, 1))
     W[i % m, j % m] += bump
-    rep = validate(W)
-    assert rep.ok == all(passed for _, passed, _ in rep.conditions())
-    assert (rep.rho2_abs is not None) == rep.ok
-    assert (rep.w_bar is not None) == rep.ok
+    if failed(W):
+        with pytest.raises(ValueError, match="invalid weight matrix"):
+            from_matrix(W)
+        return
+    t = from_matrix(W)
+    eigs = np.linalg.eigvalsh(W)
+    assert t.rho2_abs == (abs(eigs[-2]) if m > 1 else 1.0)
+    assert t.w_bar == np.min(np.abs(np.diag(W)))
