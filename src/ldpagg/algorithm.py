@@ -99,7 +99,7 @@ def _descend(problem, W0, diagw, X, frame_x, lam, grad_own):
     out = np.matmul(W0, frame_x)
     out += diagw[:, None] * X
     out += X
-    out[problem.own_index] -= lam * grad_own
+    out.reshape(out.shape[:-2] + (-1,))[..., problem.own_flat] -= lam * grad_own
     return np.clip(out, problem.box_lo, problem.box_hi, out=out)
 
 
@@ -144,8 +144,6 @@ class _Batch:
             X = np.broadcast_to(np.asarray(x0, dtype=float), (S, m, n))
         self.X0 = np.clip(X, problem.box_lo, problem.box_hi)
         self.grid = set(sampling_grid(T).tolist())
-        self.x_star = problem.x_star if problem.has_optimizer else None
-        self.F_star = problem.F_star if problem.has_optimizer else None
         self.alive = np.ones(S, dtype=bool)
         self.rows = [[] for _ in range(S)]
         self.final = [None] * S
@@ -201,8 +199,7 @@ class _Batch:
         if t in self.grid:
             for s in np.flatnonzero(alive):
                 self.rows[s].append(metric_eval(
-                    self.problem, *(a[s] for a in state), t,
-                    x_star=self.x_star, F_star=self.F_star))
+                    self.problem, *(a[s] for a in state), t))
 
     def records(self, state, z_max=None, l_max=None):
         """One RunRecord per seed, in seed order; state is the final
@@ -270,7 +267,7 @@ def run_seeds(problem, topology, schedules, T, seeds, x0=None,
     def fgap_runmean(t, state, frame, ev, alive):
         """F_gap summed over every iteration; its running mean on the grid."""
         fgap_sum[:] += problem.F_true(
-            problem.own_block(state[0]).reshape(S, n)) - b.F_star
+            problem.own_block(state[0]).reshape(S, n)) - problem.F_star
         if t in b.grid:
             for s in np.flatnonzero(alive):
                 b.rows[s][-1]["F_gap_runmean"] = fgap_sum[s] / (t + 1)
@@ -286,7 +283,7 @@ def run_seeds(problem, topology, schedules, T, seeds, x0=None,
             np.maximum(l_max, np.abs(ev.l_newest()).sum(axis=-1), out=l_max,
                        where=live)
 
-    own = [b.metric_rows] + ([fgap_runmean] if b.F_star is not None else [])
+    own = [b.metric_rows] + ([fgap_runmean] if problem.has_optimizer else [])
     state = b.drive(step, (b.X0, np.zeros((S, m, r)), np.zeros((S, m, r))),
                     None, own + [premise_audit, *observers])
     return b.records(state, z_max=z_max, l_max=l_max)

@@ -28,11 +28,11 @@ def sampling_grid(T: int) -> np.ndarray:
     return np.array(sorted(p for p in pts if 0 <= p <= T), dtype=int)
 
 
-def metric_eval(problem, X, Y, Z, t, x_star=None, F_star=None):
+def metric_eval(problem, X, Y, Z, t):
     """One metric row for the stacked state at iteration t.
 
-    Columns requiring a truth optimizer are omitted (not zero-filled)
-    when the problem does not provide one.
+    Columns requiring a truth optimizer (the problem's x_star and F_star)
+    are omitted (not zero-filled) when the problem does not provide one.
     """
     row = {
         "t": float(t),
@@ -42,10 +42,9 @@ def metric_eval(problem, X, Y, Z, t, x_star=None, F_star=None):
     }
     xown = problem.own_block(X).reshape(problem.n)
     row["grad_norm_sq"] = float(np.sum(problem.grad_F_true(xown) ** 2))
-    if x_star is not None:
-        row["err_to_opt_sq"] = float(np.sum((xown - x_star) ** 2))
-    if F_star is not None:
-        row["F_gap"] = problem.F_true(xown) - F_star
+    if problem.has_optimizer:
+        row["err_to_opt_sq"] = float(np.sum((xown - problem.x_star) ** 2))
+        row["F_gap"] = problem.F_true(xown) - problem.F_star
     return row
 
 
@@ -54,18 +53,10 @@ class SlopeFit:
     slope: float
     intercept: float
     r2: float
-    t_lo: float
-    t_hi: float
+    window: tuple  # (lo, hi): the fit uses the sampled t in [lo, hi]
     n_points: int
     n_seeds: int
     ci: float = float("nan")
-
-    def as_dict(self):
-        return {
-            "slope": self.slope, "intercept": self.intercept, "r2": self.r2,
-            "window": [self.t_lo, self.t_hi], "n_points": self.n_points,
-            "n_seeds": self.n_seeds, "ci": self.ci,
-        }
 
 
 def fit_rate(ts, values_per_seed, window=None) -> SlopeFit:
@@ -81,8 +72,8 @@ def fit_rate(ts, values_per_seed, window=None) -> SlopeFit:
         raise ValueError("per-seed series must share the sampling grid")
     if window is None:
         window = (ts.max() / 100.0, ts.max())
-    t_lo, t_hi = window
-    mask = (ts >= t_lo) & (ts <= t_hi) & (ts > 0)
+    lo, hi = window
+    mask = (ts >= lo) & (ts <= hi) & (ts > 0)
     mean = V.mean(axis=0)[mask]
     tw = ts[mask]
     if tw.size < MIN_POINTS:
@@ -102,5 +93,5 @@ def fit_rate(ts, values_per_seed, window=None) -> SlopeFit:
         ci = 1.96 * np.sqrt(max(svar, 0.0))
     else:
         ci = float("nan")
-    return SlopeFit(slope, intercept, r2, float(t_lo), float(t_hi),
+    return SlopeFit(slope, intercept, r2, (float(lo), float(hi)),
                     int(tw.size), int(V.shape[0]), ci)

@@ -79,6 +79,8 @@ def _batch_worker(args):
 def _cmd_run(args):
     if args.seeds is not None and args.seeds < 1:
         raise _UsageError(f"--seeds must be positive, not {args.seeds}")
+    if args.threads < 0:
+        raise _UsageError(f"--threads must be nonnegative, not {args.threads}")
     baseline = args.baseline
     cfg = load_config(args.config)
     for w in cfg.warnings:
@@ -151,13 +153,13 @@ def _horizon(text):
 
 
 def _window(text):
-    """--window t_lo,t_hi as a float pair, or None when not given."""
+    """--window lo,hi as a float pair, or None when not given."""
     if not text:
         return None
     try:
         a, b = (float(v) for v in text.split(","))
     except ValueError:
-        raise _UsageError(f"--window must be t_lo,t_hi, not {text!r}") from None
+        raise _UsageError(f"--window must be lo,hi, not {text!r}") from None
     return a, b
 
 
@@ -232,7 +234,7 @@ def _cmd_analyze(args):
         fit = fit_rate(ts, np.stack(series), window=window)
     except ValueError as e:
         raise _UsageError(e) from None
-    print(json.dumps(fit.as_dict(), indent=2, sort_keys=True))
+    print(json.dumps(vars(fit), indent=2, sort_keys=True))
     mean = np.stack(series).mean(axis=0)
     out_csv = os.path.join(args.indir, f"mean_{args.metric}.csv")
     with open(out_csv, "w") as f:
@@ -280,7 +282,7 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None)
         p.add_argument("--threads", type=int, default=0,
                        help="worker processes, each running one contiguous "
-                            "batch of seeds (default: available cores); "
+                            "batch of seeds (default, or 0: available cores); "
                             "never affects results")
 
     p_budget = sub.add_parser("budget", help="cumulative privacy budget table")
@@ -301,7 +303,7 @@ def main(argv=None) -> int:
     p_an.set_defaults(func=_cmd_analyze)
     p_an.add_argument("--in", dest="indir", required=True)
     p_an.add_argument("--metric", required=True)
-    p_an.add_argument("--window", default=None, help="t_lo,t_hi")
+    p_an.add_argument("--window", default=None, help="lo,hi")
 
     p_val = sub.add_parser("validate", help="check a config without running")
     p_val.set_defaults(func=_cmd_validate)

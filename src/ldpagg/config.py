@@ -23,26 +23,30 @@ class ConfigError(ValueError):
     pass
 
 
+def _integer(v):
+    """v as an int: an integral number such as 3 or 1e5, but not a bool."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or v % 1:
+        raise ValueError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
 _TOP_KEYS = {"topology", "schedules", "problem", "T", "seeds", "master_seed",
              "init_radius", "case", "sensitivity", "out"}
 _TOPOLOGY_KEYS = {"type", "m", "w", "weights"}
 _SCHED_KEYS = {"preset", "delta", "lambda0", "sigma", "stepsize", "noise"}
 _STEP_KEYS = {"lambda0", "v"}
 _NOISE_KEYS = {"sigma", "varsigma"}
-# per family: the factory and the type of each optional key, which is
-# every factory parameter but m, typed by its default; a key left out
-# takes that default
-_PROBLEMS = {fam: (make, {k: type(q.default) for k, q in
-                          inspect.signature(make).parameters.items() if k != "m"})
+# per family: the factory and the conversion of each optional key, which
+# is every factory parameter but m, typed by its default (_integer for an
+# int); a key left out takes that default
+_PROBLEMS = {fam: (make, {k: _integer if type(q.default) is int else type(q.default)
+                          for k, q in inspect.signature(make).parameters.items()
+                          if k != "m"})
              for fam, make in (("quadratic", problems.make_quadratic_problem),
                                ("personalized", problems.make_personalized_problem))}
 _SENS_KEYS = {"L_l", "L_h", "Lbar_l", "Lbar_h", "d_l", "d_z"}
 
-_PRESETS = {
-    "corollary1-sc": ConvexityCase.STRONGLY_CONVEX,
-    "corollary1-cvx": ConvexityCase.CONVEX,
-    "corollary1-ncvx": ConvexityCase.NONCONVEX,
-}
+_PRESETS = {f"corollary1-{c.value}": c for c in ConvexityCase}
 
 
 def _checked(path, build, *args):
@@ -85,7 +89,7 @@ def _build_topology(block):
     kind = block.get("type")
     if kind == "ring":
         return _checked("topology", lambda: topo.ring_topology(
-            int(block["m"]), float(block["w"])))
+            _integer(block["m"]), float(block["w"])))
     if kind == "trivial":
         return topo.trivial_topology()
     if kind == "matrix":
@@ -149,6 +153,14 @@ def _build_problem(block, m):
         m=m, **{k: types[k](v) for k, v in block.items() if k != "family"}))
 
 
+def _top_level(raw, key, default, convert, least):
+    """raw[key], or default when absent, converted, finite and >= least."""
+    v = _checked(f"config.{key}", convert, raw.get(key, default))
+    if not least <= v < float("inf"):
+        raise ConfigError(f"config.{key}: must be finite and at least {least}")
+    return v
+
+
 def load_config(path) -> RunConfig:
     try:
         with open(path) as f:
@@ -197,17 +209,11 @@ def parse_config(raw: dict) -> RunConfig:
             warnings_list.append("sensitivity accounting with m=1 uses w_bar=0.5 "
                                  "(no consensus damping exists)")
 
-    T = _checked("config.T", int, raw.get("T", 1000))
-    if T < 0:
-        raise ConfigError("config.T: must be nonnegative")
-    seeds = _checked("config.seeds", int, raw.get("seeds", 1))
-    if seeds < 1:
-        raise ConfigError("config.seeds: must be positive")
     return RunConfig(
         raw=raw, topology=topology, schedules=schedule_set, case=case,
-        problem=problem, T=T, seeds=seeds,
-        master_seed=_checked("config.master_seed", int, raw.get("master_seed", 0)),
-        init_radius=_checked("config.init_radius", float,
-                             raw.get("init_radius", 10.0)),
+        problem=problem, T=_top_level(raw, "T", 1000, _integer, 0),
+        seeds=_top_level(raw, "seeds", 1, _integer, 1),
+        master_seed=_top_level(raw, "master_seed", 0, _integer, 0),
+        init_radius=_top_level(raw, "init_radius", 10.0, float, 0),
         sensitivity=sens,
         out=str(raw.get("out", "runs")), warnings=warnings_list)

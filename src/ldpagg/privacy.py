@@ -7,8 +7,8 @@ Delta_y <= C_y/(t+1)^(1+v_y), Delta_x <= C_x/(t+1)^(1+v_x-v_z),
 Delta_z <= C_z/(t+1)^(1+v_z). Budgets compose as
 eps_i(T) = sum_{t=1..T} (Dx/nu_x + Dy/nu_y + Dz/nu_z).
 
-t_contract, on each trajectory and account, is the first t at which the
-recursion contracts; the certificates dominate it only from there on.
+t_contract, on each trajectory, is the first t at which the recursion
+contracts; the certificates dominate it only from there on.
 """
 
 from __future__ import annotations
@@ -162,12 +162,10 @@ def closed_form_constants(p: SensitivityParams) -> ClosedFormConstants:
 class PrivacyAccount:
     """Per-agent cumulative budget and closed-form certificates."""
 
-    T: int
     eps_x: float
     eps_y: float
     eps_z: float
     bound_inf: float
-    t_contract: int = 0
 
     @property
     def eps_total(self) -> float:
@@ -218,11 +216,9 @@ def budgets(T: int, p: SensitivityParams, schedules: ScheduleSet,
     if not accountable(schedules):
         raise ValueError("budget accounting requires positive noise scales")
     triples = list(zip(schedules.noise_x, schedules.noise_y, schedules.noise_z))
-    t_contract = 0
+    ts = np.arange(1, T + 1, dtype=float)
     if source == "recursion":
         traj = sensitivity_trajectory(T, p)
-        t_contract = traj.t_contract
-        ts = np.arange(1, T + 1)
 
         def terms(nx, ny, nz):
             return (traj.dx[1:] / nx.laplace_param(ts),
@@ -231,7 +227,6 @@ def budgets(T: int, p: SensitivityParams, schedules: ScheduleSet,
     elif source == "closed_form":
         c = closed_form_constants(p)
         vx, vy, vz = p.lambda_x.v, p.lambda_y.v, p.lambda_z.v
-        ts = np.arange(1, T + 1, dtype=float)
 
         def terms(nx, ny, nz):
             return (SQRT2 * c.Cx / (nx.sigma * (ts + 1) ** (1 + vx - vz - nx.varsigma)),
@@ -245,9 +240,8 @@ def budgets(T: int, p: SensitivityParams, schedules: ScheduleSet,
         eps_cum = np.zeros(T + 1)
         eps_cum[1:] = np.cumsum(ex + ey + ez)
         acct = PrivacyAccount(
-            T=T, eps_x=float(np.sum(ex)), eps_y=float(np.sum(ey)),
-            eps_z=float(np.sum(ez)),
-            bound_inf=infinite_horizon_bound(p, *triple), t_contract=t_contract)
+            eps_x=float(np.sum(ex)), eps_y=float(np.sum(ey)),
+            eps_z=float(np.sum(ez)), bound_inf=infinite_horizon_bound(p, *triple))
         out[triple] = (acct, eps_cum)
     return [out[triple] for triple in triples]
 

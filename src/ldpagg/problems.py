@@ -36,30 +36,31 @@ class SampleStore:
     """Append-only per-run streaming sample state for all m agents (of
     every seed, with a leading batch shape such as (S,)).
 
-    Family-specific sufficient statistics live in subclass fields;
+    Each keyword names a sufficient statistic, zeros of batch + its shape;
     last_xi and last_phi hold the newest draw's samples, and bank is the
     lockstep bank over the data generators that every draw reads.
     """
 
-    def __init__(self, bank: AgentBank, batch: tuple = ()):
+    def __init__(self, bank: AgentBank, batch: tuple = (), **stats):
         self.bank = bank
         self.batch = tuple(batch)
         self.count = 0
         self.last_xi = None
         self.last_phi = None
+        for name, shape in stats.items():
+            setattr(self, name, np.zeros(self.batch + shape))
 
 
 class ProblemInstance:
     """Common interface: dimensions, box, streaming oracles, truth oracles."""
 
-    family = "abstract"
-
+    family: str  # "quadratic" or "personalized"
     m: int
     ni: int
     r: int
     box_lo: np.ndarray
     box_hi: np.ndarray
-    own_index: tuple  # (..., rows, cols) of each agent's own block in X (..., m, n)
+    own_flat: np.ndarray  # (m, ni) flat index of each agent's own block in X (m, n)
 
     @property
     def n(self) -> int:
@@ -74,16 +75,15 @@ class ProblemInstance:
         self.box_hi = np.broadcast_to(np.asarray(hi, dtype=float), (self.n,)).copy()
         rows = np.arange(self.m)[:, None]
         cols = rows * self.ni + np.arange(self.ni)[None, :]
-        self.own_index = (Ellipsis, rows, cols)
-        self._own_flat = rows * self.n + cols
+        self.own_flat = rows * self.n + cols
 
     def own_block(self, X: np.ndarray) -> np.ndarray:
         """Each agent's own block (..., m, ni) of stacked estimates X (..., m, n).
 
-        The result is C-contiguous (X[own_index] would put the batch axis
-        innermost), so batched reductions over it add in the one-seed order.
+        The result is C-contiguous (indexing the (m, n) axes would put the
+        batch axis innermost), so batched reductions add in the one-seed order.
         """
-        return np.take(X.reshape(X.shape[:-2] + (-1,)), self._own_flat, axis=-1)
+        return np.take(X.reshape(X.shape[:-2] + (-1,)), self.own_flat, axis=-1)
 
     # -- streaming ------------------------------------------------------
     def new_store(self, data_rngs, batch: tuple = ()) -> SampleStore:
@@ -105,7 +105,7 @@ class ProblemInstance:
         raise NotImplementedError
 
     # -- truth ----------------------------------------------------------
-    has_optimizer = False
+    has_optimizer = False  # whether the problem has x_star and F_star
 
     def g_true(self, Xown: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -133,7 +133,7 @@ class ErmEvalQuadratic:
         # g_i^t(x) = (A_i x + b_i) + mean(xi)
         self.g = lin + store.xi_sum / store.count
 
-    def reweighted(self, store: "QuadraticStore") -> "ErmEvalQuadratic":
+    def reweighted(self, store: SampleStore) -> "ErmEvalQuadratic":
         return ErmEvalQuadratic(self.prob, store, self.Xown, self.lin)
 
     def l_newest(self) -> np.ndarray:
@@ -151,13 +151,6 @@ class ErmEvalQuadratic:
     def grad_g_dot(self, Ztil: np.ndarray) -> np.ndarray:
         # nabla g_i^t = A_i^T (constant in x and data)
         return np.einsum("mrn,...mr->...mn", self.prob.A, Ztil)
-
-
-class QuadraticStore(SampleStore):
-    def __init__(self, bank, m, r, ni, batch=()):
-        super().__init__(bank, batch)
-        self.xi_sum = np.zeros(self.batch + (m, r))
-        self.phi_sum = np.zeros(self.batch + (m, ni))
 
 
 class QuadraticProblem(ProblemInstance):
@@ -181,15 +174,15 @@ class QuadraticProblem(ProblemInstance):
         self.alpha = float(alpha)
         self.noise_std_g = float(noise_std_g)
         self.noise_std_f = float(noise_std_f)
-        self._x_star = None
         self._set_box_and_index(box)
 
     # -- streaming ------------------------------------------------------
-    def new_store(self, data_rngs, batch: tuple = ()) -> QuadraticStore:
+    def new_store(self, data_rngs, batch: tuple = ()) -> SampleStore:
         bank = AgentBank(data_rngs, self.r + self.ni, "standard_normal")
-        return QuadraticStore(bank, self.m, self.r, self.ni, batch)
+        return SampleStore(bank, batch, xi_sum=(self.m, self.r),
+                           phi_sum=(self.m, self.ni))
 
-    def draw(self, store: QuadraticStore) -> None:
+    def draw(self, store: SampleStore) -> None:
         z = store.bank.next().reshape(store.batch + (self.m, self.r + self.ni))
         xi = self.noise_std_g * z[..., :self.r]
         phi = self.noise_std_f * z[..., self.r:]
@@ -198,7 +191,7 @@ class QuadraticProblem(ProblemInstance):
         store.last_xi, store.last_phi = xi, phi
         store.count += 1
 
-    def erm_eval(self, store: QuadraticStore, Xown: np.ndarray) -> ErmEvalQuadratic:
+    def erm_eval(self, store: SampleStore, Xown: np.ndarray) -> ErmEvalQuadratic:
         return ErmEvalQuadratic(self, store, Xown, self.g_true(Xown))
 
     # -- truth ----------------------------------------------------------
@@ -214,8 +207,7 @@ class QuadraticProblem(ProblemInstance):
         u = self._aggregate(Xown)[..., None, :]
         own = 0.5 * self.alpha * ((Xown - self.c) ** 2).sum(axis=(-2, -1))
         agg = 0.5 * self.gamma * ((u - self.d) ** 2).sum(axis=(-2, -1))
-        F = own + agg
-        return float(F) if F.ndim == 0 else F
+        return own + agg
 
     def grad_F_true(self, xown: np.ndarray) -> np.ndarray:
         Xown = xown.reshape(self.m, self.ni)
@@ -224,20 +216,16 @@ class QuadraticProblem(ProblemInstance):
         grad = self.alpha * (Xown - self.c) + np.einsum("mrn,r->mn", self.A, coup)
         return grad.reshape(self.n)
 
-    @property
+    @cached_property
     def x_star(self) -> np.ndarray:
-        if self._x_star is None:
-            from .reference import centralized_minimize
-            hess_bound = self.alpha + self.gamma * np.linalg.norm(
-                np.concatenate([self.A[i] for i in range(self.m)], axis=1), 2
-            ) ** 2 / self.m
-            self._x_star = centralized_minimize(
-                self.grad_F_true, self.box_lo, self.box_hi,
-                step=1.0 / max(hess_bound, 1e-12),
-            )
-        return self._x_star
+        from .reference import centralized_minimize
+        hess_bound = self.alpha + self.gamma * np.linalg.norm(
+            np.concatenate([self.A[i] for i in range(self.m)], axis=1), 2
+        ) ** 2 / self.m
+        return centralized_minimize(self.grad_F_true, self.box_lo, self.box_hi,
+                                    step=1.0 / max(hess_bound, 1e-12))
 
-    @property
+    @cached_property
     def F_star(self) -> float:
         return self.F_true(self.x_star)
 
@@ -259,13 +247,6 @@ def make_quadratic_problem(m, ni=2, r=2, gamma=1.0, alpha=1.0,
 
 # ---------------------------------------------------------------------------
 # Personalized linear-softmax family over fixed finite datasets
-
-
-class PersonalizedStore(SampleStore):
-    def __init__(self, bank, m, dataset_size, batch=()):
-        super().__init__(bank, batch)
-        self.counts_f = np.zeros(self.batch + (m, dataset_size))
-        self.counts_g = np.zeros(self.batch + (m, dataset_size))
 
 
 class SoftmaxPass:
@@ -316,7 +297,7 @@ class ErmEvalPersonalized:
         # g_i^t(x): multiplicity-weighted mean loss over the g-stream samples
         self.g = np.einsum("...mn,...mn->...m", self.wg, self.loss)[..., None]
 
-    def reweighted(self, store: PersonalizedStore) -> "ErmEvalPersonalized":
+    def reweighted(self, store: SampleStore) -> "ErmEvalPersonalized":
         return ErmEvalPersonalized(self.sm, store)
 
     def l_newest(self):
@@ -362,11 +343,12 @@ class PersonalizedProblem(ProblemInstance):
                             np.arange(self.N)[None, :], labels)
         self._set_box_and_index(box)
 
-    def new_store(self, data_rngs, batch: tuple = ()) -> PersonalizedStore:
+    def new_store(self, data_rngs, batch: tuple = ()) -> SampleStore:
         bank = AgentBank(data_rngs, 2, "integers", high=self.N)
-        return PersonalizedStore(bank, self.m, self.N, batch)
+        return SampleStore(bank, batch, counts_f=(self.m, self.N),
+                           counts_g=(self.m, self.N))
 
-    def draw(self, store: PersonalizedStore) -> None:
+    def draw(self, store: SampleStore) -> None:
         idx = store.bank.next().copy()  # (f, g) index per generator
         rows = np.arange(len(idx))
         store.counts_f.reshape(-1, self.N)[rows, idx[:, 0]] += 1
@@ -389,8 +371,7 @@ class PersonalizedProblem(ProblemInstance):
         g = G.mean(axis=-1)[..., None, None]
         per_agent = np.einsum("...mn,...mn->...m", uni,
                               sm.loss + self.lam * (sm.loss - g) ** 2)
-        F = per_agent.sum(axis=-1)
-        return float(F) if F.ndim == 0 else F
+        return per_agent.sum(axis=-1)
 
     def grad_F_true(self, xown):
         sm = SoftmaxPass(self, xown.reshape(self.m, self.ni))

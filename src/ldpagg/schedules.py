@@ -92,7 +92,6 @@ def broadcast_noise(sigma, varsigma, m: int) -> tuple:
 class ConditionReport:
     """Inequality-by-inequality report; rate_exponent set when all pass."""
 
-    case: ConvexityCase
     checks: list
     rate_exponent: float | None
 
@@ -136,7 +135,7 @@ def check_conditions(s: ScheduleSet, case: ConvexityCase) -> ConditionReport:
         ]
         rate = 1.0 - vx
     ok = all(passed for _, passed in checks)
-    return ConditionReport(case=case, checks=checks, rate_exponent=rate if ok else None)
+    return ConditionReport(checks=checks, rate_exponent=rate if ok else None)
 
 
 def corollary1_exponents(case: ConvexityCase, delta: float):

@@ -37,14 +37,14 @@ class NetworkTopology:
 
 
 def validate(W: np.ndarray) -> list:
-    """The structural conditions on a square matrix, as (name, passed,
-    residual) triples. Report-style: never raises on a bad matrix."""
+    """The structural conditions on a nonempty square matrix, as (name,
+    passed, residual) triples. Report-style: raises only on a bad shape."""
     W = np.asarray(W, dtype=float)
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
-        raise ValueError("W must be a square matrix")
+    if W.ndim != 2 or W.shape[0] != W.shape[1] or W.size == 0:
+        raise ValueError("W must be a nonempty square matrix")
     m = W.shape[0]
-    row_res = float(np.max(np.abs(W.sum(axis=1)))) if m else 0.0
-    col_res = float(np.max(np.abs(W.sum(axis=0)))) if m else 0.0
+    row_res = float(np.max(np.abs(W.sum(axis=1))))
+    col_res = float(np.max(np.abs(W.sum(axis=0))))
     sym_res = float(np.max(np.abs(W - W.T)))
     offdiag = W.copy()
     np.fill_diagonal(offdiag, 0.0)
@@ -66,15 +66,11 @@ def from_matrix(W: np.ndarray) -> NetworkTopology:
     if failed:
         raise ValueError(f"invalid weight matrix: failed {failed}")
     m = W.shape[0]
-    neighbors = tuple(
-        frozenset(int(j) for j in range(m) if j != i and W[i, j] > 0.0) for i in range(m)
-    )
-    if m >= 2 and any(len(ns) == 0 for ns in neighbors):
-        raise ValueError("every agent must have at least one neighbor (connectivity)")
     return NetworkTopology(
         m=m,
         weights=W,
-        neighbor_sets=neighbors,
+        neighbor_sets=tuple(frozenset(j for j in range(m) if j != i and W[i, j] > 0.0)
+                            for i in range(m)),
         # second largest eigenvalue by algebraic value; m = 1 has none
         rho2_abs=abs(np.linalg.eigvalsh(W)[-2]) if m > 1 else 1.0,
         w_bar=float(np.min(np.abs(np.diag(W)))),

@@ -473,7 +473,8 @@ def test_round_leaves_its_inputs_unchanged(seed, S, family):
     ev = prob.erm_eval(store, prob.own_block(X))
     grad_own = ev.grad_f_x(Y) + ev.grad_g_dot(Z)
     U = np.zeros_like(X)
-    U[prob.own_index] = grad_own
+    for i in range(m):  # agent i's own block is columns i*ni .. (i+1)*ni - 1
+        U[:, i, i * prob.ni:(i + 1) * prob.ni] = grad_own[:, i]
     expect = np.clip(X + _consensus(W0, diagw, frame.x, X) - 0.7 * U,
                      prob.box_lo, prob.box_hi)
     got = _descend(prob, W0, diagw, X, frame.x, 0.7, grad_own)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldpagg.analysis import fit_rate, metric_eval, sampling_grid
-from ldpagg.problems import make_quadratic_problem
+from ldpagg.problems import make_personalized_problem, make_quadratic_problem
 from ldpagg.reference import mean_over_seeds
 
 
@@ -73,8 +73,7 @@ class TestFitRate:
     def test_default_window(self):
         ts = np.unique(np.logspace(0, 4, 50).astype(int)).astype(float)
         fit = fit_rate(ts, (ts ** -0.5)[None, :])
-        assert fit.t_lo == pytest.approx(100.0)
-        assert fit.t_hi == pytest.approx(10000.0)
+        assert fit.window == pytest.approx((100.0, 10000.0))
 
     def test_rejects_too_few_points(self):
         ts = np.array([1.0, 10.0, 100.0])
@@ -110,8 +109,7 @@ class TestMetricEval:
         X = np.tile(xs, (3, 1))
         Y = np.zeros((3, 2))
         Z = np.zeros((3, 2))
-        row = metric_eval(self.prob, X, Y, Z, 5, x_star=xs,
-                          F_star=self.prob.F_star)
+        row = metric_eval(self.prob, X, Y, Z, 5)
         assert row["t"] == 5.0
         assert row["consensus_x"] < 1e-28
         assert row["err_to_opt_sq"] == 0.0
@@ -119,8 +117,10 @@ class TestMetricEval:
         assert row["grad_norm_sq"] < 1e-14
 
     def test_truth_columns_omitted_without_optimizer(self):
-        X = np.zeros((3, self.prob.n))
-        row = metric_eval(self.prob, X, np.zeros((3, 2)), np.zeros((3, 2)), 0)
+        prob = make_personalized_problem(m=3, classes=3, dataset_size=8, seed=1)
+        assert not prob.has_optimizer
+        X = np.zeros((3, prob.n))
+        row = metric_eval(prob, X, np.zeros((3, 1)), np.zeros((3, 1)), 0)
         assert "err_to_opt_sq" not in row and "F_gap" not in row
         assert "grad_norm_sq" in row
 

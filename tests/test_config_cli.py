@@ -365,14 +365,40 @@ class TestCliRun:
      "schedules.noise.x"),
     (("sensitivity", "d_l"), float("nan"), "sensitivity"),
     (("sensitivity", "d_z"), float("inf"), "sensitivity"),
+    (("T",), 1.5, "config.T"),
+    (("T",), True, "config.T"),
+    (("seeds",), 2.7, "config.seeds"),
+    (("seeds",), 0, "config.seeds"),
+    (("master_seed",), -5, "config.master_seed"),
+    (("master_seed",), 1.25, "config.master_seed"),
+    (("topology", "m"), 3.5, "topology"),
+    (("problem", "ni"), 2.5, "problem"),
+    (("problem", "seed"), True, "problem"),
+    (("init_radius",), float("nan"), "config.init_radius"),
+    (("init_radius",), -3, "config.init_radius"),
+    (("topology", "type"), "star", "topology.type"),
+    (("schedules", "stepsize"), ..., "schedules.stepsize"),
+    (("schedules", "noise"), ..., "schedules.noise"),
+    (("schedules", "noise", "y"), ..., "schedules.noise.y"),
+    (("problem", "family"), ..., "problem.family"),
+    (("problem", "family"), "linear", "problem.family"),
+    (("problem",), ..., "config.problem"),
+    (("schedules", "delta"), 0.1, "schedules.preset"),
 ], ids=["topology.m-missing", "topology.w", "stepsize.x.v-missing",
         "noise.x.sigma", "noise.x.sigma-nan", "stepsize.x.lambda0-inf",
         "seeds", "T", "delta", "preset-list", "stepsize-list",
         "lambda0-null", "noise.x.varsigma-nan", "sensitivity.d_l-nan",
-        "sensitivity.d_z-inf"])
+        "sensitivity.d_z-inf", "T-fraction", "T-bool", "seeds-fraction",
+        "seeds-zero", "master_seed-negative", "master_seed-fraction",
+        "topology.m-fraction", "problem.ni-fraction", "problem.seed-bool",
+        "init_radius-nan", "init_radius-negative", "topology.type-unknown",
+        "stepsize-missing", "noise-missing", "noise.y-missing",
+        "problem.family-missing", "problem.family-unknown", "problem-missing",
+        "delta-inadmissible"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, keys, value, where):
     # a missing (...), non-numeric, non-finite (NaN and Infinity are JSON
-    # literals to Python) or malformed value is one config error line on
+    # literals to Python), out-of-range or malformed value, or a bool or
+    # fractional number for an integer key, is one config error line on
     # the path of its block, with exit code 1
     d = cfg_dict()
     if "stepsize" in keys or "noise" in keys:
@@ -390,6 +416,30 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, keys, value, where):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {where}: ")
     assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text, fragment", [
+    (None, "cannot read config"), ("{\"T\": 5", "config is not valid JSON")],
+    ids=["unreadable", "invalid-json"])
+def test_bad_config_file_is_config_error(tmp_path, capsys, text, fragment):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["validate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {fragment}") and len(err.splitlines()) == 1
+
+
+def test_integral_numbers_are_integer_keys():
+    # an integral float such as 2e2 is accepted for an integer key
+    d = cfg_dict(T=2e2, seeds=2.0, master_seed=1e1)
+    d["topology"]["m"] = 3.0
+    d["problem"]["ni"] = 2.0
+    cfg = parse_config(d)
+    assert (cfg.T, cfg.seeds, cfg.master_seed) == (200, 2, 10)
+    assert all(type(v) is int for v in (cfg.T, cfg.seeds, cfg.master_seed))
+    assert cfg.topology.m == 3 and cfg.problem.ni == 2
+    assert_same_problem(cfg.problem, parse_config(cfg_dict()).problem)
 
 
 class TestCliUsageErrors:
@@ -425,6 +475,30 @@ class TestCliUsageErrors:
             capsys, [command, "--config", path, "--seeds", seeds,
                      "--threads", "1"], "--seeds")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "baseline"])
+    def test_run_negative_threads(self, tmp_path, capsys, command):
+        # 0 means every core; a negative count is a usage error
+        out = tmp_path / "out"
+        path = write_cfg(tmp_path, cfg_dict(out=str(out)))
+        self.assert_usage_error(
+            capsys, [command, "--config", path, "--threads", "-3"], "--threads")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("files, metric, fragment", [
+        ({"other.csv": "t,x\n0,1\n"}, "err_to_opt_sq", "no seed CSVs"),
+        ({"seed_1.csv": "t,err_to_opt_sq\n1,1\n2,0.5\n"}, "F_gap",
+         "'F_gap' not in seed_1.csv"),
+        ({"seed_1.csv": "t,err_to_opt_sq\n1,1\n2,0.5\n"}, "err_to_opt_sq",
+         "sampled points"),
+    ], ids=["no-seed-csv", "unknown-metric", "fit-error"])
+    def test_analyze_usage_errors(self, tmp_path, capsys, files, metric,
+                                  fragment):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        self.assert_usage_error(
+            capsys, ["analyze", "--in", str(tmp_path), "--metric", metric],
+            fragment)
 
     def test_analyze_names_seed_on_another_grid(self, tmp_path, capsys):
         # the diverging config of test_runtime_abort_keeps_finished_seeds:
@@ -587,6 +661,28 @@ class TestCliCalibrate:
         assert max(bounds) <= 1.0 + 1e-9
         # the agent with the largest varsigma (smallest gap) meets it exactly
         assert bounds[2] == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("epsilon", [1.0, 0.25])
+    def test_calibrate_preset_round_trip(self, tmp_path, capsys, epsilon):
+        # a preset config gets one sigma triple; budget --horizon inf on
+        # the written config reads epsilon back, and without --out the
+        # same config goes to stdout
+        src = os.path.join(os.path.dirname(__file__), "..", "configs",
+                           "quadratic_sc.json")
+        out = tmp_path / "calibrated.json"
+        assert main(["calibrate", "--config", src, "--epsilon", str(epsilon),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["calibrate", "--config", src, "--epsilon", str(epsilon)]) == 0
+        assert capsys.readouterr().out == out.read_text()
+        patched = json.loads(out.read_text())
+        assert "noise" not in patched["schedules"]
+        assert len(patched["schedules"]["sigma"]) == 3
+        assert main(["budget", "--config", str(out), "--horizon", "inf"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert len(rows) == 5
+        for row in rows:
+            assert float(row.split(",")[-1]) == pytest.approx(epsilon, rel=1e-12)
 
     def test_calibrate_rejects_closed_gap(self, tmp_path):
         d = cfg_dict(sensitivity=copy.deepcopy(SENS),

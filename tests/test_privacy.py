@@ -106,16 +106,12 @@ class TestContraction:
         traj = sensitivity_trajectory(100, p)
         assert traj.t_contract == 0
 
-    def test_large_stepsize_delays_contraction(self, one_agent_budget,
-                                               own_coef_x):
+    def test_large_stepsize_delays_contraction(self, own_coef_x):
         p = fixture_params(lambda_x=StepsizeSchedule(5.0, 0.95))
         assert own_coef_x(0, p) >= 1.0
         traj = sensitivity_trajectory(1000, p)
         assert traj.t_contract > 0
         assert own_coef_x(traj.t_contract, p) < 1.0
-        # each account carries the signal of the recursion it summed
-        acct = one_agent_budget(1000, p, *fixture_noise())
-        assert acct.t_contract == traj.t_contract
 
 
 @settings(max_examples=150, deadline=None)
@@ -167,7 +163,6 @@ class TestBudget:
     def test_zero_horizon(self, one_agent_budget):
         acc = one_agent_budget(0, fixture_params(), *fixture_noise())
         assert acc.eps_total == 0.0
-        assert acc.T == 0
 
     def test_monotone_in_T(self, one_agent_budget):
         p = fixture_params()
@@ -241,8 +236,7 @@ class TestBudget:
                              source="exact")
 
     def test_eps_total_is_component_sum(self):
-        acc = PrivacyAccount(T=5, eps_x=1.0, eps_y=2.0, eps_z=3.5,
-                             bound_inf=10.0)
+        acc = PrivacyAccount(eps_x=1.0, eps_y=2.0, eps_z=3.5, bound_inf=10.0)
         assert acc.eps_total == 6.5
 
 

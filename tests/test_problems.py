@@ -156,6 +156,19 @@ class TestQuadraticTruth:
         assert np.allclose(prob.x_star, fx["x_star"], atol=1e-8)
         assert prob.F_star == pytest.approx(fx["F_star"], abs=1e-10)
 
+    def test_optimizer_computed_once(self, monkeypatch):
+        # x_star and F_star are computed on first read and kept: a later
+        # read runs neither the solver nor F_true again
+        calls = []
+        real = QuadraticProblem.F_true
+        monkeypatch.setattr(QuadraticProblem, "F_true",
+                            lambda self, x: calls.append(x) or real(self, x))
+        prob = make_quadratic_problem(m=3, ni=2, r=2, seed=5)
+        xs, fs = prob.x_star, prob.F_star
+        assert prob.x_star is xs and prob.F_star is fs
+        assert len(calls) == 1 and calls[0] is xs
+        assert fs == real(prob, xs)
+
     def test_interior_optimum_projection_inactive(self):
         prob = make_quadratic_problem(m=5, ni=2, r=2, gamma=1.0, box=(-1e6, 1e6),
                                       seed=7)

@@ -97,6 +97,13 @@ class TestValidate:
         with pytest.raises(ValueError, match="contraction"):
             from_matrix(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (3,)],
+                             ids=["empty", "non-square", "vector"])
+    def test_rejects_empty_or_non_square(self, shape):
+        for check in (validate, from_matrix):
+            with pytest.raises(ValueError, match="nonempty square matrix"):
+                check(np.zeros(shape))
+
 
 @settings(max_examples=40, deadline=None)
 @given(m=st.integers(2, 20), w=st.floats(0.05, 0.45))
@@ -139,3 +146,22 @@ def test_from_matrix_raises_exactly_on_failed_condition(m, w, i, j, bump):
     eigs = np.linalg.eigvalsh(W)
     assert t.rho2_abs == (abs(eigs[-2]) if m > 1 else 1.0)
     assert t.w_bar == np.min(np.abs(np.diag(W)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(2, 8), k=st.integers(0, 7), seed=st.integers(0, 2**32 - 1),
+       density=st.floats(0.2, 1.0))
+def test_isolated_agent_fails_contraction_only(m, k, seed, density):
+    # symmetric, zero-sum, nonnegative off the diagonal, with agent k cut
+    # off: e_k - 1/m is a fixed vector of I + W - 11^T/m, so the
+    # contraction condition, and only it, fails and from_matrix rejects W
+    rng = np.random.default_rng(seed)
+    A = np.triu(rng.uniform(0.0, 0.4, (m, m)) * (rng.random((m, m)) < density), 1)
+    W = A + A.T
+    W[k % m, :] = W[:, k % m] = 0.0
+    np.fill_diagonal(W, -W.sum(axis=1))
+    fails = failed(W)
+    assert list(fails) == ["contraction norm < 1"]
+    assert fails["contraction norm < 1"] >= 1.0 - 1e-12
+    with pytest.raises(ValueError, match="contraction"):
+        from_matrix(W)
