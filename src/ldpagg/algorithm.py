@@ -14,31 +14,31 @@ Both drivers run one round loop, _Batch.drive, with their own step
 obs(t, state, frame, ev, alive) sees each emitted frame, t = 0..T: the
 iteration-t state (X, Y, Z), its broadcast frame, the ERM oracle bundle
 ev the round's step built at that state (at t = T the bundle carried to
-it, None for the main algorithm) and the live-seed mask. Metric rows,
-the F_gap running mean, the z/l premise audits and the baseline's
-tracker error are observers; callers add theirs through observers=.
-The round works in place only on arrays it has just allocated (a frame
-in the fresh noise slabs the banks hand out once), so an emitted state
-or frame is never written again and may be kept uncopied.
+it, None for the main algorithm) and the live-seed mask; callers add
+theirs through observers=. The round works in place only on arrays it
+has just allocated (a frame in the fresh noise slabs the banks hand out
+once), so an emitted state or frame is never written again and may be
+kept uncopied. The built-in observers never feed back into the
+iteration, so none reduces per round and seed: the metric columns come
+from one batched metric_eval call per grid point (the baseline's
+tracker error likewise), and run_seeds copies each round's own blocks,
+z and l into buffers to reduce the F_gap running mean and the z/l
+premise audit once per chunk of rounds.
 
 Random streams: every (seed, agent, tag) triple has its own generator
 from agent_rng (tags theta, chi, zeta for the x, y, z noise, data for
 the samples, init for the start point; the baseline prefixes
-"baseline-"). Each noise tag is drawn through one lockstep NoiseBank
-over the S*m generators, which transforms by chunks of rounds, and the
-data tag through the AgentBank of the sample store built on them; row
-(s, i) (flat row s*m + i) of a bank is agent i's stream under seed s:
-Laplace noise, standard normals for the quadratic data, and the (f, g)
-sample indices for the personalized data. All banks advance by one
-draw per round, so a round's frame and samples for every agent of every
-seed are built at once while each agent's values stay its stream's.
+"baseline-"). Each tag is drawn through one lockstep bank over the S*m
+generators, a NoiseBank per noise tag and the sample store's AgentBank
+for the data; row s*m + i of a bank is agent i's stream under seed s,
+and every bank advances one draw per round.
 
 Seeds never mix: every batched operation gives each seed's slice bitwise
 what the one-seed call gives it, so a seed's RunRecord does not depend on
 the batch it ran in. A seed whose state goes non-finite stops recording
 at that iteration, which its record keeps as aborted_at; its rows stay in
 the batch arrays, where its non-finite values reach no other seed, and
-the others continue. Both drivers handle divergence this way.
+the others continue.
 """
 
 from __future__ import annotations
@@ -77,9 +77,7 @@ class RunRecord:
 
 def _split_weights(topology):
     W = np.asarray(topology.weights, dtype=float)
-    W0 = W.copy()
-    np.fill_diagonal(W0, 0.0)
-    return W0, np.diag(W).copy()
+    return W - np.diag(np.diag(W)), np.diag(W).copy()  # off-diagonal, diagonal
 
 
 def _consensus(W0, diagw, hat, raw):
@@ -89,13 +87,9 @@ def _consensus(W0, diagw, hat, raw):
 
 
 def _descend(problem, W0, diagw, X, frame_x, lam, grad_own):
-    """Consensus on the x frame, a step along each agent's own-block
-    gradient, and the projection onto the box, in one fresh array.
-
-    Elementwise this is clip(X + (W0 @ frame_x + diagw X) - lam U, lo, hi)
-    with U = grad_own on the own blocks and 0 elsewhere; v - lam * 0.0 is
-    v bitwise, so only the own blocks are stepped.
-    """
+    """clip(X + (W0 @ frame_x + diagw X) - lam U, lo, hi) in one fresh
+    array, U being grad_own on the own blocks and 0 elsewhere; v - lam * 0.0
+    is v bitwise, so only the own blocks are stepped."""
     out = np.matmul(W0, frame_x)
     out += diagw[:, None] * X
     out += X
@@ -104,11 +98,10 @@ def _descend(problem, W0, diagw, X, frame_x, lam, grad_own):
 
 
 class _Batch:
-    """What both drivers share for one batch of seeds: the agent-count
-    check, weights, streams, noise banks, sample store, start point and
-    grid, the round loop, plus each seed's metric rows, final state and
-    abort iteration. Batch row s is seeds[s]; alive[s] turns false when
-    that seed goes non-finite."""
+    """What both drivers share for one batch of seeds: the set-up, the
+    round loop and what it records (metric columns, final states, aborts).
+    Batch row s is seeds[s]; alive[s] turns false when that seed goes
+    non-finite."""
 
     def __init__(self, problem, topology, schedules, T, seeds, prefix,
                  x0, init_radius):
@@ -145,9 +138,9 @@ class _Batch:
         self.X0 = np.clip(X, problem.box_lo, problem.box_hi)
         self.grid = set(sampling_grid(T).tolist())
         self.alive = np.ones(S, dtype=bool)
-        self.rows = [[] for _ in range(S)]
-        self.final = [None] * S
-        self.aborted_at = [None] * S
+        self.cols = []  # per grid point: column name -> (S,) values
+        self.n_rows = np.zeros(S, dtype=int)
+        self.final, self.aborted_at = [None] * S, [None] * S
 
     def draw_frame(self, X, Y, Z):
         """The broadcast frame of the next round's state, for every seed
@@ -172,14 +165,11 @@ class _Batch:
         return self.alive.any()
 
     def drive(self, step, state, ev, observers):
-        """The round loop of both drivers; returns the last state.
-
-        Round t draws the frame of the iteration-t state, advances it with
+        """The round loop of both drivers; returns the last state. Round t
+        draws the frame of the iteration-t state, advances it with
         step(t, state, frame, ev) -> (new state, bundle built at state,
         bundle carried to the new state or None) and calls the observers;
-        then the final state is observed with the carried bundle. Stops
-        early once every seed has gone non-finite.
-        """
+        it stops early once every seed has gone non-finite."""
         for t in range(self.T):
             frame = self.draw_frame(*state)
             new, ev_t, ev = step(t, state, frame, ev)
@@ -194,26 +184,24 @@ class _Batch:
         return state
 
     def metric_rows(self, t, state, frame, ev, alive):
-        """Observer: each live seed's metric row at the grid points. Column
-        observers listed after it extend the row it has just added."""
+        """Observer: every seed's metric columns at the grid points (one
+        metric_eval call), which column observers listed after it extend."""
         if t in self.grid:
-            for s in np.flatnonzero(alive):
-                self.rows[s].append(metric_eval(
-                    self.problem, *(a[s] for a in state), t))
+            self.cols.append(metric_eval(self.problem, *state, t))
+            self.n_rows += alive
 
     def records(self, state, z_max=None, l_max=None):
         """One RunRecord per seed, in seed order; state is the final
         (X, Y, Z) of the seeds still alive."""
         for s in np.flatnonzero(self.alive):
             self.final[s] = tuple(a[s] for a in state)
+        cols = {c: np.array([g[c] for g in self.cols]) for c in self.cols[0]}
         out = []
-        for s, seed in enumerate(self.seeds):
-            rows = self.rows[s]
-            keys = [c for c in rows[0] if c != "t"] if rows else []
+        for s, (seed, n) in enumerate(zip(self.seeds, self.n_rows)):
             fx, fy, fz = self.final[s]
             out.append(RunRecord(
-                ts=np.array([row["t"] for row in rows]),
-                columns={c: np.array([row[c] for row in rows]) for c in keys},
+                ts=cols["t"][:n, s],  # a seed's rows end where it leaves
+                columns={c: v[:n, s] for c, v in cols.items() if c != "t"},
                 final_x=fx, final_y=fy, final_z=fz, master_seed=seed,
                 aborted_at=self.aborted_at[s],
                 z_norm_max=None if z_max is None else z_max[s],
@@ -244,19 +232,17 @@ def iterate(X, Y, Z, frame, t, schedules, W0, diagw, problem, ev):
 def run_seeds(problem, topology, schedules, T, seeds, x0=None,
               init_radius=10.0, observers=()):
     """Drive T rounds for every seed in seeds at once and record metrics
-    on a log sampling grid; returns one RunRecord per seed, in order.
-
-    Each record is bitwise what that seed gives in a batch of its own.
-    x0, an (m, n) start shared by all seeds, replaces the random start.
-    observers are called after the built-in ones (see the module
-    docstring). A seed whose state goes non-finite ends its record there
-    with its aborted_at set; the others keep running.
-    """
+    on a log sampling grid; returns one RunRecord per seed, in order (see
+    the module docstring). x0, an (m, n) start shared by all seeds,
+    replaces the random start; observers are called after the built-in
+    ones."""
     b = _Batch(problem, topology, schedules, T, seeds, "", x0, init_radius)
     S, m, n, r = len(b.seeds), problem.m, problem.n, problem.r
-    z_max = np.zeros((S, m))
-    l_max = np.zeros((S, m))
+    top = np.zeros((2, S, m))  # per agent: sup ||z_i||_2, sup ||l_i||_1
     fgap_sum = np.zeros(S)
+    k = max(1, NoiseBank._CHUNK // (S * n))  # rounds per flush
+    own, Z, l = np.empty((k, S, n)), np.empty((k, S, m, r)), np.empty((k, S, m, r))
+    live, grid_cols, kept = np.empty((k, S, 1), dtype=bool), [], 0
 
     def step(t, state, frame, _):
         problem.draw(b.store)
@@ -264,43 +250,59 @@ def run_seeds(problem, topology, schedules, T, seeds, x0=None,
         return iterate(*state, frame, t, schedules, b.W0, b.diagw, problem,
                        ev), ev, None
 
-    def fgap_runmean(t, state, frame, ev, alive):
-        """F_gap summed over every iteration; its running mean on the grid."""
-        fgap_sum[:] += problem.F_true(
-            problem.own_block(state[0]).reshape(S, n)) - problem.F_star
+    def keep(t, state, frame, ev, alive):
+        """Observer: copy what flush needs of round t (l is 0 at t = T)."""
+        nonlocal kept
+        own[kept] = problem.own_block(state[0]).reshape(S, n)
+        Z[kept] = state[2]
+        l[kept] = 0.0 if ev is None else ev.l_newest()
+        live[kept, :, 0] = alive
         if t in b.grid:
-            for s in np.flatnonzero(alive):
-                b.rows[s][-1]["F_gap_runmean"] = fgap_sum[s] / (t + 1)
+            grid_cols.append((kept, t, b.cols[-1]))
+        kept += 1
+        if kept == k:
+            flush()
 
-    def premise_audit(t, state, frame, ev, alive):
-        """The budget premises on the live seeds: sup ||z_i||_2 over every
-        iterate and sup ||l(x_i^t; xi_i^t)||_1 over every round."""
-        Z, live = state[2], alive[:, None]
-        # ||z_i||_2 as np.linalg.norm computes it, without its dispatch
-        np.maximum(z_max, np.sqrt((Z * Z).sum(axis=-1)), out=z_max,
-                   where=live)
-        if ev is not None:
-            np.maximum(l_max, np.abs(ev.l_newest()).sum(axis=-1), out=l_max,
-                       where=live)
+    def flush():
+        """The kept rounds at once: the z/l premise suprema on the live
+        seeds, and the F_gap running sum with its mean on the grid."""
+        nonlocal kept
+        z = Z[:kept]
+        # ||z_i||_2 as np.linalg.norm computes it, without its dispatch;
+        # a max is exact in any order, so one reduction serves the chunk
+        norms = np.array([np.sqrt((z * z).sum(axis=-1)),
+                          np.abs(l[:kept]).sum(axis=-1)])
+        np.maximum(top, norms.max(axis=1, where=live[:kept], initial=0.0),
+                   out=top)
+        if problem.has_optimizer:
+            # one F_true call on the (kept, S, n) own blocks; cumsum adds
+            # in the order of a per-round +=
+            gap = problem.F_true(own[:kept]) - problem.F_star
+            run = np.cumsum(np.vstack([fgap_sum, gap]), axis=0)[1:]
+            fgap_sum[:] = run[-1]
+            for i, t, cols in grid_cols:
+                cols["F_gap_runmean"] = run[i] / (t + 1)
+        grid_cols.clear()
+        kept = 0
 
-    own = [b.metric_rows] + ([fgap_runmean] if problem.has_optimizer else [])
     state = b.drive(step, (b.X0, np.zeros((S, m, r)), np.zeros((S, m, r))),
-                    None, own + [premise_audit, *observers])
-    return b.records(state, z_max=z_max, l_max=l_max)
+                    None, [b.metric_rows, keep, *observers])
+    if kept:
+        flush()
+    return b.records(state, *top)
 
 
 def baseline_seeds(problem, topology, schedules, T, seeds, x0=None,
                    init_radius=10.0, observers=()):
     """Conventional gradient-tracking template with DP noise on every
     shared variable and constant stepsizes, for every seed in seeds at
-    once; returns one RunRecord per seed, bitwise what it gives alone.
+    once; returns one RunRecord per seed, as run_seeds does.
 
     Trackers follow the standard form
     s' = sum_j (I+W)_ij (s_j + noise) + g_i^t(x') - g_i^t(x)
     (written below via the zero-sum consensus identity), so injected
-    noise accumulates in the tracked aggregate instead of being damped.
-    Divergence is the expected phenomenon; it is recorded per seed as in
-    run_seeds.
+    noise accumulates in the tracked aggregate instead of being damped:
+    divergence is the expected phenomenon.
     """
     b = _Batch(problem, topology, schedules, T, seeds, "baseline-", x0,
                init_radius)
@@ -329,9 +331,8 @@ def baseline_seeds(problem, topology, schedules, T, seeds, x0=None,
         """Squared distance of the aggregate tracker from the population
         aggregate, on the grid."""
         if t in b.grid:
-            G, gbar = state[1], ev.g_population().mean(axis=-2)
-            for s in np.flatnonzero(alive):
-                b.rows[s][-1]["tracker_err"] = float(np.sum((G[s] - gbar[s]) ** 2))
+            gbar = ev.g_population().mean(axis=-2, keepdims=True)
+            b.cols[-1]["tracker_err"] = ((state[1] - gbar) ** 2).sum(axis=(-2, -1))
 
     state = b.drive(step, (b.X0, G, ev.grad_f_y(G)), ev,
                     [b.metric_rows, tracker_err, *observers])

@@ -29,21 +29,19 @@ def sampling_grid(T: int) -> np.ndarray:
 
 
 def metric_eval(problem, X, Y, Z, t):
-    """One metric row for the stacked state at iteration t.
-
+    """The metric columns of stacked states (..., m, .) at iteration t,
+    each a (...,) array whose slices are bitwise the one-seed call's.
     Columns requiring a truth optimizer (the problem's x_star and F_star)
     are omitted (not zero-filled) when the problem does not provide one.
     """
-    row = {
-        "t": float(t),
-        "consensus_x": float(np.sum((X - X.mean(axis=0)) ** 2)),
-        "consensus_y": float(np.sum((Y - Y.mean(axis=0)) ** 2)),
-        "consensus_z": float(np.sum((Z - Z.mean(axis=0)) ** 2)),
-    }
-    xown = problem.own_block(X).reshape(problem.n)
-    row["grad_norm_sq"] = float(np.sum(problem.grad_F_true(xown) ** 2))
+    def spread(A):  # squared distance from the agent mean, summed
+        return ((A - A.mean(axis=-2, keepdims=True)) ** 2).sum(axis=(-2, -1))
+    xown = problem.own_block(X).reshape(X.shape[:-2] + (problem.n,))
+    row = {"t": np.full(X.shape[:-2], float(t)), "consensus_x": spread(X),
+           "consensus_y": spread(Y), "consensus_z": spread(Z),
+           "grad_norm_sq": (problem.grad_F_true(xown) ** 2).sum(axis=-1)}
     if problem.has_optimizer:
-        row["err_to_opt_sq"] = float(np.sum((xown - problem.x_star) ** 2))
+        row["err_to_opt_sq"] = ((xown - problem.x_star) ** 2).sum(axis=-1)
         row["F_gap"] = problem.F_true(xown) - problem.F_star
     return row
 

@@ -51,9 +51,14 @@ def _write_csv(path, ts, columns, eps_columns=None):
 def _read_csv(path):
     with open(path) as f:
         header = f.readline().strip().split(",")
-        data = np.array([[float(v) for v in line.strip().split(",")]
-                         for line in f if line.strip()])
-    return header, data
+        rows = [line.strip().split(",") for line in f if line.strip()]
+    if any(len(row) != len(header) for row in rows):
+        raise _UsageError(f"{path}: a row without the {len(header)} header fields")
+    try:
+        data = np.array([[float(v) for v in row] for row in rows])
+    except ValueError as e:  # a field that is not a number
+        raise _UsageError(f"{path}: {e}") from None
+    return header, data.reshape(len(rows), len(header))
 
 
 def _eps_columns(cfg, grid):
@@ -87,7 +92,10 @@ def _cmd_run(args):
         print(f"warning: {w}", file=sys.stderr)
     seeds = args.seeds or cfg.seeds
     out_dir = args.out if args.out is not None else cfg.out
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        raise _UsageError(f"cannot create {out_dir}: {e.strerror}") from None
     grid = sampling_grid(cfg.T)
     seed_list = [cfg.master_seed + k for k in range(seeds)]
     t0 = time.perf_counter()
@@ -201,8 +209,11 @@ def _cmd_calibrate(args):
             block["noise"][ax]["sigma"] = s
     text = json.dumps(patched, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
+        try:
+            with open(args.out, "w") as f:
+                f.write(text + "\n")
+        except OSError as e:
+            raise _UsageError(f"cannot write {args.out}: {e.strerror}") from None
         print(f"wrote calibrated config to {args.out}")
     else:
         print(text)

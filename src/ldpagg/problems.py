@@ -87,9 +87,7 @@ class ProblemInstance:
 
     # -- streaming ------------------------------------------------------
     def new_store(self, data_rngs, batch: tuple = ()) -> SampleStore:
-        """An empty store that draws from data_rngs, one generator per
-        store row (prod(batch) * m of them)."""
-        raise NotImplementedError
+        raise NotImplementedError  # see the module docstring
 
     def draw(self, store: SampleStore) -> None:
         """Acquire one (phi_i, xi_i) pair per agent (and seed) from the
@@ -112,7 +110,8 @@ class ProblemInstance:
 
     def F_true(self, xown: np.ndarray):
         """Population objective at x = col(x_1..x_m), additive constants
-        dropped; a float for xown (n,), an (S,) array for xown (S, n)."""
+        dropped: a float for xown (n,), a (...,) array for xown (..., n).
+        grad_F_true(xown) is its gradient, of xown's shape."""
         raise NotImplementedError
 
     def grad_F_true(self, xown: np.ndarray) -> np.ndarray:
@@ -210,11 +209,11 @@ class QuadraticProblem(ProblemInstance):
         return own + agg
 
     def grad_F_true(self, xown: np.ndarray) -> np.ndarray:
-        Xown = xown.reshape(self.m, self.ni)
+        Xown = xown.reshape(xown.shape[:-1] + (self.m, self.ni))
         u = self._aggregate(Xown)
         coup = self.gamma * (u - self.d.mean(axis=0))
-        grad = self.alpha * (Xown - self.c) + np.einsum("mrn,r->mn", self.A, coup)
-        return grad.reshape(self.n)
+        grad = self.alpha * (Xown - self.c) + np.einsum("mrn,...r->...mn", self.A, coup)
+        return grad.reshape(xown.shape)
 
     @cached_property
     def x_star(self) -> np.ndarray:
@@ -374,15 +373,15 @@ class PersonalizedProblem(ProblemInstance):
         return per_agent.sum(axis=-1)
 
     def grad_F_true(self, xown):
-        sm = SoftmaxPass(self, xown.reshape(self.m, self.ni))
+        sm = SoftmaxPass(self, xown.reshape(xown.shape[:-1] + (self.m, self.ni)))
         uni, G = sm._population()
         gradG = sm._own(np.einsum("...mn,...mnkd->...mkd", uni, sm.grad))
-        g = G.mean()
+        g = G.mean(axis=-1)[..., None, None]
         scale = uni * (1.0 + 2.0 * self.lam * (sm.loss - g))
-        gx = np.einsum("mn,mnkd->mkd", scale, sm.grad).reshape(self.m, self.ni)
-        dy_sum = float(np.sum(uni * (-2.0 * self.lam * (sm.loss - g))))
-        grad = gx + (gradG / self.m) * dy_sum
-        return grad.reshape(self.n)
+        gx = sm._own(np.einsum("...mn,...mnkd->...mkd", scale, sm.grad))
+        dy_sum = np.sum(uni * (-2.0 * self.lam * (sm.loss - g)), axis=(-2, -1))
+        grad = gx + (gradG / self.m) * dy_sum[..., None, None]
+        return grad.reshape(xown.shape)
 
 
 def make_personalized_problem(m, classes=5, features=2, lam=1.0,

@@ -184,9 +184,7 @@ def laplace_from_uniform(u: np.ndarray, nu) -> np.ndarray:
     Returns a fresh array of u's shape and leaves u unmodified. nu may be
     a scalar or an array that broadcasts to u's shape without widening it
     (a (k, 1, m, 1) array of per-round, per-agent parameters transforms k
-    rounds of stacked frames at once). Each element takes the ufunc
-    sequence of -nu * sign(u) * log(max(1 - 2|u|, 1e-300)), evaluated in
-    place in two buffers.
+    rounds of stacked frames at once).
     """
     arg = np.abs(u)
     arg *= 2.0
@@ -249,9 +247,8 @@ class NoiseBank(AgentBank):
     """AgentBank of one noise tag that yields Laplace noise: row s*m + i of
     round t is laplace_from_uniform(u - 1/2, noise[i].laplace_param(t)) on
     agent i's next dim uniforms under seed s (reference.LaplaceStream
-    replays it). One transform call covers a chunk of
-    max(1, _CHUNK // (rows * dim)) rounds, capped at the rounds left in the
-    refill block; the transform is elementwise, so no value depends on it."""
+    replays it). A transform call covers _CHUNK // (rows * dim) rounds (at
+    least one, within a refill block); being elementwise, it changes no value."""
 
     _CHUNK = 8192
 

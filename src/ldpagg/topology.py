@@ -3,9 +3,6 @@
 The weight convention is the "zero-sum" one: w_ij > 0 on edges,
 w_ii = -sum_j w_ij, so both row and column sums of W vanish and
 I + W acts as a doubly stochastic mixing matrix on connected graphs.
-validate lists the five structural conditions on a candidate W as
-(name, passed, residual) triples; from_matrix builds a topology only
-when every one passes, and only then solves for its spectrum.
 """
 
 from __future__ import annotations
@@ -97,9 +94,6 @@ def ring_topology(m: int, w: float) -> NetworkTopology:
 
 
 def trivial_topology() -> NetworkTopology:
-    """Single-agent degenerate topology: W = [0], no consensus dynamics.
-
-    rho2_abs is 1 by convention (there is no second eigenvalue) and
-    w_bar is 0; the sensitivity recursion is not meaningful for m = 1.
-    """
+    """Single-agent degenerate topology: W = [0], no consensus dynamics
+    (w_bar is 0, so the sensitivity recursion is not meaningful)."""
     return from_matrix(np.zeros((1, 1)))

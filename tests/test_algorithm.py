@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ldpagg.algorithm import (BroadcastFrame, _consensus, _descend,
                               _split_weights, baseline_seeds, iterate,
                               run_seeds)
+from ldpagg.analysis import sampling_grid
 from ldpagg.problems import (QuadraticProblem, make_personalized_problem,
                              make_quadratic_problem)
 from ldpagg.reference import (ErmReference, LaplaceStream,
@@ -578,3 +579,80 @@ def test_one_transform_call_per_noise_chunk(monkeypatch):
         draws = T + 1
         expect += draws // block * per_block + -(-(draws % block) // chunk)
     assert calls[0] == expect < 3 * (T + 1)
+
+
+def sc_paper_problem():
+    """The problem of the sc_paper shape (m = 5, n = 10, r = 2), with its
+    F_star computed."""
+    prob = make_quadratic_problem(m=5, ni=2, r=2, gamma=1.0, box=(-10, 10),
+                                  seed=7)
+    prob.F_star
+    return prob
+
+
+def sc_paper_run(prob, T, S=3, driver=run_seeds, observers=()):
+    s = corollary1_preset(ConvexityCase.STRONGLY_CONVEX, 0.01, m=prob.m,
+                          lambda0=(0.5, 1, 1), sigma=(1, 1, 1))
+    return driver(prob, ring_topology(prob.m, 0.3), s, T, list(range(S)),
+                  observers=observers)
+
+
+def test_aborted_seeds_across_observer_chunks():
+    # run_seeds reduces the F_gap running mean and the premise audit once
+    # per k rounds (k = 136 for 10 seeds of n = 6); T = 400 crosses two
+    # chunk boundaries, and seeds leave inside more than one chunk
+    prob, T, seeds = DIVERGING["run"][0], 400, list(range(10))
+    k = NoiseBank._CHUNK // (len(seeds) * prob.n)
+    recs, alone = run_batch_and_solo("run", prob,
+                                     batch_schedules(sigma_x=1e306), T, seeds)
+    aborted = [r.aborted_at for r, _, _ in recs]
+    assert T > 2 * k and None in aborted
+    assert len({a // k for a in aborted if a is not None}) > 1
+    grid = sampling_grid(T)
+    for rec, solo in zip(recs, alone):
+        assert_same_record(rec, solo)
+        rec = rec[0]
+        assert np.array_equal(rec.ts, grid[grid < (rec.aborted_at or T + 1)])
+        assert np.isfinite(rec.z_norm_max).all()
+
+
+def test_fgap_runmean_is_a_per_round_left_fold():
+    # the running mean, summed once per chunk of 273 rounds at this shape,
+    # is bitwise a per-round sum += F_true(x^t) - F_star divided by t + 1
+    rec, prob = Recorder(), sc_paper_problem()
+    recs = sc_paper_run(prob, 700, observers=[rec])
+    for s, r in enumerate(recs):
+        total, expect = 0.0, []
+        for t, (X, _, _) in enumerate(rec.states[s]):
+            total += prob.F_true(prob.own_block(X).reshape(prob.n)) \
+                - prob.F_star
+            expect.append(total / (t + 1))
+        got = r.columns["F_gap_runmean"]
+        assert got.tobytes() == np.array(expect)[r.ts.astype(int)].tobytes()
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_truth_calls_per_chunk_and_grid_point(driver, monkeypatch):
+    # metric_eval runs once per grid point on the whole batch, and run's
+    # F_gap running mean calls F_true once per chunk of rounds, not once
+    # per round
+    import ldpagg.algorithm as algorithm
+    prob, calls = sc_paper_problem(), defaultdict(int)
+    F_true, metric_eval = QuadraticProblem.F_true, algorithm.metric_eval
+
+    def counting_F_true(self, xown):
+        calls["F_true"] += 1
+        return F_true(self, xown)
+
+    def counting_metric_eval(*args):
+        calls["metric_eval"] += 1
+        return metric_eval(*args)
+
+    monkeypatch.setattr(QuadraticProblem, "F_true", counting_F_true)
+    monkeypatch.setattr(algorithm, "metric_eval", counting_metric_eval)
+    T, S = 2000, 3
+    sc_paper_run(prob, T, S, DRIVERS[driver])
+    grid = sampling_grid(T).size
+    chunks = -(-(T + 1) // (NoiseBank._CHUNK // (S * prob.n)))
+    assert calls["metric_eval"] == grid
+    assert calls["F_true"] == grid + (chunks if driver == "run" else 0)

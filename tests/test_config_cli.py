@@ -491,7 +491,12 @@ class TestCliUsageErrors:
          "'F_gap' not in seed_1.csv"),
         ({"seed_1.csv": "t,err_to_opt_sq\n1,1\n2,0.5\n"}, "err_to_opt_sq",
          "sampled points"),
-    ], ids=["no-seed-csv", "unknown-metric", "fit-error"])
+        ({"seed_1.csv": "t,err_to_opt_sq\n1,1\n2,abc\n"}, "err_to_opt_sq",
+         "seed_1.csv: could not convert string to float: 'abc'"),
+        ({"seed_1.csv": "t,err_to_opt_sq\n1,1\n2,0.5,7\n"}, "err_to_opt_sq",
+         "seed_1.csv: a row without the 2 header fields"),
+    ], ids=["no-seed-csv", "unknown-metric", "fit-error", "non-numeric",
+            "ragged-row"])
     def test_analyze_usage_errors(self, tmp_path, capsys, files, metric,
                                   fragment):
         for name, text in files.items():
@@ -556,6 +561,22 @@ class TestCliUsageErrors:
             capsys, ["calibrate", "--config", path, "--epsilon", epsilon,
                      "--out", str(out)], "finite and positive")
         assert not out.exists()
+
+    def test_calibrate_out_in_missing_directory(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "calibrated.json")
+        path = write_cfg(tmp_path, cfg_dict(sensitivity=copy.deepcopy(SENS),
+                                            schedules=copy.deepcopy(EXPLICIT_SCHED)))
+        self.assert_usage_error(
+            capsys, ["calibrate", "--config", path, "--epsilon", "1",
+                     "--out", out], f"cannot write {out}")
+
+    @pytest.mark.parametrize("command", ["run", "baseline"])
+    def test_run_out_under_a_file(self, tmp_path, capsys, command):
+        (tmp_path / "file").write_text("")
+        out = str(tmp_path / "file" / "sub")
+        self.assert_usage_error(
+            capsys, [command, "--config", write_cfg(tmp_path, cfg_dict()),
+                     "--out", out, "--threads", "1"], f"cannot create {out}")
 
     def test_analyze_missing_directory(self, tmp_path, capsys):
         missing = str(tmp_path / "missing")

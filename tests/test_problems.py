@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldpagg.algorithm import run_seeds
+from ldpagg.analysis import metric_eval
 from ldpagg.problems import (PersonalizedProblem, QuadraticProblem,
                              make_personalized_problem, make_quadratic_problem)
 from ldpagg.reference import ErmReference, h_value
@@ -406,3 +407,27 @@ def test_loss_only_truth_equals_full_pass(prob, batch):
     assert np.array_equal(
         full.l_newest()[..., 0],
         np.take_along_axis(loss, store.last_xi[..., None], -1)[..., 0])
+
+
+@pytest.mark.parametrize("m", [3, 8])
+@pytest.mark.parametrize("family", ["quadratic", "personalized"])
+def test_batched_truth_equals_per_seed_calls(family, m):
+    # metric rows come from one metric_eval call on the stacked (S, m, .)
+    # states: each seed's entry, and each slice of a batched grad_F_true,
+    # must be bitwise what the one-seed call gives
+    prob = (make_quadratic_problem(m=m, ni=2, r=2, gamma=1.0, seed=4)
+            if family == "quadratic" else
+            make_personalized_problem(m=m, classes=3, features=2, lam=0.8,
+                                      dataset_size=16, seed=6))
+    rng = np.random.default_rng(m)
+    X = rng.normal(0, 2, (3, m, prob.n))
+    Y, Z = rng.normal(0, 2, (2, 3, m, prob.r))
+    xown = prob.own_block(X).reshape(3, prob.n)
+    grads, cols = prob.grad_F_true(xown), metric_eval(prob, X, Y, Z, 9)
+    assert grads.shape == xown.shape
+    for s in range(3):
+        assert grads[s].tobytes() == prob.grad_F_true(xown[s]).tobytes()
+        row = metric_eval(prob, X[s], Y[s], Z[s], 9)
+        assert list(row) == list(cols)
+        for c, v in row.items():
+            assert np.float64(v).tobytes() == cols[c][s].tobytes(), c
