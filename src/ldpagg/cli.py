@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import json
 import os
 import sys
@@ -37,10 +38,21 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """open(path, "w"), with an OSError from opening or writing it
+    reported as one usage error naming path."""
+    try:
+        with open(path, "w") as f:
+            yield f
+    except OSError as e:
+        raise _UsageError(f"cannot write {path}: {e.strerror}") from None
+
+
 def _write_csv(path, ts, columns, eps_columns=None):
     names = [c for c in _COLUMN_ORDER if c == "t" or c in columns]
     eps_names = sorted(eps_columns) if eps_columns else []
-    with open(path, "w") as f:
+    with _writing(path) as f:
         f.write(",".join(names + eps_names) + "\n")
         for k in range(len(ts)):
             vals = [ts[k] if c == "t" else columns[c][k] for c in names]
@@ -137,7 +149,7 @@ def _cmd_run(args):
         "grid": [int(g) for g in grid],
         "warnings": cfg.warnings,
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as f:
+    with _writing(os.path.join(out_dir, "manifest.json")) as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
     print(f"wrote {len(records)} seed series to {out_dir}")
     # a diverging baseline is the expected phenomenon, not a failure
@@ -209,11 +221,8 @@ def _cmd_calibrate(args):
             block["noise"][ax]["sigma"] = s
     text = json.dumps(patched, indent=2, sort_keys=True)
     if args.out:
-        try:
-            with open(args.out, "w") as f:
-                f.write(text + "\n")
-        except OSError as e:
-            raise _UsageError(f"cannot write {args.out}: {e.strerror}") from None
+        with _writing(args.out) as f:
+            f.write(text + "\n")
         print(f"wrote calibrated config to {args.out}")
     else:
         print(text)
@@ -248,7 +257,7 @@ def _cmd_analyze(args):
     print(json.dumps(vars(fit), indent=2, sort_keys=True))
     mean = np.stack(series).mean(axis=0)
     out_csv = os.path.join(args.indir, f"mean_{args.metric}.csv")
-    with open(out_csv, "w") as f:
+    with _writing(out_csv) as f:
         f.write(f"t,{args.metric}\n")
         for t, v in zip(ts, mean):
             f.write(f"{_fmt(t)},{_fmt(v)}\n")

@@ -7,14 +7,26 @@ Delta_y <= C_y/(t+1)^(1+v_y), Delta_x <= C_x/(t+1)^(1+v_x-v_z),
 Delta_z <= C_z/(t+1)^(1+v_z). Budgets compose as
 eps_i(T) = sum_{t=1..T} (Dx/nu_x + Dy/nu_y + Dz/nu_z).
 
-t_contract, on each trajectory, is the first t at which the recursion
-contracts; the certificates dominate it only from there on.
+t_contract, on each trajectory, is the first t < T at which the
+recursion contracts, else T: Delta_x's own coefficient is below 1 (those
+of Delta_y and Delta_z are the constant 1 - w_bar, which it never falls
+below). The certificates dominate the recursion only from there on.
+
+sensitivity_trajectory walks T in blocks of 128 rounds: a numpy pass
+computes a block's coefficients, each associated as in reference's
+scalar step so that it rounds the same, and a Python-float loop folds
+them. The powers stay Python's pow: on an AVX-512 Xeon, np.power differs
+from libm pow in 10.4K-11.5K of 200K elements per exponent tried. Blocks
+bound the floats alive at once (about 0.6 KB per round): one pass over
+T = 1e4 raised the sc_paper benchmark's peak RSS from 44.2 to 49.7 MB,
+and 512-round blocks ncvx_oracle's by 0.7 MB.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -54,45 +66,29 @@ class SensitivityParams:
             raise ValueError("dimensions must be positive")
 
 
-def _coef_x(p: SensitivityParams, lam_x, lam_z):
-    """Delta_x's own multiplier in the recursion. Those of Delta_y and
-    Delta_z are the constant 1 - w_bar < 1, which this one never falls
-    below, so the recursion contracts exactly when it is < 1."""
-    sn = math.sqrt(p.n_i)
-    return 1.0 - p.w_bar + sn * p.Lbar_h * lam_x \
-        + sn * p.Lbar_l * p.d_z * lam_x / lam_z
+_BLOCK = 128  # rounds per coefficient pass
 
 
-def sensitivity_step(dx, dy, dz, t, p: SensitivityParams):
-    """One recursion step (equality on the dominating dynamics).
-
-    Evaluation order y -> z -> x: the z update consumes Delta_y', the x
-    update consumes both Delta_y' and Delta_z'.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    lam_y = p.lambda_y.value(t)
-    lam_z = p.lambda_z.value(t)
-    lam_x = p.lambda_x.value(t)
-    sr = math.sqrt(p.r)
-    sn = math.sqrt(p.n_i)
-    c = 1.0 - p.w_bar
-
-    dy_new = c * dy + p.L_l * sr * lam_y * dx + 2.0 * p.d_l * lam_y / (t + 1)
-    dz_new = (
-        c * dz
-        + sr * p.Lbar_h * lam_z * dx
-        + (sr * p.Lbar_h * lam_z / lam_y) * (dy_new + dy)
-        + 2.0 * sr * p.L_h * lam_z / (t + 1)
-    )
-    dx_new = (
-        _coef_x(p, lam_x, lam_z) * dx
-        + (sn * p.Lbar_h * lam_x / lam_y) * (dy_new + dy)
-        + (sn * p.L_l * lam_x / lam_z) * (dz_new + dz)
-        + 2.0 * sn * p.L_h * lam_x / (t + 1)
-        + 2.0 * sn * p.d_z * p.L_l * lam_x / (lam_z * (t + 1))
-    )
-    return dx_new, dy_new, dz_new
+def _coefficients(p: SensitivityParams, t1: np.ndarray) -> np.ndarray:
+    """The recursion's coefficients at rounds t = t1 - 1, one row per
+    round: Delta_y's multiplier of Delta_x and forcing; Delta_z's
+    multipliers of Delta_x and Delta_y' + Delta_y, and forcing; Delta_x's
+    own coefficient, multipliers of Delta_y' + Delta_y and
+    Delta_z' + Delta_z, and two forcing terms."""
+    ts = t1.tolist()
+    lam_x, lam_y, lam_z = (
+        s.lambda0 / np.fromiter(map(pow, ts, repeat(s.v)), float, len(ts))
+        for s in (p.lambda_x, p.lambda_y, p.lambda_z))
+    sr, sn = math.sqrt(p.r), math.sqrt(p.n_i)
+    lh_z = sr * p.Lbar_h * lam_z
+    lh_x = sn * p.Lbar_h * lam_x
+    return np.column_stack((
+        p.L_l * sr * lam_y, 2.0 * p.d_l * lam_y / t1,
+        lh_z, lh_z / lam_y, 2.0 * sr * p.L_h * lam_z / t1,
+        1.0 - p.w_bar + lh_x + sn * p.Lbar_l * p.d_z * lam_x / lam_z,
+        lh_x / lam_y, sn * p.L_l * lam_x / lam_z,
+        2.0 * sn * p.L_h * lam_x / t1,
+        2.0 * sn * p.d_z * p.L_l * lam_x / (lam_z * t1)))
 
 
 @dataclass
@@ -102,20 +98,35 @@ class SensitivityTrajectory:
     dx: np.ndarray
     dy: np.ndarray
     dz: np.ndarray
-    t_contract: int  # first t < T with Delta_x's own coefficient < 1, else T
+    t_contract: int
 
 
 def sensitivity_trajectory(T: int, p: SensitivityParams) -> SensitivityTrajectory:
-    """Iterate the recursion from Delta^0 = 0 up to horizon T."""
-    dx = np.zeros(T + 1)
-    dy = np.zeros(T + 1)
-    dz = np.zeros(T + 1)
-    t_contract = next((t for t in range(T) if _coef_x(
-        p, p.lambda_x.value(t), p.lambda_z.value(t)) < 1.0), T)
-    for t in range(T):
-        dx[t + 1], dy[t + 1], dz[t + 1] = sensitivity_step(
-            dx[t], dy[t], dz[t], t, p)
-    return SensitivityTrajectory(dx=dx, dy=dy, dz=dz, t_contract=t_contract)
+    """Iterate the recursion from Delta^0 = 0 up to horizon T, updating
+    y -> z -> x as reference.sensitivity_step does."""
+    if T < 0:
+        raise ValueError("T must be nonnegative")
+    dxs, dys, dzs = np.zeros(T + 1), np.zeros(T + 1), np.zeros(T + 1)
+    t_contract = T
+    c = 1.0 - p.w_bar
+    dx = dy = dz = 0.0
+    for lo in range(0, T, _BLOCK):
+        coef = _coefficients(p, np.arange(lo + 1, min(lo + _BLOCK, T) + 1,
+                                           dtype=float))
+        below = np.flatnonzero(coef[:, 5] < 1.0)
+        if t_contract == T and below.size:
+            t_contract = lo + int(below[0])
+        xs, ys, zs = [], [], []
+        for ay, fy, bz, ez, fz, cx, gx, hx, fx, fxz in coef.tolist():
+            y = c * dy + ay * dx + fy
+            z = c * dz + bz * dx + ez * (y + dy) + fz
+            dx, dy, dz = cx * dx + gx * (y + dy) + hx * (z + dz) + fx + fxz, y, z
+            xs.append(dx)
+            ys.append(dy)
+            zs.append(dz)
+        hi = lo + 1 + len(xs)
+        dxs[lo + 1:hi], dys[lo + 1:hi], dzs[lo + 1:hi] = xs, ys, zs
+    return SensitivityTrajectory(dxs, dys, dzs, t_contract)
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,15 @@
 
 Centralized solvers, the single-agent Laplace noise stream, the
 per-sample objective h, the ERM oracle recomputed sample by sample
-from raw samples, the closed-form ring spectrum and the cross-seed
-stacking of a metric column. Deliberately written without reuse of the simulator
+from raw samples, the scalar sensitivity recursion step, the
+closed-form ring spectrum and the cross-seed stacking of a metric
+column. Deliberately written without reuse of the simulator
 code paths so the distributed implementation can be checked against them.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -144,6 +147,39 @@ class ErmReference:
 
     def grad_g_dot(self, Z):
         return np.einsum("mrn,mr->mn", self._mean(self.xis, 1), Z)
+
+
+def sensitivity_step(dx, dy, dz, t, p):
+    """One step of the sensitivity recursion (equality on the dominating
+    dynamics) for a privacy.SensitivityParams p, one scalar at a time.
+
+    Evaluation order y -> z -> x: the z update consumes Delta_y', the x
+    update consumes both Delta_y' and Delta_z'.
+    """
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    lam_y = p.lambda_y.value(t)
+    lam_z = p.lambda_z.value(t)
+    lam_x = p.lambda_x.value(t)
+    sr = math.sqrt(p.r)
+    sn = math.sqrt(p.n_i)
+    c = 1.0 - p.w_bar
+
+    dy_new = c * dy + p.L_l * sr * lam_y * dx + 2.0 * p.d_l * lam_y / (t + 1)
+    dz_new = (
+        c * dz
+        + sr * p.Lbar_h * lam_z * dx
+        + (sr * p.Lbar_h * lam_z / lam_y) * (dy_new + dy)
+        + 2.0 * sr * p.L_h * lam_z / (t + 1)
+    )
+    dx_new = (
+        (c + sn * p.Lbar_h * lam_x + sn * p.Lbar_l * p.d_z * lam_x / lam_z) * dx
+        + (sn * p.Lbar_h * lam_x / lam_y) * (dy_new + dy)
+        + (sn * p.L_l * lam_x / lam_z) * (dz_new + dz)
+        + 2.0 * sn * p.L_h * lam_x / (t + 1)
+        + 2.0 * sn * p.d_z * p.L_l * lam_x / (lam_z * (t + 1))
+    )
+    return dx_new, dy_new, dz_new
 
 
 def ring_spectrum(m: int, w: float) -> np.ndarray:

@@ -578,6 +578,27 @@ class TestCliUsageErrors:
             capsys, [command, "--config", write_cfg(tmp_path, cfg_dict()),
                      "--out", out, "--threads", "1"], f"cannot create {out}")
 
+    @pytest.mark.parametrize("command", ["run", "baseline"])
+    @pytest.mark.parametrize("name", ["seed_12.csv", "aggregate.csv",
+                                      "manifest.json"])
+    def test_run_output_is_a_directory(self, tmp_path, capsys, command, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        path = write_cfg(tmp_path, cfg_dict(T=20, out=str(out)))
+        self.assert_usage_error(
+            capsys, [command, "--config", path, "--threads", "1"],
+            f"cannot write {out / name}")
+
+    def test_analyze_mean_csv_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "seed_1.csv").write_text(
+            "t,err_to_opt_sq\n" + "".join(f"{t},{1.0 / (t + 1)}\n"
+                                          for t in range(20)))
+        out = tmp_path / "mean_err_to_opt_sq.csv"
+        out.mkdir()
+        self.assert_usage_error(
+            capsys, ["analyze", "--in", str(tmp_path), "--metric",
+                     "err_to_opt_sq"], f"cannot write {out}")
+
     def test_analyze_missing_directory(self, tmp_path, capsys):
         missing = str(tmp_path / "missing")
         self.assert_usage_error(

@@ -1,14 +1,16 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpagg.privacy import (PrivacyAccount, SensitivityParams, budgets,
-                            calibrate_noise, closed_form_constants,
-                            infinite_horizon_bound,
-                            sensitivity_step, sensitivity_trajectory)
+from ldpagg.config import load_config
+from ldpagg.privacy import (_BLOCK, PrivacyAccount, SensitivityParams,
+                            budgets, calibrate_noise, closed_form_constants,
+                            infinite_horizon_bound, sensitivity_trajectory)
+from ldpagg.reference import sensitivity_step
 from ldpagg.schedules import NoiseSchedule, ScheduleSet, StepsizeSchedule
 
 
@@ -89,6 +91,9 @@ class TestSensitivityStep:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             sensitivity_step(0, 0, 0, -1, fixture_params())
+        for T in (-1, -2):
+            with pytest.raises(ValueError, match="T must be nonnegative"):
+                sensitivity_trajectory(T, fixture_params())
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
@@ -97,6 +102,66 @@ class TestSensitivityStep:
             fixture_params(w_bar=1.0)
         with pytest.raises(ValueError):
             fixture_params(n_i=0)
+
+
+def scalar_replay(T, p):
+    """Delta^0..Delta^T from reference.sensitivity_step, one round at a time."""
+    d = [(0.0, 0.0, 0.0)]
+    for t in range(T):
+        d.append(sensitivity_step(*d[-1], t, p))
+    return np.array(d).reshape(T + 1, 3).T
+
+
+def assert_replays_exactly(T, p):
+    traj = sensitivity_trajectory(T, p)
+    for got, want in zip((traj.dx, traj.dy, traj.dz), scalar_replay(T, p)):
+        assert got.shape == (T + 1,)
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+class TestBlockedTrajectory:
+    # the blocked coefficient pass and fold round exactly as the scalar
+    # step does, across block boundaries
+    @pytest.mark.parametrize("T", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                   3 * _BLOCK + 5])
+    @pytest.mark.parametrize("params", [
+        fixture_params,
+        lambda: load_config(os.path.join(os.path.dirname(__file__), "..",
+                                         "configs", "quadratic_sc.json")
+                            ).sensitivity,
+        lambda: fixture_params(lambda_x=StepsizeSchedule(5.0, 0.95)),
+    ], ids=["fixture", "quadratic_sc", "late-contraction"])
+    def test_equals_scalar_replay(self, T, params):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_replays_exactly(T, params())
+
+    def test_t_contract_in_a_later_block(self, own_coef_x):
+        # Delta_x's own coefficient first drops below 1 past the first
+        # block, and stays below in the blocks after; at T = expect no
+        # t < T contracts, so t_contract is T
+        p = fixture_params(lambda_x=StepsizeSchedule(5.0, 0.3))
+        expect = next(t for t in range(10_000) if own_coef_x(t, p) < 1.0)
+        assert expect > _BLOCK
+        for T in (expect, expect + 1, expect + 2 * _BLOCK):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert sensitivity_trajectory(T, p).t_contract == expect
+
+
+@settings(max_examples=100, deadline=None)
+@given(T=st.integers(0, 3 * _BLOCK), w_bar=st.floats(0.01, 0.99),
+       n_i=st.integers(1, 5), Lbar_h=st.floats(0.0, 2.0),
+       Lbar_l=st.floats(0.0, 2.0), d_z=st.floats(0.0, 2.0),
+       lam_x=st.tuples(st.floats(1e-3, 0.5), st.floats(0.05, 0.95)),
+       lam_z=st.tuples(st.floats(1e-2, 2.0), st.floats(0.05, 0.95)))
+def test_trajectory_equals_scalar_replay(T, w_bar, n_i, Lbar_h, Lbar_l, d_z,
+                                         lam_x, lam_z):
+    # the ranges of test_t_contract_is_first_contracting_step; overflowing
+    # trajectories are compared too, NaN against NaN
+    p = fixture_params(w_bar=w_bar, n_i=n_i, Lbar_h=Lbar_h, Lbar_l=Lbar_l,
+                       d_z=d_z, lambda_x=StepsizeSchedule(*lam_x),
+                       lambda_z=StepsizeSchedule(*lam_z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_replays_exactly(T, p)
 
 
 class TestContraction:
