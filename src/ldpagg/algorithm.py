@@ -31,7 +31,9 @@ the samples, init for the start point; the baseline prefixes
 "baseline-"). Each tag is drawn through one lockstep bank over the S*m
 generators, a NoiseBank per noise tag and the sample store's AgentBank
 for the data; row s*m + i of a bank is agent i's stream under seed s,
-and every bank advances one draw per round.
+and every bank advances one draw per round. The drivers give each bank
+the horizon T + 1, so a refill holds at most the rounds the run draws
+(the streams do not depend on the refill size).
 
 Seeds never mix: every batched operation gives each seed's slice bitwise
 what the one-seed call gives it, so a seed's RunRecord does not depend on
@@ -122,11 +124,11 @@ class _Batch:
                     for s in self.seeds for i in range(m)]
         # one lockstep bank per noise tag; its round counter is the clock
         self.noise = tuple(
-            NoiseBank(rngs(tag), sched, dim)
+            NoiseBank(rngs(tag), sched, dim, horizon=T + 1)
             for tag, sched, dim in (("theta", schedules.noise_x, n),
                                     ("chi", schedules.noise_y, r),
                                     ("zeta", schedules.noise_z, r)))
-        self.store = problem.new_store(rngs("data"), batch=(S,))
+        self.store = problem.new_store(rngs("data"), batch=(S,), horizon=T + 1)
         if x0 is None:
             # uniform in the box truncated to +-init_radius
             lo = np.maximum(problem.box_lo, -init_radius)

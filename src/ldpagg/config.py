@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,19 @@ def _integer(v):
     return int(v)
 
 
+def _real(v):
+    """v as a float: an int or float that is a finite float, but not a bool."""
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or not abs(v) <= sys.float_info.max):  # NaN compares false
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return float(v)
+
+
+def _reals(v):
+    """_real of v, or of each element of a list v (per-agent values)."""
+    return [_real(x) for x in v] if isinstance(v, list) else _real(v)
+
+
 _TOP_KEYS = {"topology", "schedules", "problem", "T", "seeds", "master_seed",
              "init_radius", "case", "sensitivity", "out"}
 _TOPOLOGY_KEYS = {"type", "m", "w", "weights"}
@@ -38,8 +52,9 @@ _STEP_KEYS = {"lambda0", "v"}
 _NOISE_KEYS = {"sigma", "varsigma"}
 # per family: the factory and the conversion of each optional key, which
 # is every factory parameter but m, typed by its default (_integer for an
-# int); a key left out takes that default
-_PROBLEMS = {fam: (make, {k: _integer if type(q.default) is int else type(q.default)
+# int, _real for a float); a key left out takes that default
+_PROBLEMS = {fam: (make, {k: {int: _integer, float: _real}.get(type(q.default),
+                                                               type(q.default))
                           for k, q in inspect.signature(make).parameters.items()
                           if k != "m"})
              for fam, make in (("quadratic", problems.make_quadratic_problem),
@@ -89,7 +104,7 @@ def _build_topology(block):
     kind = block.get("type")
     if kind == "ring":
         return _checked("topology", lambda: topo.ring_topology(
-            _integer(block["m"]), float(block["w"])))
+            _integer(block["m"]), _real(block["w"])))
     if kind == "trivial":
         return topo.trivial_topology()
     if kind == "matrix":
@@ -119,17 +134,18 @@ def _build_schedules(block, m):
         lambda0 = _triple(block, "lambda0", 1.0)
         sigma = _triple(block, "sigma", 1.0)
         return _checked("schedules.preset", lambda: sched.corollary1_preset(
-            case, float(block.get("delta", 0.01)), m=m,
-            lambda0=[float(x) for x in lambda0], sigma=sigma)), case
+            case, _real(block.get("delta", 0.01)), m=m,
+            lambda0=[_real(x) for x in lambda0],
+            sigma=[_reals(x) for x in sigma])), case
     for part in ("stepsize", "noise"):
         if part not in block:
             raise ConfigError(f"schedules.{part}: required without a preset")
     built = []  # lambda_x, lambda_y, lambda_z, noise_x, noise_y, noise_z
     for part, keys, build in (
             ("stepsize", _STEP_KEYS,
-             lambda b: StepsizeSchedule(float(b["lambda0"]), float(b["v"]))),
+             lambda b: StepsizeSchedule(_real(b["lambda0"]), _real(b["v"]))),
             ("noise", _NOISE_KEYS,
-             lambda b: broadcast_noise(b["sigma"], b["varsigma"], m))):
+             lambda b: broadcast_noise(_reals(b["sigma"]), _reals(b["varsigma"]), m))):
         _check_keys(block[part], {"x", "y", "z"}, f"schedules.{part}")
         for ax in ("x", "y", "z"):
             path = f"schedules.{part}.{ax}"
@@ -201,7 +217,7 @@ def parse_config(raw: dict) -> RunConfig:
         _check_keys(raw["sensitivity"], _SENS_KEYS, "sensitivity")
         b = raw["sensitivity"]
         sens = _checked("sensitivity", lambda: SensitivityParams(
-            **{k: float(b[k]) for k in _SENS_KEYS},
+            **{k: _real(b[k]) for k in _SENS_KEYS},
             w_bar=topology.w_bar if topology.m > 1 else 0.5,
             n_i=problem.ni, r=problem.r, lambda_x=schedule_set.lambda_x,
             lambda_y=schedule_set.lambda_y, lambda_z=schedule_set.lambda_z))
@@ -214,6 +230,6 @@ def parse_config(raw: dict) -> RunConfig:
         problem=problem, T=_top_level(raw, "T", 1000, _integer, 0),
         seeds=_top_level(raw, "seeds", 1, _integer, 1),
         master_seed=_top_level(raw, "master_seed", 0, _integer, 0),
-        init_radius=_top_level(raw, "init_radius", 10.0, float, 0),
+        init_radius=_top_level(raw, "init_radius", 10.0, _real, 0),
         sensitivity=sens,
         out=str(raw.get("out", "runs")), warnings=warnings_list)

@@ -18,9 +18,11 @@ sample for equality testing.
 Oracles take stacked per-agent arrays (..., m, .): leading axes are batch
 axes (the seeds of a batched run), and every batched call gives each
 slice bitwise what the unbatched call gives it. A store is built on its
-data generators, one per row: new_store(data_rngs, batch=(S,)) holds its
-statistics as (S, m, .) and draws from S*m generators, seed-major (entry
-s*m + i is agent i under seed s).
+data generators, one per row: new_store(data_rngs, batch=(S,),
+horizon=H) holds its statistics as (S, m, .) and draws from S*m
+generators, seed-major (entry s*m + i is agent i under seed s), through
+an AgentBank whose refills hold at most H rounds (the drivers pass T + 1;
+unbounded by default).
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ class ProblemInstance:
         return np.take(X.reshape(X.shape[:-2] + (-1,)), self.own_flat, axis=-1)
 
     # -- streaming ------------------------------------------------------
-    def new_store(self, data_rngs, batch: tuple = ()) -> SampleStore:
+    def new_store(self, data_rngs, batch: tuple = (),
+                  horizon: float = np.inf) -> SampleStore:
         raise NotImplementedError  # see the module docstring
 
     def draw(self, store: SampleStore) -> None:
@@ -158,8 +161,8 @@ class QuadraticProblem(ProblemInstance):
 
     def __init__(self, A, b, c, d, gamma, alpha, noise_std_g, noise_std_f, box):
         A = np.asarray(A, dtype=float)
-        if A.ndim != 3:
-            raise ValueError("A must have shape (m, r, n_i)")
+        if A.ndim != 3 or min(A.shape) < 1:
+            raise ValueError("A must have shape (m, r, n_i), each at least 1")
         self.m, self.r, self.ni = A.shape
         if gamma < 0:
             raise ValueError("gamma must be nonnegative")
@@ -176,8 +179,10 @@ class QuadraticProblem(ProblemInstance):
         self._set_box_and_index(box)
 
     # -- streaming ------------------------------------------------------
-    def new_store(self, data_rngs, batch: tuple = ()) -> SampleStore:
-        bank = AgentBank(data_rngs, self.r + self.ni, "standard_normal")
+    def new_store(self, data_rngs, batch: tuple = (),
+                  horizon: float = np.inf) -> SampleStore:
+        bank = AgentBank(data_rngs, self.r + self.ni, "standard_normal",
+                         horizon=horizon)
         return SampleStore(bank, batch, xi_sum=(self.m, self.r),
                            phi_sum=(self.m, self.ni))
 
@@ -342,8 +347,9 @@ class PersonalizedProblem(ProblemInstance):
                             np.arange(self.N)[None, :], labels)
         self._set_box_and_index(box)
 
-    def new_store(self, data_rngs, batch: tuple = ()) -> SampleStore:
-        bank = AgentBank(data_rngs, 2, "integers", high=self.N)
+    def new_store(self, data_rngs, batch: tuple = (),
+                  horizon: float = np.inf) -> SampleStore:
+        bank = AgentBank(data_rngs, 2, "integers", high=self.N, horizon=horizon)
         return SampleStore(bank, batch, counts_f=(self.m, self.N),
                            counts_g=(self.m, self.N))
 
@@ -393,6 +399,8 @@ def make_personalized_problem(m, classes=5, features=2, lam=1.0,
     Agent i draws primary_frac of its data from classes i mod K and
     2i mod K and the rest uniformly from the other classes.
     """
+    if min(classes, features, dataset_size) < 1:
+        raise ValueError("classes, features and dataset_size must be at least 1")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 7177])))
     centers = spread * rng.standard_normal((classes, features))
     feats = np.empty((m, dataset_size, features))

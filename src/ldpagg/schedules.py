@@ -209,18 +209,22 @@ class AgentBank:
     out=), or "integers", which makes an int64 bank of integers(high)
     draws (k scalar integers(high) calls and one of size k give the same
     values and leave the generator in the same state).
-    A refill draws about _BLOCK values per row, so a bank over S seeds
-    holds S times the bytes of a one-seed bank (measured faster than
-    splitting one seed's block across the rows).
+    A refill draws about _BLOCK values per row (measured faster than
+    splitting one seed's block across the rows), but at most horizon
+    rounds, the number of draws the bank's owner will make: an owner
+    that draws fewer rounds than a block generates none past its last,
+    and a bank over S seeds holds at most S times the bytes of a one-seed
+    bank. The horizon sizes the buffer only; a draw past it refills.
     """
 
     _BLOCK = 2048
 
-    def __init__(self, rngs, dim: int, fill: str = "random", high: int | None = None):
+    def __init__(self, rngs, dim: int, fill: str = "random", high: int | None = None,
+                 horizon: float = math.inf):
         self._rngs = list(rngs)
         self._fill = fill
         self._high = high
-        rounds = max(1, self._BLOCK // max(dim, 1))
+        rounds = max(1, min(self._BLOCK // max(dim, 1), horizon))
         self._buf = np.empty((len(self._rngs), rounds, dim),
                              dtype=np.int64 if fill == "integers" else float)
         self._pos = self._buf.shape[1]
@@ -247,13 +251,14 @@ class NoiseBank(AgentBank):
     """AgentBank of one noise tag that yields Laplace noise: row s*m + i of
     round t is laplace_from_uniform(u - 1/2, noise[i].laplace_param(t)) on
     agent i's next dim uniforms under seed s (reference.LaplaceStream
-    replays it). A transform call covers _CHUNK // (rows * dim) rounds (at
-    least one, within a refill block); being elementwise, it changes no value."""
+    replays it). A refill draws at most horizon rounds, as in AgentBank. A
+    transform call covers _CHUNK // (rows * dim) rounds (at least one,
+    within a refill block); being elementwise, it changes no value."""
 
     _CHUNK = 8192
 
-    def __init__(self, rngs, noise, dim: int):
-        super().__init__(rngs, dim)
+    def __init__(self, rngs, noise, dim: int, horizon: float = math.inf):
+        super().__init__(rngs, dim, horizon=horizon)
         self.distinct = list(dict.fromkeys(noise))
         self._index = np.array([self.distinct.index(s) for s in noise])
         self._k = max(1, self._CHUNK // max(self._buf.shape[0] * dim, 1))

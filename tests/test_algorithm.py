@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpagg.algorithm import (BroadcastFrame, _consensus, _descend,
+from ldpagg.algorithm import (BroadcastFrame, _Batch, _consensus, _descend,
                               _split_weights, baseline_seeds, iterate,
                               run_seeds)
 from ldpagg.analysis import sampling_grid
@@ -238,20 +238,25 @@ class TestFrameAudit:
                 assert np.array_equal(frame.z[i], Z[i] + nz)
 
     @pytest.mark.parametrize(
-        "driver, prefix", [(run_seeds, ""), (baseline_seeds, "baseline-")],
-        ids=["run-", "baseline_gradient_tracking-baseline-"])
+        "driver, prefix, T", [(run_seeds, "", None),
+                              (baseline_seeds, "baseline-", None),
+                              (run_seeds, "", 7),
+                              (baseline_seeds, "baseline-", 7)],
+        ids=["run-", "baseline_gradient_tracking-baseline-", "run-T7",
+             "baseline_gradient_tracking-baseline-T7"])
     def test_frames_replay_across_chunk_and_refill_boundaries(self, driver,
-                                                              prefix):
+                                                              prefix, T):
         # per-agent schedules, one with sigma = 0, and T past a chunk
         # boundary inside a refill block and past a refill boundary of the
-        # theta and chi banks: the chunked transform gives each frame
-        # bitwise what the per-round reference gives it
+        # theta and chi banks, or T = 7, below every bank's block, so that
+        # every refill holds T + 1 rounds: the chunked transform gives each
+        # frame bitwise what the per-round reference gives it
         m, seed = 5, 4
         prob = make_quadratic_problem(m=m, ni=2, r=2, gamma=1.0,
                                       box=(-10, 10), seed=7)
         for dim in (prob.n, prob.r):  # a chunk ends inside a refill block
             assert NoiseBank._CHUNK // (m * dim) < AgentBank._BLOCK // dim
-        T = max(AgentBank._BLOCK // dim for dim in (prob.n, prob.r)) + 1
+        T = T or max(AgentBank._BLOCK // dim for dim in (prob.n, prob.r)) + 1
         s = ScheduleSet(
             lambda_x=StepsizeSchedule(0.05, 0.58),
             lambda_y=StepsizeSchedule(1.0, 0.02),
@@ -579,6 +584,25 @@ def test_one_transform_call_per_noise_chunk(monkeypatch):
         draws = T + 1
         expect += draws // block * per_block + -(-(draws % block) // chunk)
     assert calls[0] == expect < 3 * (T + 1)
+
+
+@pytest.mark.parametrize("prefix", ["", "baseline-"])
+@pytest.mark.parametrize("family", ["quadratic", "personalized"])
+def test_banks_refill_no_more_rounds_than_the_run_draws(family, prefix):
+    # every noise bank and the data bank of a T-round batch refill at most
+    # T + 1 rounds, and a whole block when the run is longer
+    m = 4
+    prob = (make_quadratic_problem(m=m, ni=2, r=2, box=(-10, 10), seed=7)
+            if family == "quadratic" else make_personalized_problem(m=m, seed=7))
+    s = corollary1_preset(ConvexityCase.STRONGLY_CONVEX, 0.01, m=m)
+    data_dim = prob.r + prob.ni if family == "quadratic" else 2
+    for T in (0, 7, 3000):
+        b = _Batch(prob, ring_topology(m, 0.3), s, T, [0, 1], prefix, None,
+                   10.0)
+        for bank, dim in zip((*b.noise, b.store.bank),
+                             (prob.n, prob.r, prob.r, data_dim)):
+            assert bank._buf.shape == (2 * m, min(AgentBank._BLOCK // dim, T + 1),
+                                       dim)
 
 
 def sc_paper_problem():

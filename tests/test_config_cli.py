@@ -384,6 +384,21 @@ class TestCliRun:
     (("problem", "family"), "linear", "problem.family"),
     (("problem",), ..., "config.problem"),
     (("schedules", "delta"), 0.1, "schedules.preset"),
+    (("problem", "gamma"), "2", "problem"),
+    (("topology", "w"), "0.3", "topology"),
+    (("schedules", "lambda0"), [True, 1, 1], "schedules.preset"),
+    (("schedules", "sigma"), ["2", 1, 1], "schedules.preset"),
+    (("schedules", "delta"), "0.01", "schedules.preset"),
+    (("schedules", "noise", "x", "sigma"), [1.0, "2", 1.0],
+     "schedules.noise.x"),
+    (("sensitivity", "L_l"), "0.7", "sensitivity"),
+    (("sensitivity", "d_l"), True, "sensitivity"),
+    (("init_radius",), "3", "config.init_radius"),
+    (("problem",), {"family": "personalized", "lam": float("nan")}, "problem"),
+    (("problem",), {"family": "personalized", "classes": 0}, "problem"),
+    (("problem",), {"family": "personalized", "features": 0}, "problem"),
+    (("problem", "ni"), 0, "problem"),
+    (("problem", "r"), 0, "problem"),
 ], ids=["topology.m-missing", "topology.w", "stepsize.x.v-missing",
         "noise.x.sigma", "noise.x.sigma-nan", "stepsize.x.lambda0-inf",
         "seeds", "T", "delta", "preset-list", "stepsize-list",
@@ -394,12 +409,18 @@ class TestCliRun:
         "init_radius-nan", "init_radius-negative", "topology.type-unknown",
         "stepsize-missing", "noise-missing", "noise.y-missing",
         "problem.family-missing", "problem.family-unknown", "problem-missing",
-        "delta-inadmissible"])
+        "delta-inadmissible", "problem.gamma-string", "topology.w-string",
+        "lambda0-bool", "sigma-string", "delta-string",
+        "noise.x.sigma-list-string", "sensitivity.L_l-string",
+        "sensitivity.d_l-bool", "init_radius-string", "problem.lam-nan",
+        "problem.classes-zero", "problem.features-zero", "problem.ni-zero",
+        "problem.r-zero"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, keys, value, where):
     # a missing (...), non-numeric, non-finite (NaN and Infinity are JSON
-    # literals to Python), out-of-range or malformed value, or a bool or
-    # fractional number for an integer key, is one config error line on
-    # the path of its block, with exit code 1
+    # literals to Python), out-of-range or malformed value, a bool or
+    # string for a real key (each per-agent element included), a bool or
+    # fractional number for an integer key, or a zero problem dimension,
+    # is one config error line on the path of its block, with exit code 1
     d = cfg_dict()
     if "stepsize" in keys or "noise" in keys:
         d["schedules"] = copy.deepcopy(EXPLICIT_SCHED)

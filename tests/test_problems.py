@@ -218,6 +218,18 @@ def test_inverted_box_rejected_by_constructors():
         build((-1.0, -1.0))  # a degenerate box is admissible
 
 
+@pytest.mark.parametrize("make, key", [
+    (make_quadratic_problem, "ni"), (make_quadratic_problem, "r"),
+    (make_personalized_problem, "classes"),
+    (make_personalized_problem, "features"),
+    (make_personalized_problem, "dataset_size")])
+def test_empty_dimensions_rejected_by_factories(make, key):
+    # a zero dimension would divide by zero in the factory or the driver
+    with pytest.raises(ValueError, match="at least 1"):
+        make(m=2, **{key: 0})
+    make(m=2, **{key: 1})
+
+
 class TestPersonalized:
     def setup_method(self):
         self.prob = make_personalized_problem(m=3, classes=3, features=2,

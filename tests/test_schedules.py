@@ -155,15 +155,32 @@ class TestRngStreams:
         assert not np.array_equal(base, agent_rng(43, 0, "theta").random(5))
 
 
+def bank_horizon(place, dim):
+    """(keyword arguments, horizon, rounds per refill) of a bank of dim-vectors
+    with no horizon (place None) or one below, at or above _BLOCK // dim."""
+    block = max(1, AgentBank._BLOCK // max(dim, 1))
+    if place is None:
+        return {}, 0, block
+    horizon = {"below": block // 3, "at": block, "above": block + 1}[place]
+    return {"horizon": horizon}, horizon, max(1, min(block, horizon))
+
+
+HORIZONS = st.sampled_from([None, "below", "at", "above"])
+
+
 @settings(max_examples=25, deadline=None)
 @given(m=st.integers(1, 4), dim=st.sampled_from([0, 1, 3, 400, 2049, 5000]),
        extra=st.integers(0, 5), seed=st.integers(0, 2 ** 32 - 1),
-       tag=st.sampled_from(["theta", "chi", "zeta"]))
-def test_bank_rows_replay_agent_streams_across_refills(m, dim, extra, seed, tag):
-    # rounds cover at least three refills of the bank, so refill
-    # boundaries fall inside the replayed sequence
-    rounds = 3 * max(1, AgentBank._BLOCK // max(dim, 1)) + extra
-    bank = AgentBank([agent_rng(seed, i, tag) for i in range(m)], dim)
+       tag=st.sampled_from(["theta", "chi", "zeta"]), place=HORIZONS)
+def test_bank_rows_replay_agent_streams_across_refills(m, dim, extra, seed, tag,
+                                                       place):
+    # a refill holds at most horizon rounds; the rounds go at least three
+    # refills past the horizon, so refill boundaries fall inside the
+    # replayed sequence and a draw past the horizon still replays
+    kwargs, horizon, per_refill = bank_horizon(place, dim)
+    bank = AgentBank([agent_rng(seed, i, tag) for i in range(m)], dim, **kwargs)
+    assert bank._buf.shape[1] == per_refill
+    rounds = horizon + 3 * per_refill + extra
     streams = [LaplaceStream(agent_rng(seed, i, tag)) for i in range(m)]
     for _ in range(rounds):
         u = bank.next() - 0.5
@@ -183,17 +200,19 @@ def hetero_noise(m):
 @given(S=st.integers(1, 3), m=st.integers(1, 4),
        dim=st.sampled_from([0, 1, 3, 400, 2049, 5000]),
        extra=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 4),
-       tag=st.sampled_from(["theta", "chi", "zeta"]))
-def test_noise_bank_replays_reference_streams(S, m, dim, extra, seed, tag):
+       tag=st.sampled_from(["theta", "chi", "zeta"]), place=HORIZONS)
+def test_noise_bank_replays_reference_streams(S, m, dim, extra, seed, tag,
+                                              place):
     # row s*m + i of round t is agent i's reference Laplace draw under seed
-    # s; the rounds cross at least two refill boundaries and so at least
-    # two chunk boundaries (a chunk never spans a refill)
+    # s; the rounds go at least three refills past the horizon and so
+    # cross at least three chunk boundaries (a chunk never spans a refill)
     noise = hetero_noise(m)
     rows = [(seed + s, i) for s in range(S) for i in range(m)]
-    bank = NoiseBank([agent_rng(sd, i, tag) for sd, i in rows], noise, dim)
-    block = max(1, AgentBank._BLOCK // max(dim, 1))
-    chunk = min(block, max(1, NoiseBank._CHUNK // max(S * m * dim, 1)))
-    rounds = 2 * block + chunk + extra + 1
+    kwargs, horizon, per_refill = bank_horizon(place, dim)
+    bank = NoiseBank([agent_rng(sd, i, tag) for sd, i in rows], noise, dim,
+                     **kwargs)
+    assert bank._buf.shape[1] == per_refill
+    rounds = horizon + 3 * per_refill + extra + 1
     streams = [LaplaceStream(agent_rng(sd, i, tag)) for sd, i in rows]
     slabs, copies = [], []
     for t in range(rounds):
