@@ -37,10 +37,10 @@ the horizon T + 1, so a refill holds at most the rounds the run draws
 
 Seeds never mix: every batched operation gives each seed's slice bitwise
 what the one-seed call gives it, so a seed's RunRecord does not depend on
-the batch it ran in. A seed whose state goes non-finite stops recording
-at that iteration, which its record keeps as aborted_at; its rows stay in
-the batch arrays, where its non-finite values reach no other seed, and
-the others continue.
+the batch it ran in. A seed whose state goes non-finite ends at that
+iteration, the one record of its abort: its live mask, rows, aborted_at
+and audited rounds derive from it. Its rows stay in the batch arrays,
+where its non-finite values reach no other seed, and the others continue.
 """
 
 from __future__ import annotations
@@ -102,8 +102,8 @@ def _descend(problem, W0, diagw, X, frame_x, lam, grad_own):
 class _Batch:
     """What both drivers share for one batch of seeds: the set-up, the
     round loop and what it records (metric columns, final states, aborts).
-    Batch row s is seeds[s]; alive[s] turns false when that seed goes
-    non-finite."""
+    Batch row s is seeds[s]; end[s] is its first non-finite iteration
+    (T + 1 for none), and it is live at iteration t while end[s] > t."""
 
     def __init__(self, problem, topology, schedules, T, seeds, prefix,
                  x0, init_radius):
@@ -139,10 +139,8 @@ class _Batch:
             X = np.broadcast_to(np.asarray(x0, dtype=float), (S, m, n))
         self.X0 = np.clip(X, problem.box_lo, problem.box_hi)
         self.grid = set(sampling_grid(T).tolist())
-        self.alive = np.ones(S, dtype=bool)
         self.cols = []  # per grid point: column name -> (S,) values
-        self.n_rows = np.zeros(S, dtype=int)
-        self.final, self.aborted_at = [None] * S, [None] * S
+        self.end, self.final = np.full(S, T + 1), [None] * S
 
     def draw_frame(self, X, Y, Z):
         """The broadcast frame of the next round's state, for every seed
@@ -156,15 +154,12 @@ class _Batch:
 
     def retire_nonfinite(self, t, X, Y, Z):
         """End the live seeds whose state went non-finite at iteration t,
-        keeping that state and t for their records. Returns whether any
-        seed is still alive."""
+        keeping that state for their records; returns the mask end > t."""
         total = X.sum(axis=(1, 2)) + Y.sum(axis=(1, 2)) + Z.sum(axis=(1, 2))
-        bad = self.alive & ~np.isfinite(total)
-        for s in np.flatnonzero(bad):
+        for s in np.flatnonzero((self.end > t) & ~np.isfinite(total)):
             self.final[s] = (X[s], Y[s], Z[s])
-            self.aborted_at[s] = t
-        self.alive &= ~bad
-        return self.alive.any()
+            self.end[s] = t
+        return self.end > t
 
     def drive(self, step, state, ev, observers):
         """The round loop of both drivers; returns the last state. Round t
@@ -172,17 +167,19 @@ class _Batch:
         step(t, state, frame, ev) -> (new state, bundle built at state,
         bundle carried to the new state or None) and calls the observers;
         it stops early once every seed has gone non-finite."""
+        live = self.end > 0
         for t in range(self.T):
             frame = self.draw_frame(*state)
             new, ev_t, ev = step(t, state, frame, ev)
             for obs in observers:
-                obs(t, state, frame, ev_t, self.alive)
+                obs(t, state, frame, ev_t, live)
             state = new
-            if not self.retire_nonfinite(t + 1, *state):
+            live = self.retire_nonfinite(t + 1, *state)
+            if not live.any():
                 return state
         frame = self.draw_frame(*state)
         for obs in observers:
-            obs(self.T, state, frame, ev, self.alive)
+            obs(self.T, state, frame, ev, live)
         return state
 
     def metric_rows(self, t, state, frame, ev, alive):
@@ -190,22 +187,20 @@ class _Batch:
         metric_eval call), which column observers listed after it extend."""
         if t in self.grid:
             self.cols.append(metric_eval(self.problem, *state, t))
-            self.n_rows += alive
 
     def records(self, state, z_max=None, l_max=None):
         """One RunRecord per seed, in seed order; state is the final
-        (X, Y, Z) of the seeds still alive."""
-        for s in np.flatnonzero(self.alive):
-            self.final[s] = tuple(a[s] for a in state)
+        (X, Y, Z) of the seeds still live."""
         cols = {c: np.array([g[c] for g in self.cols]) for c in self.cols[0]}
+        n_rows = np.searchsorted(cols["t"][:, 0], self.end)  # grid points < end
         out = []
-        for s, (seed, n) in enumerate(zip(self.seeds, self.n_rows)):
-            fx, fy, fz = self.final[s]
+        for s, (seed, n, end) in enumerate(zip(self.seeds, n_rows, self.end)):
+            fx, fy, fz = self.final[s] if end <= self.T else (a[s] for a in state)
             out.append(RunRecord(
-                ts=cols["t"][:n, s],  # a seed's rows end where it leaves
+                ts=cols["t"][:n, s],
                 columns={c: v[:n, s] for c, v in cols.items() if c != "t"},
                 final_x=fx, final_y=fy, final_z=fz, master_seed=seed,
-                aborted_at=self.aborted_at[s],
+                aborted_at=None if end > self.T else int(end),
                 z_norm_max=None if z_max is None else z_max[s],
                 l_norm1_max=None if l_max is None else l_max[s]))
         return out
@@ -244,7 +239,7 @@ def run_seeds(problem, topology, schedules, T, seeds, x0=None,
     fgap_sum = np.zeros(S)
     k = max(1, NoiseBank._CHUNK // (S * n))  # rounds per flush
     own, Z, l = np.empty((k, S, n)), np.empty((k, S, m, r)), np.empty((k, S, m, r))
-    live, grid_cols, kept = np.empty((k, S, 1), dtype=bool), [], 0
+    ts, grid_cols, kept = np.empty((k, 1, 1), dtype=int), [], 0
 
     def step(t, state, frame, _):
         problem.draw(b.store)
@@ -258,7 +253,7 @@ def run_seeds(problem, topology, schedules, T, seeds, x0=None,
         own[kept] = problem.own_block(state[0]).reshape(S, n)
         Z[kept] = state[2]
         l[kept] = 0.0 if ev is None else ev.l_newest()
-        live[kept, :, 0] = alive
+        ts[kept] = t
         if t in b.grid:
             grid_cols.append((kept, t, b.cols[-1]))
         kept += 1
@@ -274,8 +269,8 @@ def run_seeds(problem, topology, schedules, T, seeds, x0=None,
         # a max is exact in any order, so one reduction serves the chunk
         norms = np.array([np.sqrt((z * z).sum(axis=-1)),
                           np.abs(l[:kept]).sum(axis=-1)])
-        np.maximum(top, norms.max(axis=1, where=live[:kept], initial=0.0),
-                   out=top)
+        live = ts[:kept] < b.end[:, None]  # (kept, S, 1)
+        np.maximum(top, norms.max(axis=1, where=live, initial=0.0), out=top)
         if problem.has_optimizer:
             # one F_true call on the (kept, S, n) own blocks; cumsum adds
             # in the order of a per-round +=

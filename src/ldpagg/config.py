@@ -39,9 +39,19 @@ def _real(v):
     return float(v)
 
 
-def _reals(v):
-    """_real of v, or of each element of a list v (per-agent values)."""
-    return [_real(x) for x in v] if isinstance(v, list) else _real(v)
+def _reals(v, one=_real):
+    """one of v, or of each element of a list v (per-agent values)."""
+    return [one(x) for x in v] if isinstance(v, list) else one(v)
+
+
+def _box(v):
+    """v as a box (lo, hi), each bound a number or a list of them, one per
+    coordinate, as _reals takes it, or +-Infinity for an unbounded side."""
+    if not isinstance(v, list) or len(v) != 2:
+        raise ValueError(f"box: expected [lo, hi], got {v!r}")
+    inf = (-float("inf"), float("inf"))
+    return tuple(_checked("box", _reals, b, lambda x: x if x in inf else _real(x))
+                 for b in v)
 
 
 _TOP_KEYS = {"topology", "schedules", "problem", "T", "seeds", "master_seed",
@@ -50,11 +60,9 @@ _TOPOLOGY_KEYS = {"type", "m", "w", "weights"}
 _SCHED_KEYS = {"preset", "delta", "lambda0", "sigma", "stepsize", "noise"}
 _STEP_KEYS = {"lambda0", "v"}
 _NOISE_KEYS = {"sigma", "varsigma"}
-# per family: the factory and the conversion of each optional key, which
-# is every factory parameter but m, typed by its default (_integer for an
-# int, _real for a float); a key left out takes that default
-_PROBLEMS = {fam: (make, {k: {int: _integer, float: _real}.get(type(q.default),
-                                                               type(q.default))
+# per family: the factory and the conversion of each optional key (every
+# factory parameter but m), typed by its default; a key left out takes it
+_PROBLEMS = {fam: (make, {k: {int: _integer, float: _real, tuple: _box}[type(q.default)]
                           for k, q in inspect.signature(make).parameters.items()
                           if k != "m"})
              for fam, make in (("quadratic", problems.make_quadratic_problem),

@@ -37,9 +37,9 @@ from .schedules import SQRT2, ScheduleSet, StepsizeSchedule
 class SensitivityParams:
     """Lipschitz/bound constants and stepsize schedules for one agent.
 
-    L_l, L_h: Lipschitz constants of l and of the h-gradients in the
-    data argument (difference forcing terms); Lbar_l, Lbar_h: Lipschitz
-    constants in the decision arguments (coupling terms); d_l bounds
+    L_l: Lipschitz constant of l in the decision variable, as Lbar_l and
+    Lbar_h are of the l- and h-gradients (coupling terms); L_h: of the
+    h-gradients in the data argument (forcing terms alone); d_l bounds
     ||l||_1 on the feasible box, d_z bounds ||z_i^t||_2.
     """
 

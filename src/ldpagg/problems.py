@@ -21,8 +21,7 @@ slice bitwise what the unbatched call gives it. A store is built on its
 data generators, one per row: new_store(data_rngs, batch=(S,),
 horizon=H) holds its statistics as (S, m, .) and draws from S*m
 generators, seed-major (entry s*m + i is agent i under seed s), through
-an AgentBank whose refills hold at most H rounds (the drivers pass T + 1;
-unbounded by default).
+an AgentBank whose refills hold at most H rounds (the drivers pass T + 1).
 """
 
 from __future__ import annotations
@@ -88,8 +87,8 @@ class ProblemInstance:
         return np.take(X.reshape(X.shape[:-2] + (-1,)), self.own_flat, axis=-1)
 
     # -- streaming ------------------------------------------------------
-    def new_store(self, data_rngs, batch: tuple = (),
-                  horizon: float = np.inf) -> SampleStore:
+    def new_store(self, data_rngs, batch: tuple = (), *,
+                  horizon: int) -> SampleStore:
         raise NotImplementedError  # see the module docstring
 
     def draw(self, store: SampleStore) -> None:
@@ -179,8 +178,8 @@ class QuadraticProblem(ProblemInstance):
         self._set_box_and_index(box)
 
     # -- streaming ------------------------------------------------------
-    def new_store(self, data_rngs, batch: tuple = (),
-                  horizon: float = np.inf) -> SampleStore:
+    def new_store(self, data_rngs, batch: tuple = (), *,
+                  horizon: int) -> SampleStore:
         bank = AgentBank(data_rngs, self.r + self.ni, "standard_normal",
                          horizon=horizon)
         return SampleStore(bank, batch, xi_sum=(self.m, self.r),
@@ -347,8 +346,8 @@ class PersonalizedProblem(ProblemInstance):
                             np.arange(self.N)[None, :], labels)
         self._set_box_and_index(box)
 
-    def new_store(self, data_rngs, batch: tuple = (),
-                  horizon: float = np.inf) -> SampleStore:
+    def new_store(self, data_rngs, batch: tuple = (), *,
+                  horizon: int) -> SampleStore:
         bank = AgentBank(data_rngs, 2, "integers", high=self.N, horizon=horizon)
         return SampleStore(bank, batch, counts_f=(self.m, self.N),
                            counts_g=(self.m, self.N))

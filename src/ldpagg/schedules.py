@@ -220,7 +220,7 @@ class AgentBank:
     _BLOCK = 2048
 
     def __init__(self, rngs, dim: int, fill: str = "random", high: int | None = None,
-                 horizon: float = math.inf):
+                 *, horizon: int):
         self._rngs = list(rngs)
         self._fill = fill
         self._high = high
@@ -257,7 +257,7 @@ class NoiseBank(AgentBank):
 
     _CHUNK = 8192
 
-    def __init__(self, rngs, noise, dim: int, horizon: float = math.inf):
+    def __init__(self, rngs, noise, dim: int, *, horizon: int):
         super().__init__(rngs, dim, horizon=horizon)
         self.distinct = list(dict.fromkeys(noise))
         self._index = np.array([self.distinct.index(s) for s in noise])

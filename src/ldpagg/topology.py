@@ -24,7 +24,6 @@ class NetworkTopology:
 
     m: int
     weights: np.ndarray
-    neighbor_sets: tuple
     rho2_abs: float
     w_bar: float
     contraction_norm: float
@@ -66,8 +65,6 @@ def from_matrix(W: np.ndarray) -> NetworkTopology:
     return NetworkTopology(
         m=m,
         weights=W,
-        neighbor_sets=tuple(frozenset(j for j in range(m) if j != i and W[i, j] > 0.0)
-                            for i in range(m)),
         # second largest eigenvalue by algebraic value; m = 1 has none
         rho2_abs=abs(np.linalg.eigvalsh(W)[-2]) if m > 1 else 1.0,
         w_bar=float(np.min(np.abs(np.diag(W)))),

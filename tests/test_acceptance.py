@@ -206,8 +206,9 @@ class TestInvariants:
         prob = make_quadratic_problem(m=3, ni=2, r=2, gamma=1.0,
                                       noise_std_g=0.4, noise_std_f=0.4,
                                       box=(-10, 10), seed=3)
-        store = prob.new_store([np.random.default_rng([9, i]) for i in range(3)])
         N = 40000
+        store = prob.new_store([np.random.default_rng([9, i]) for i in range(3)],
+                               horizon=N)
         for _ in range(N):
             prob.draw(store)
         se = 0.4 / np.sqrt(N)
@@ -216,7 +217,8 @@ class TestInvariants:
 
         pers = make_personalized_problem(m=2, classes=3, features=2, lam=1.0,
                                          dataset_size=16, seed=4)
-        pstore = pers.new_store([np.random.default_rng([10, i]) for i in range(2)])
+        pstore = pers.new_store([np.random.default_rng([10, i]) for i in range(2)],
+                                horizon=N)
         for _ in range(N):
             pers.draw(pstore)
         p_hat = pstore.counts_g / N
@@ -228,7 +230,8 @@ class TestInvariants:
         quad = make_quadratic_problem(m=2, ni=2, r=2, gamma=0.8,
                                       noise_std_g=0.2, noise_std_f=0.2,
                                       box=(-10, 10), seed=5)
-        store = quad.new_store([np.random.default_rng([11, i]) for i in range(2)])
+        store = quad.new_store([np.random.default_rng([11, i]) for i in range(2)],
+                               horizon=12)
         phis = []
         for _ in range(12):
             quad.draw(store)

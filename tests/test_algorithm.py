@@ -113,7 +113,8 @@ class TestIterate:
         X = rng.uniform(-1, 1, (5, prob.n))
         Y = np.zeros((5, 2))
         Z = np.zeros((5, 2))
-        store = prob.new_store([agent_rng(11, i, "data") for i in range(5)])
+        store = prob.new_store([agent_rng(11, i, "data") for i in range(5)],
+                               horizon=30)
         for t in range(30):
             frame = BroadcastFrame(x=X, y=Y, z=Z)  # noise-free frames
             prob.draw(store)
@@ -131,8 +132,8 @@ class TestIterate:
         raw = rng.normal(0, 1, (6, 3))
         out = _consensus(W0, diagw, hat, raw)
         for i in range(6):
-            direct = sum(W[i, j] * (hat[j] - raw[i])
-                         for j in topo.neighbor_sets[i])
+            neighbours = [j for j in range(6) if j != i and W[i, j] > 0.0]
+            direct = sum(W[i, j] * (hat[j] - raw[i]) for j in neighbours)
             assert np.allclose(out[i], direct, atol=1e-14)
 
 
@@ -474,7 +475,7 @@ def test_round_leaves_its_inputs_unchanged(seed, S, family):
                              for a in (X, Y, Z)))
     inputs = [a.copy() for a in (X, Y, Z, frame.x, frame.y, frame.z)]
     store = prob.new_store([agent_rng(seed, i, "data") for i in range(S * m)],
-                           batch=(S,))
+                           batch=(S,), horizon=1)
     prob.draw(store)
     ev = prob.erm_eval(store, prob.own_block(X))
     grad_own = ev.grad_f_x(Y) + ev.grad_g_dot(Z)
@@ -638,6 +639,37 @@ def test_aborted_seeds_across_observer_chunks():
         rec = rec[0]
         assert np.array_equal(rec.ts, grid[grid < (rec.aborted_at or T + 1)])
         assert np.isfinite(rec.z_norm_max).all()
+
+
+def test_aborts_at_observer_chunk_edges(monkeypatch):
+    # seeds end at the first and the second round of an observer chunk, at
+    # its last round and the round after, and at T; the data draw that
+    # makes a seed's xi sum infinite at store count a makes its y, so its
+    # state, non-finite at iteration a, while l, on the newest xi alone,
+    # and z up to a stay finite
+    prob, T, seeds = BATCH_PROBLEMS["quadratic"], 400, list(range(7))
+    k = NoiseBank._CHUNK // (len(seeds) * prob.n)
+    ends = {1: k, 2: k + 1, 3: 2 * k - 1, 4: 2 * k, 5: T}
+    draw = QuadraticProblem.draw
+
+    def draw_to_end(self, store):
+        draw(self, store)
+        rows = store.xi_sum.reshape((-1,) + store.xi_sum.shape[-2:])
+        for row, rng in zip(rows, store.bank._rngs[::self.m]):
+            if ends.get(rng.bit_generator.seed_seq.entropy[0]) == store.count:
+                row[...] = np.inf
+
+    monkeypatch.setattr(QuadraticProblem, "draw", draw_to_end)
+    recs, alone = run_batch_and_solo("run", prob, batch_schedules(), T, seeds)
+    assert T > 2 * k
+    assert [r.aborted_at for r, _, _ in recs] == [ends.get(s) for s in seeds]
+    grid = sampling_grid(T)
+    for rec, solo in zip(recs, alone):
+        assert_same_record(rec, solo)
+        rec = rec[0]
+        assert np.array_equal(rec.ts, grid[grid < (rec.aborted_at or T + 1)])
+        assert np.isfinite(rec.z_norm_max).all()
+        assert np.isfinite(rec.l_norm1_max).all()
 
 
 def test_fgap_runmean_is_a_per_round_left_fold():

@@ -188,6 +188,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="inverted"):
             parse_config(cfg_dict(problem={"family": family, "box": [1, -1]}))
 
+    @pytest.mark.parametrize("family", ["quadratic", "personalized"])
+    def test_infinite_box_bound_is_an_unbounded_side(self, family):
+        box = [-float("inf"), float("inf")]
+        prob = parse_config(cfg_dict(problem={"family": family,
+                                              "box": box})).problem
+        assert (prob.box_lo == -np.inf).all() and (prob.box_hi == np.inf).all()
+
     def test_calibration_block_rejected(self):
         with pytest.raises(ConfigError, match=r"config\.calibration: unknown key"):
             parse_config(cfg_dict(calibration={"epsilon": 1.0}))
@@ -399,6 +406,10 @@ class TestCliRun:
     (("problem",), {"family": "personalized", "features": 0}, "problem"),
     (("problem", "ni"), 0, "problem"),
     (("problem", "r"), 0, "problem"),
+    (("problem", "box"), ["-10", "10"], "problem: box"),
+    (("problem", "box"), [False, True], "problem: box"),
+    (("problem", "box"), [float("nan"), 1], "problem: box"),
+    (("problem", "box"), "ab", "problem: box"),
 ], ids=["topology.m-missing", "topology.w", "stepsize.x.v-missing",
         "noise.x.sigma", "noise.x.sigma-nan", "stepsize.x.lambda0-inf",
         "seeds", "T", "delta", "preset-list", "stepsize-list",
@@ -414,11 +425,13 @@ class TestCliRun:
         "noise.x.sigma-list-string", "sensitivity.L_l-string",
         "sensitivity.d_l-bool", "init_radius-string", "problem.lam-nan",
         "problem.classes-zero", "problem.features-zero", "problem.ni-zero",
-        "problem.r-zero"])
+        "problem.r-zero", "problem.box-string", "problem.box-bool",
+        "problem.box-nan", "problem.box-not-a-pair"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, keys, value, where):
     # a missing (...), non-numeric, non-finite (NaN and Infinity are JSON
     # literals to Python), out-of-range or malformed value, a bool or
-    # string for a real key (each per-agent element included), a bool or
+    # string for a real key (each per-agent element and box bound
+    # included, and NaN for a box bound, which may be infinite), a bool or
     # fractional number for an integer key, or a zero problem dimension,
     # is one config error line on the path of its block, with exit code 1
     d = cfg_dict()

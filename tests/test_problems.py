@@ -20,7 +20,7 @@ def rngs_for(m, seed=0, tag="data"):
 def fill_store(problem, t_plus_1, seed=0, raw=None):
     """An unbatched store after t_plus_1 draws; raw, when given, collects
     each draw's (last_xi, last_phi) as (raw["xi"], raw["phi"]) lists."""
-    store = problem.new_store(rngs_for(problem.m, seed))
+    store = problem.new_store(rngs_for(problem.m, seed), horizon=t_plus_1)
     for _ in range(t_plus_1):
         problem.draw(store)
         if raw is not None:
@@ -69,7 +69,7 @@ class TestQuadraticErm:
         for prob in family_problems():
             Xown = np.zeros((prob.m, prob.ni))
             with pytest.raises(ValueError, match="empty"):
-                prob.erm_eval(prob.new_store(rngs_for(prob.m)), Xown)
+                prob.erm_eval(prob.new_store(rngs_for(prob.m), horizon=0), Xown)
             with pytest.raises(ValueError, match="empty"):
                 ErmReference(prob, [], [], Xown)
 
@@ -127,7 +127,7 @@ class TestQuadraticErm:
         # lockstep data bank; every round's (xi, phi) must be agent i's
         # own normal stream
         k = self.prob.r + self.prob.ni
-        store = self.prob.new_store(rngs_for(self.prob.m, seed=5))
+        store = self.prob.new_store(rngs_for(self.prob.m, seed=5), horizon=2100)
         replay = rngs_for(self.prob.m, seed=5)
         for _ in range(2100):
             self.prob.draw(store)
@@ -351,9 +351,11 @@ def test_index_replay_across_bank_refills(N, S, seed):
     # two scalar integers(N) draws, f then g
     prob = make_personalized_problem(m=2, classes=2, features=1, lam=0.5,
                                      dataset_size=N, seed=1)
-    store = prob.new_store(batch_rngs(prob.m, (S,), seed), batch=(S,))
+    rounds = 2 * (AgentBank._BLOCK // 2) + 52
+    store = prob.new_store(batch_rngs(prob.m, (S,), seed), batch=(S,),
+                           horizon=rounds)
     replay = batch_rngs(prob.m, (S,), seed)
-    for _ in range(2 * (AgentBank._BLOCK // 2) + 52):
+    for _ in range(rounds):
         prob.draw(store)
         phi, xi = store.last_phi.reshape(-1), store.last_xi.reshape(-1)
         for k, rng in enumerate(replay):
@@ -373,7 +375,7 @@ def test_reweighted_eval_equals_fresh_eval(prob, batch):
     # the baseline re-weights last round's eval at the same points after
     # each draw; that must be bitwise the fresh oracle at those points
     rng = np.random.default_rng(2)
-    store = prob.new_store(batch_rngs(prob.m, batch), batch=batch)
+    store = prob.new_store(batch_rngs(prob.m, batch), batch=batch, horizon=5)
     prob.draw(store)
     Xown = rng.normal(0, 1, batch + (prob.m, prob.ni))
     Y = rng.normal(0, 1, batch + (prob.m, prob.r))
@@ -397,7 +399,7 @@ def test_loss_only_truth_equals_full_pass(prob, batch):
     # per-sample gradients; they must equal the values computed from the
     # oracle's full pass
     rng = np.random.default_rng(3)
-    store = prob.new_store(batch_rngs(prob.m, batch), batch=batch)
+    store = prob.new_store(batch_rngs(prob.m, batch), batch=batch, horizon=7)
     for _ in range(7):
         prob.draw(store)
     Xown = rng.normal(0, 1, batch + (prob.m, prob.ni))

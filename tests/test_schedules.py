@@ -156,16 +156,14 @@ class TestRngStreams:
 
 
 def bank_horizon(place, dim):
-    """(keyword arguments, horizon, rounds per refill) of a bank of dim-vectors
-    with no horizon (place None) or one below, at or above _BLOCK // dim."""
+    """(horizon, rounds per refill) of a bank of dim-vectors with a horizon
+    below, at or above _BLOCK // dim."""
     block = max(1, AgentBank._BLOCK // max(dim, 1))
-    if place is None:
-        return {}, 0, block
     horizon = {"below": block // 3, "at": block, "above": block + 1}[place]
-    return {"horizon": horizon}, horizon, max(1, min(block, horizon))
+    return horizon, max(1, min(block, horizon))
 
 
-HORIZONS = st.sampled_from([None, "below", "at", "above"])
+HORIZONS = st.sampled_from(["below", "at", "above"])
 
 
 @settings(max_examples=25, deadline=None)
@@ -177,8 +175,9 @@ def test_bank_rows_replay_agent_streams_across_refills(m, dim, extra, seed, tag,
     # a refill holds at most horizon rounds; the rounds go at least three
     # refills past the horizon, so refill boundaries fall inside the
     # replayed sequence and a draw past the horizon still replays
-    kwargs, horizon, per_refill = bank_horizon(place, dim)
-    bank = AgentBank([agent_rng(seed, i, tag) for i in range(m)], dim, **kwargs)
+    horizon, per_refill = bank_horizon(place, dim)
+    bank = AgentBank([agent_rng(seed, i, tag) for i in range(m)], dim,
+                     horizon=horizon)
     assert bank._buf.shape[1] == per_refill
     rounds = horizon + 3 * per_refill + extra
     streams = [LaplaceStream(agent_rng(seed, i, tag)) for i in range(m)]
@@ -208,9 +207,9 @@ def test_noise_bank_replays_reference_streams(S, m, dim, extra, seed, tag,
     # cross at least three chunk boundaries (a chunk never spans a refill)
     noise = hetero_noise(m)
     rows = [(seed + s, i) for s in range(S) for i in range(m)]
-    kwargs, horizon, per_refill = bank_horizon(place, dim)
+    horizon, per_refill = bank_horizon(place, dim)
     bank = NoiseBank([agent_rng(sd, i, tag) for sd, i in rows], noise, dim,
-                     **kwargs)
+                     horizon=horizon)
     assert bank._buf.shape[1] == per_refill
     rounds = horizon + 3 * per_refill + extra + 1
     streams = [LaplaceStream(agent_rng(sd, i, tag)) for sd, i in rows]
@@ -236,7 +235,8 @@ def test_noise_bank_replays_reference_streams(S, m, dim, extra, seed, tag,
 
 def test_laplace_params_gather_matches_per_agent_schedules():
     noise = broadcast_noise([1.0, 0.5, 1.0, 2.0, 0.5], [0.1, 0.1, 0.1, 0.3, 0.1], 5)
-    bank = NoiseBank([agent_rng(0, i, "theta") for i in range(5)], noise, 1)
+    bank = NoiseBank([agent_rng(0, i, "theta") for i in range(5)], noise, 1,
+                     horizon=0)
     assert len(bank.distinct) == 3
     ts = (0, 1, 17, 10 ** 5)
     params = bank.laplace_params(ts)

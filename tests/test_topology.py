@@ -25,8 +25,6 @@ class TestRing:
         assert np.allclose(np.diag(t.weights), -0.6)
         assert t.w_bar == pytest.approx(0.6)
         assert all(passed for _, passed, _ in validate(t.weights))
-        for i, ns in enumerate(t.neighbor_sets):
-            assert ns == {(i + 1) % 5, (i - 1) % 5}
 
     def test_two_agent_matrix(self):
         t = ring_topology(2, 0.3)
@@ -61,7 +59,6 @@ class TestTrivial:
         t = trivial_topology()
         assert t.m == 1
         assert t.weights[0, 0] == 0.0
-        assert t.neighbor_sets == (frozenset(),)
         assert t.w_bar == 0.0
         assert t.contraction_norm == 0.0
         assert not t.weights.flags.writeable
