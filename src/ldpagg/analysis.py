@@ -68,8 +68,9 @@ def fit_rate(ts, values_per_seed, window=None) -> SlopeFit:
     V = np.atleast_2d(np.asarray(values_per_seed, dtype=float))
     if V.shape[1] != ts.size:
         raise ValueError("per-seed series must share the sampling grid")
-    if window is None:
-        window = (ts.max() / 100.0, ts.max())
+    if window is None:  # (0, 0) on an empty grid, which has too few points
+        hi = ts.max(initial=0.0)
+        window = (hi / 100.0, hi)
     lo, hi = window
     mask = (ts >= lo) & (ts <= hi) & (ts > 0)
     mean = V.mean(axis=0)[mask]

@@ -23,7 +23,6 @@ from .analysis import fit_rate, sampling_grid
 from .config import ConfigError, load_config
 from .privacy import accountable, budgets, calibrate_noise
 from .schedules import check_conditions
-from .topology import validate as validate_matrix
 
 _COLUMN_ORDER = ["t", "err_to_opt_sq", "F_gap", "F_gap_runmean",
                  "grad_norm_sq", "consensus_x", "consensus_y",
@@ -49,14 +48,15 @@ def _writing(path):
         raise _UsageError(f"cannot write {path}: {e.strerror}") from None
 
 
-def _write_csv(path, ts, columns, eps_columns=None):
+def _write_csv(path, ts, columns, extra=None):
+    """t, then columns in _COLUMN_ORDER, then the extra columns by name."""
     names = [c for c in _COLUMN_ORDER if c == "t" or c in columns]
-    eps_names = sorted(eps_columns) if eps_columns else []
+    extra_names = sorted(extra) if extra else []
     with _writing(path) as f:
-        f.write(",".join(names + eps_names) + "\n")
+        f.write(",".join(names + extra_names) + "\n")
         for k in range(len(ts)):
             vals = [ts[k] if c == "t" else columns[c][k] for c in names]
-            vals += [eps_columns[c][k] for c in eps_names]
+            vals += [extra[c][k] for c in extra_names]
             f.write(",".join(_fmt(v) for v in vals) + "\n")
 
 
@@ -250,17 +250,14 @@ def _cmd_analyze(args):
             raise _UsageError(f"{fname} is not sampled at the iterations of "
                               f"{first} (an aborted seed?)")
         series.append(data[:, header.index(args.metric)])
+    values = np.stack(series)
     try:
-        fit = fit_rate(ts, np.stack(series), window=window)
+        fit = fit_rate(ts, values, window=window)
     except ValueError as e:
         raise _UsageError(e) from None
     print(json.dumps(vars(fit), indent=2, sort_keys=True))
-    mean = np.stack(series).mean(axis=0)
-    out_csv = os.path.join(args.indir, f"mean_{args.metric}.csv")
-    with _writing(out_csv) as f:
-        f.write(f"t,{args.metric}\n")
-        for t, v in zip(ts, mean):
-            f.write(f"{_fmt(t)},{_fmt(v)}\n")
+    _write_csv(os.path.join(args.indir, f"mean_{args.metric}.csv"), ts, {},
+               {args.metric: values.mean(axis=0)})
     return 0
 
 
@@ -268,15 +265,15 @@ def _cmd_validate(args):
     cfg = load_config(args.config)
     print(f"topology: m={cfg.topology.m} w_bar={_fmt(cfg.topology.w_bar)} "
           f"rho2_abs={_fmt(cfg.topology.rho2_abs)} "
-          f"contraction={_fmt(cfg.topology.contraction_norm)}")
-    for name, passed, residual in validate_matrix(cfg.topology.weights):
+          f"contraction={_fmt(cfg.topology.conditions[3][2])}")  # "contraction norm < 1"
+    for name, passed, residual in cfg.topology.conditions:
         print(f"  [{'ok' if passed else 'FAIL'}] {name} (residual {residual:.3g})")
-    crep = check_conditions(cfg.schedules, cfg.case)
+    checks, rate = check_conditions(cfg.schedules, cfg.case)
     print(f"schedule conditions ({cfg.case.value}):")
-    for name, passed in crep.checks:
+    for name, passed in checks:
         print(f"  [{'ok' if passed else 'FAIL'}] {name}")
-    if crep.ok:
-        print(f"  rate exponent: {_fmt(crep.rate_exponent)}")
+    if rate is not None:
+        print(f"  rate exponent: {_fmt(rate)}")
     for w in cfg.warnings:
         print(f"warning: {w}")
     print("config ok")

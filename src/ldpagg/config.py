@@ -214,11 +214,12 @@ def parse_config(raw: dict) -> RunConfig:
         case = preset_case or ConvexityCase.STRONGLY_CONVEX
     problem = _build_problem(raw["problem"], topology.m)
 
-    report = sched.check_conditions(schedule_set, case)
-    if not report.ok:
+    failures = [name for name, passed in sched.check_conditions(schedule_set, case)[0]
+                if not passed]
+    if failures:
         warnings_list.append(
             "schedule conditions violated (run proceeds as an ablation): "
-            + "; ".join(report.failures()))
+            + "; ".join(failures))
 
     sens = None
     if "sensitivity" in raw:
@@ -233,6 +234,9 @@ def parse_config(raw: dict) -> RunConfig:
             warnings_list.append("sensitivity accounting with m=1 uses w_bar=0.5 "
                                  "(no consensus damping exists)")
 
+    out = raw.get("out", "runs")
+    if not isinstance(out, str):
+        raise ConfigError(f"config.out: expected a string, got {out!r}")
     return RunConfig(
         raw=raw, topology=topology, schedules=schedule_set, case=case,
         problem=problem, T=_top_level(raw, "T", 1000, _integer, 0),
@@ -240,4 +244,4 @@ def parse_config(raw: dict) -> RunConfig:
         master_seed=_top_level(raw, "master_seed", 0, _integer, 0),
         init_radius=_top_level(raw, "init_radius", 10.0, _real, 0),
         sensitivity=sens,
-        out=str(raw.get("out", "runs")), warnings=warnings_list)
+        out=out, warnings=warnings_list)

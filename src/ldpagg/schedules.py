@@ -88,25 +88,13 @@ def broadcast_noise(sigma, varsigma, m: int) -> tuple:
     return tuple(NoiseSchedule(float(s), float(v)) for s, v in zip(sigmas, vss))
 
 
-@dataclass
-class ConditionReport:
-    """Inequality-by-inequality report; rate_exponent set when all pass."""
-
-    checks: list
-    rate_exponent: float | None
-
-    @property
-    def ok(self) -> bool:
-        return all(passed for _, passed in self.checks)
-
-    def failures(self):
-        return [name for name, passed in self.checks if not passed]
-
-
-def check_conditions(s: ScheduleSet, case: ConvexityCase) -> ConditionReport:
+def check_conditions(s: ScheduleSet, case: ConvexityCase):
     """Check the stepsize chain, the noise-rate admissibility inequalities,
     and the case-specific rate conditions; all comparisons are strict with
     zero tolerance since exponents are exact configuration values.
+
+    Returns (checks, rate_exponent): checks lists (inequality, passed)
+    pairs, and the rate exponent is None unless every check passes.
     """
     vx, vy, vz = s.lambda_x.v, s.lambda_y.v, s.lambda_z.v
     cx, cy, cz = s.varsigmas(min)
@@ -134,8 +122,7 @@ def check_conditions(s: ScheduleSet, case: ConvexityCase) -> ConditionReport:
             ("varsigma_z > v_z - 1/2 + (1 - v_x)", cz > vz - 0.5 + (1.0 - vx)),
         ]
         rate = 1.0 - vx
-    ok = all(passed for _, passed in checks)
-    return ConditionReport(checks=checks, rate_exponent=rate if ok else None)
+    return checks, rate if all(passed for _, passed in checks) else None
 
 
 def corollary1_exponents(case: ConvexityCase, delta: float):
@@ -168,9 +155,10 @@ def corollary1_preset(
         noise_y=broadcast_noise(sigma[1], sy, m),
         noise_z=broadcast_noise(sigma[2], sz, m),
     )
-    report = check_conditions(s, case)
-    if not report.ok:
-        raise ValueError(f"delta={delta} fails conditions: {report.failures()}")
+    checks, rate = check_conditions(s, case)
+    if rate is None:
+        raise ValueError(f"delta={delta} fails conditions: "
+                         f"{[name for name, passed in checks if not passed]}")
     return s
 
 

@@ -19,56 +19,66 @@ class NetworkTopology:
     """Validated symmetric consensus weight matrix plus derived spectral data.
 
     rho2_abs is |second-largest eigenvalue of W| (algebraic ordering);
-    w_bar is min_i |w_ii|. Instances are immutable and safe to share.
+    w_bar is min_i |w_ii|; conditions holds validate(W)'s five triples,
+    all passed. Instances are immutable and safe to share.
     """
 
     m: int
     weights: np.ndarray
     rho2_abs: float
     w_bar: float
-    contraction_norm: float
+    conditions: tuple
 
     def __post_init__(self):
         self.weights.setflags(write=False)
 
 
-def validate(W: np.ndarray) -> list:
-    """The structural conditions on a nonempty square matrix, as (name,
-    passed, residual) triples. Report-style: raises only on a bad shape."""
+def validate(W: np.ndarray):
+    """The structural conditions on a nonempty square matrix of finite
+    entries, as (name, passed, residual) triples, and W's eigenvalues in
+    ascending order. Report-style: raises only on a bad shape or a
+    non-finite entry. The contraction residual is max |1 + lambda_i| over
+    all but the largest eigenvalue (0 for m = 1). Under the other four
+    conditions W is minus a weighted graph Laplacian, whose largest
+    eigenvalue, 0, belongs to the constant vector, so the residual is
+    ||I + W - 11^T/m||_2; when another condition fails (and from_matrix
+    rejects W), it is just the formula's value.
+    """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1] or W.size == 0:
         raise ValueError("W must be a nonempty square matrix")
-    m = W.shape[0]
+    if not np.all(np.isfinite(W)):
+        raise ValueError("W must have finite entries")
     row_res = float(np.max(np.abs(W.sum(axis=1))))
     col_res = float(np.max(np.abs(W.sum(axis=0))))
     sym_res = float(np.max(np.abs(W - W.T)))
     offdiag = W.copy()
     np.fill_diagonal(offdiag, 0.0)
-    contraction = np.linalg.norm(np.eye(m) + W - np.ones((m, m)) / m, 2)
-    return [
+    lam = np.linalg.eigvalsh(W)
+    contraction = float(np.max(np.abs(1.0 + lam[:-1]), initial=0.0))
+    return (
         ("row sums zero", row_res < STRUCT_TOL, row_res),
         ("column sums zero", col_res < STRUCT_TOL, col_res),
         ("symmetric", sym_res < STRUCT_TOL, sym_res),
         ("contraction norm < 1", contraction < 1.0 - STRUCT_TOL, contraction),
         ("off-diagonal entries nonnegative", bool(np.all(offdiag >= 0.0)), 0.0),
-    ]
+    ), lam
 
 
 def from_matrix(W: np.ndarray) -> NetworkTopology:
     """Build a topology from an explicit weight matrix, or raise if invalid."""
     W = np.array(W, dtype=float)
-    conditions = validate(W)
+    conditions, lam = validate(W)
     failed = [name for name, passed, _ in conditions if not passed]
     if failed:
         raise ValueError(f"invalid weight matrix: failed {failed}")
-    m = W.shape[0]
     return NetworkTopology(
-        m=m,
+        m=W.shape[0],
         weights=W,
         # second largest eigenvalue by algebraic value; m = 1 has none
-        rho2_abs=abs(np.linalg.eigvalsh(W)[-2]) if m > 1 else 1.0,
+        rho2_abs=abs(lam[-2]) if lam.size > 1 else 1.0,
         w_bar=float(np.min(np.abs(np.diag(W)))),
-        contraction_norm=conditions[3][2],  # "contraction norm < 1"
+        conditions=conditions,
     )
 
 
@@ -83,9 +93,8 @@ def ring_topology(m: int, w: float) -> NetworkTopology:
     if not (0.0 < w < 0.5):
         raise ValueError(f"ring edge weight must lie in (0, 1/2), got {w}")
     W = np.zeros((m, m))
-    for i in range(m):
-        W[i, (i + 1) % m] = w
-        W[i, (i - 1) % m] = w
+    i = np.arange(m)
+    W[i, (i + 1) % m] = W[i, (i - 1) % m] = w
     np.fill_diagonal(W, -W.sum(axis=1))
     return from_matrix(W)
 

@@ -148,6 +148,14 @@ class TestParseConfig:
             parse_config(cfg_dict(topology={"type": "matrix",
                                             "weights": [[0, 0], [0, 0]]}))
 
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    def test_nonfinite_matrix_rejected(self, entry):
+        W = [[-0.3, 0.3], [0.3, entry]]
+        with pytest.raises(ConfigError,
+                           match=r"^topology\.weights: W must have finite entries$"):
+            parse_config(cfg_dict(topology={"type": "matrix", "weights": W}))
+
     def test_bad_case_rejected(self):
         with pytest.raises(ConfigError, match="case"):
             parse_config(cfg_dict(case="mediumconvex"))
@@ -410,6 +418,9 @@ class TestCliRun:
     (("problem", "box"), [False, True], "problem: box"),
     (("problem", "box"), [float("nan"), 1], "problem: box"),
     (("problem", "box"), "ab", "problem: box"),
+    (("out",), None, "config.out"),
+    (("out",), 5, "config.out"),
+    (("out",), [1], "config.out"),
 ], ids=["topology.m-missing", "topology.w", "stepsize.x.v-missing",
         "noise.x.sigma", "noise.x.sigma-nan", "stepsize.x.lambda0-inf",
         "seeds", "T", "delta", "preset-list", "stepsize-list",
@@ -426,7 +437,8 @@ class TestCliRun:
         "sensitivity.d_l-bool", "init_radius-string", "problem.lam-nan",
         "problem.classes-zero", "problem.features-zero", "problem.ni-zero",
         "problem.r-zero", "problem.box-string", "problem.box-bool",
-        "problem.box-nan", "problem.box-not-a-pair"])
+        "problem.box-nan", "problem.box-not-a-pair", "out-null", "out-number",
+        "out-list"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, keys, value, where):
     # a missing (...), non-numeric, non-finite (NaN and Infinity are JSON
     # literals to Python), out-of-range or malformed value, a bool or
@@ -529,8 +541,10 @@ class TestCliUsageErrors:
          "seed_1.csv: could not convert string to float: 'abc'"),
         ({"seed_1.csv": "t,err_to_opt_sq\n1,1\n2,0.5,7\n"}, "err_to_opt_sq",
          "seed_1.csv: a row without the 2 header fields"),
+        ({"seed_1.csv": "t,err_to_opt_sq\n"}, "err_to_opt_sq",
+         "need at least 5 sampled points in the window"),
     ], ids=["no-seed-csv", "unknown-metric", "fit-error", "non-numeric",
-            "ragged-row"])
+            "ragged-row", "header-only"])
     def test_analyze_usage_errors(self, tmp_path, capsys, files, metric,
                                   fragment):
         for name, text in files.items():

@@ -25,15 +25,15 @@ def make_set(vx, vy, vz, sx, sy, sz, m=1):
 class TestConditions:
     def test_preset_sc_beta(self):
         s = corollary1_preset(ConvexityCase.STRONGLY_CONVEX, 0.01)
-        rep = check_conditions(s, ConvexityCase.STRONGLY_CONVEX)
-        assert rep.ok
-        assert rep.rate_exponent == pytest.approx(0.49)
+        checks, rate = check_conditions(s, ConvexityCase.STRONGLY_CONVEX)
+        assert all(passed for _, passed in checks)
+        assert rate == pytest.approx(0.49)
 
     def test_stepsize_chain_violation(self):
         s = make_set(0.5, 0.02, 0.6, 0.4, 0.01, 0.02)
-        rep = check_conditions(s, ConvexityCase.STRONGLY_CONVEX)
-        assert not rep.ok
-        assert any("v_x" in f for f in rep.failures())
+        checks, rate = check_conditions(s, ConvexityCase.STRONGLY_CONVEX)
+        assert rate is None
+        assert any("v_x" in name for name, passed in checks if not passed)
 
     def test_heterogeneous_offsets_pass_assumption4(self):
         # per-agent noise exponents around the published large-scale values
@@ -46,15 +46,15 @@ class TestConditions:
             noise_y=broadcast_noise(1.0, [0.015 - 0.001 * i for i in range(m)], m),
             noise_z=broadcast_noise(1.0, [0.025 - 0.001 * i for i in range(m)], m),
         )
-        rep = check_conditions(s, ConvexityCase.CONVEX)
-        a4 = [p for name, p in rep.checks if "varsigma_x < v_x - v_z" in name
+        checks, _ = check_conditions(s, ConvexityCase.CONVEX)
+        a4 = [p for name, p in checks if "varsigma_x < v_x - v_z" in name
               or "varsigma_y < v_y" in name or "varsigma_z < v_z" in name]
         assert a4 and all(a4)
 
     def test_rate_exponent_none_on_failure(self):
         s = make_set(0.7, 0.02, 0.03, 0.1, 0.01, 0.02)  # varsigma_x too small (sc)
-        rep = check_conditions(s, ConvexityCase.STRONGLY_CONVEX)
-        assert not rep.ok and rep.rate_exponent is None
+        checks, rate = check_conditions(s, ConvexityCase.STRONGLY_CONVEX)
+        assert not all(passed for _, passed in checks) and rate is None
 
 
 class TestPresets:
@@ -64,9 +64,9 @@ class TestPresets:
 
     def test_cvx_rate(self):
         s = corollary1_preset(ConvexityCase.CONVEX, 0.01)
-        rep = check_conditions(s, ConvexityCase.CONVEX)
+        checks, rate = check_conditions(s, ConvexityCase.CONVEX)
         assert s.lambda_x.v == pytest.approx(0.55)
-        assert rep.ok and rep.rate_exponent == pytest.approx(0.45)
+        assert all(passed for _, passed in checks) and rate == pytest.approx(0.45)
 
     def test_large_delta_rejected(self):
         with pytest.raises(ValueError):
@@ -75,7 +75,8 @@ class TestPresets:
     def test_preset_passes_all_cases(self):
         for case in ConvexityCase:
             s = corollary1_preset(case, 0.01)
-            assert check_conditions(s, case).ok
+            checks, rate = check_conditions(s, case)
+            assert all(passed for _, passed in checks) and rate is not None
 
 
 class TestLaplace:

@@ -4,8 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldpagg.reference import ring_spectrum
-from ldpagg.topology import (from_matrix, ring_topology, trivial_topology,
-                             validate)
+from ldpagg.topology import (STRUCT_TOL, from_matrix, ring_topology,
+                             trivial_topology, validate)
+
+
+def contraction(t):
+    """The contraction residual that from_matrix stored with t."""
+    return {name: res for name, _, res in t.conditions}["contraction norm < 1"]
 
 
 def circulant_eigs(m, w):
@@ -24,7 +29,7 @@ class TestRing:
         t = ring_topology(5, 0.3)
         assert np.allclose(np.diag(t.weights), -0.6)
         assert t.w_bar == pytest.approx(0.6)
-        assert all(passed for _, passed, _ in validate(t.weights))
+        assert all(passed for _, passed, _ in validate(t.weights)[0])
 
     def test_two_agent_matrix(self):
         t = ring_topology(2, 0.3)
@@ -38,7 +43,7 @@ class TestRing:
     def test_contraction_norm_value(self):
         # 1 - |rho2| for the symmetric ring; ~0.5854 for (5, 0.3)
         t = ring_topology(5, 0.3)
-        assert t.contraction_norm == pytest.approx(0.5854, abs=1e-3)
+        assert contraction(t) == pytest.approx(0.5854, abs=1e-3)
 
     def test_rejects_bad_weight(self):
         with pytest.raises(ValueError):
@@ -60,7 +65,7 @@ class TestTrivial:
         assert t.m == 1
         assert t.weights[0, 0] == 0.0
         assert t.w_bar == 0.0
-        assert t.contraction_norm == 0.0
+        assert contraction(t) == 0.0
         assert not t.weights.flags.writeable
 
     def test_rho2_convention(self):
@@ -69,7 +74,7 @@ class TestTrivial:
 
 def failed(W):
     """The failed conditions of W, as {name: residual}."""
-    return {name: res for name, passed, res in validate(W) if not passed}
+    return {name: res for name, passed, res in validate(W)[0] if not passed}
 
 
 class TestValidate:
@@ -94,12 +99,19 @@ class TestValidate:
         with pytest.raises(ValueError, match="contraction"):
             from_matrix(np.zeros((3, 3)))
 
-    @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (3,)],
-                             ids=["empty", "non-square", "vector"])
-    def test_rejects_empty_or_non_square(self, shape):
+    @pytest.mark.parametrize("W, message", [
+        (np.zeros((0, 0)), "nonempty square matrix"),
+        (np.zeros((2, 3)), "nonempty square matrix"),
+        (np.zeros(3), "nonempty square matrix"),
+        ([[-0.3, 0.3], [0.3, np.nan]], "finite entries"),
+        ([[-0.3, 0.3], [0.3, np.inf]], "finite entries"),
+    ], ids=["empty", "non-square", "vector", "nan", "inf"])
+    def test_rejects_empty_or_non_square(self, W, message):
+        # a non-finite entry is rejected before the eigensolver, which
+        # returns NaN-free eigenvalues for some NaN matrices
         for check in (validate, from_matrix):
-            with pytest.raises(ValueError, match="nonempty square matrix"):
-                check(np.zeros(shape))
+            with pytest.raises(ValueError, match=message):
+                check(np.asarray(W))
 
 
 @settings(max_examples=40, deadline=None)
@@ -109,7 +121,7 @@ def test_ring_invariants(m, w):
     W = np.asarray(t.weights)
     assert np.max(np.abs(W.sum(axis=0))) < 1e-9
     assert np.max(np.abs(W.sum(axis=1))) < 1e-9
-    assert t.contraction_norm < 1.0
+    assert contraction(t) < 1.0
     eigs = np.sort(np.linalg.eigvalsh(W))
     assert np.allclose(eigs, ring_spectrum(m, w), atol=1e-9)
 
@@ -122,7 +134,9 @@ def test_contraction_vs_spectral_gap(m, w):
     # which holds on rings for w <= 1/4; larger edge weights break it
     # while the topology itself stays valid
     t = ring_topology(m, w)
-    assert t.contraction_norm <= 1.0 - t.rho2_abs + 1e-12
+    assert contraction(t) <= 1.0 - t.rho2_abs + 1e-12
+    assert contraction(t) == pytest.approx(1.0 - abs(ring_spectrum(m, w)[-2]),
+                                           rel=0, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -162,3 +176,27 @@ def test_isolated_agent_fails_contraction_only(m, k, seed, density):
     assert fails["contraction norm < 1"] >= 1.0 - 1e-12
     with pytest.raises(ValueError, match="contraction"):
         from_matrix(W)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, 8), k=st.integers(-1, 7), seed=st.integers(0, 2**32 - 1),
+       density=st.floats(0.0, 1.0), scale=st.sampled_from([0.1, 0.4, 1.0]))
+def test_contraction_equals_svd_oracle(m, k, seed, density, scale):
+    # symmetric, zero-sum, nonnegative off the diagonal (agent k cut off
+    # when k >= 0, as in test_isolated_agent_fails_contraction_only): the
+    # eigenvalue residual is the SVD norm of I + W - 11^T/m, so each
+    # condition passes or fails as it would with the SVD residual
+    rng = np.random.default_rng(seed)
+    A = np.triu(rng.uniform(0.0, scale, (m, m)) * (rng.random((m, m)) < density), 1)
+    W = A + A.T
+    if k >= 0:
+        W[k % m, :] = W[:, k % m] = 0.0
+    np.fill_diagonal(W, -W.sum(axis=1))
+    conditions, lam = validate(W)
+    svd = np.linalg.norm(np.eye(m) + W - np.ones((m, m)) / m, 2)  # the oracle
+    assert conditions[3][0] == "contraction norm < 1"
+    assert conditions[3][2] == pytest.approx(svd, rel=0, abs=1e-12)
+    assert np.array_equal(lam, np.linalg.eigvalsh(W))
+    with_svd = [passed if name != "contraction norm < 1" else svd < 1.0 - STRUCT_TOL
+                for name, passed, _ in conditions]
+    assert [passed for _, passed, _ in conditions] == with_svd
