@@ -27,7 +27,8 @@ premise audit once per chunk of rounds.
 
 Random streams: every (seed, agent, tag) triple has its own generator
 from agent_rng (tags theta, chi, zeta for the x, y, z noise, data for
-the samples, init for the start point; the baseline prefixes
+the samples, init for the start point, which unless x0 is given is
+uniform on the box cut to +-INIT_RADIUS; the baseline prefixes
 "baseline-"). Each tag is drawn through one lockstep bank over the S*m
 generators, a NoiseBank per noise tag and the sample store's AgentBank
 for the data; row s*m + i of a bank is agent i's stream under seed s,
@@ -52,6 +53,8 @@ import numpy as np
 from .analysis import metric_eval, sampling_grid
 from .schedules import NoiseBank, agent_rng
 
+INIT_RADIUS = 10.0  # the random start's bound on |x| in every coordinate
+
 
 @dataclass
 class BroadcastFrame:
@@ -64,14 +67,13 @@ class BroadcastFrame:
 
 @dataclass
 class RunRecord:
-    """Sampled metric series plus final state for one seeded run."""
+    """Sampled metric series plus final state for one seed's run."""
 
     ts: np.ndarray
     columns: dict
     final_x: np.ndarray
     final_y: np.ndarray
     final_z: np.ndarray
-    master_seed: int
     aborted_at: int | None = None
     z_norm_max: np.ndarray = None       # per-agent sup_t ||z_i^t||_2
     l_norm1_max: np.ndarray = None      # per-agent sup_{t<T} ||l(x_i^t; xi_i^t)||_1
@@ -105,8 +107,7 @@ class _Batch:
     Batch row s is seeds[s]; end[s] is its first non-finite iteration
     (T + 1 for none), and it is live at iteration t while end[s] > t."""
 
-    def __init__(self, problem, topology, schedules, T, seeds, prefix,
-                 x0, init_radius):
+    def __init__(self, problem, topology, schedules, T, seeds, prefix, x0):
         m, n, r = problem.m, problem.n, problem.r
         if topology.m != m:
             raise ValueError("topology and problem disagree on the agent count")
@@ -130,9 +131,8 @@ class _Batch:
                                     ("zeta", schedules.noise_z, r)))
         self.store = problem.new_store(rngs("data"), batch=(S,), horizon=T + 1)
         if x0 is None:
-            # uniform in the box truncated to +-init_radius
-            lo = np.maximum(problem.box_lo, -init_radius)
-            hi = np.minimum(problem.box_hi, init_radius)
+            lo = np.maximum(problem.box_lo, -INIT_RADIUS)
+            hi = np.minimum(problem.box_hi, INIT_RADIUS)
             U = np.array([rng.random(n) for rng in rngs("init")])
             X = (lo + (hi - lo) * U).reshape(S, m, n)
         else:
@@ -194,12 +194,12 @@ class _Batch:
         cols = {c: np.array([g[c] for g in self.cols]) for c in self.cols[0]}
         n_rows = np.searchsorted(cols["t"][:, 0], self.end)  # grid points < end
         out = []
-        for s, (seed, n, end) in enumerate(zip(self.seeds, n_rows, self.end)):
+        for s, (n, end) in enumerate(zip(n_rows, self.end)):
             fx, fy, fz = self.final[s] if end <= self.T else (a[s] for a in state)
             out.append(RunRecord(
                 ts=cols["t"][:n, s],
                 columns={c: v[:n, s] for c, v in cols.items() if c != "t"},
-                final_x=fx, final_y=fy, final_z=fz, master_seed=seed,
+                final_x=fx, final_y=fy, final_z=fz,
                 aborted_at=None if end > self.T else int(end),
                 z_norm_max=None if z_max is None else z_max[s],
                 l_norm1_max=None if l_max is None else l_max[s]))
@@ -226,14 +226,13 @@ def iterate(X, Y, Z, frame, t, schedules, W0, diagw, problem, ev):
     return X_new, Y_new, Z_new
 
 
-def run_seeds(problem, topology, schedules, T, seeds, x0=None,
-              init_radius=10.0, observers=()):
+def run_seeds(problem, topology, schedules, T, seeds, x0=None, observers=()):
     """Drive T rounds for every seed in seeds at once and record metrics
     on a log sampling grid; returns one RunRecord per seed, in order (see
     the module docstring). x0, an (m, n) start shared by all seeds,
     replaces the random start; observers are called after the built-in
     ones."""
-    b = _Batch(problem, topology, schedules, T, seeds, "", x0, init_radius)
+    b = _Batch(problem, topology, schedules, T, seeds, "", x0)
     S, m, n, r = len(b.seeds), problem.m, problem.n, problem.r
     top = np.zeros((2, S, m))  # per agent: sup ||z_i||_2, sup ||l_i||_1
     fgap_sum = np.zeros(S)
@@ -290,7 +289,7 @@ def run_seeds(problem, topology, schedules, T, seeds, x0=None,
 
 
 def baseline_seeds(problem, topology, schedules, T, seeds, x0=None,
-                   init_radius=10.0, observers=()):
+                   observers=()):
     """Conventional gradient-tracking template with DP noise on every
     shared variable and constant stepsizes, for every seed in seeds at
     once; returns one RunRecord per seed, as run_seeds does.
@@ -301,8 +300,7 @@ def baseline_seeds(problem, topology, schedules, T, seeds, x0=None,
     noise accumulates in the tracked aggregate instead of being damped:
     divergence is the expected phenomenon.
     """
-    b = _Batch(problem, topology, schedules, T, seeds, "baseline-", x0,
-               init_radius)
+    b = _Batch(problem, topology, schedules, T, seeds, "baseline-", x0)
     store = b.store
     problem.draw(store)
     ev = problem.erm_eval(store, problem.own_block(b.X0))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -22,7 +23,6 @@ from .algorithm import baseline_seeds, run_seeds
 from .analysis import fit_rate, sampling_grid
 from .config import ConfigError, load_config
 from .privacy import accountable, budgets, calibrate_noise
-from .schedules import check_conditions
 
 _COLUMN_ORDER = ["t", "err_to_opt_sq", "F_gap", "F_gap_runmean",
                  "grad_norm_sq", "consensus_x", "consensus_y",
@@ -86,13 +86,6 @@ def _eps_columns(cfg, grid):
             enumerate(budgets(cfg.T, cfg.sensitivity, cfg.schedules))}
 
 
-def _batch_worker(args):
-    (problem, topology, schedules, T, seeds, init_radius, baseline) = args
-    driver = baseline_seeds if baseline else run_seeds
-    return driver(problem, topology, schedules, T, seeds,
-                  init_radius=init_radius)
-
-
 def _cmd_run(args):
     if args.seeds is not None and args.seeds < 1:
         raise _UsageError(f"--seeds must be positive, not {args.seeds}")
@@ -112,16 +105,16 @@ def _cmd_run(args):
     seed_list = [cfg.master_seed + k for k in range(seeds)]
     t0 = time.perf_counter()
     threads = args.threads if args.threads else (os.cpu_count() or 1)
-    # one contiguous batch of seeds per worker
+    # one contiguous, nonempty batch of seeds per worker
     batches = [b.tolist() for b in np.array_split(
-        seed_list, max(1, min(threads, len(seed_list)))) if b.size]
-    jobs = [(cfg.problem, cfg.topology, cfg.schedules, cfg.T, b,
-             cfg.init_radius, baseline) for b in batches]
-    if len(jobs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=len(jobs)) as ex:
-            records = [r for batch in ex.map(_batch_worker, jobs) for r in batch]
+        seed_list, min(threads, len(seed_list)))]
+    drive = functools.partial(baseline_seeds if baseline else run_seeds,
+                              cfg.problem, cfg.topology, cfg.schedules, cfg.T)
+    if len(batches) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=len(batches)) as ex:
+            records = [r for batch in ex.map(drive, batches) for r in batch]
     else:
-        records = [r for job in jobs for r in _batch_worker(job)]
+        records = drive(seed_list)
     eps_cols = _eps_columns(cfg, grid)
     agg = {}
     for rec, seed in zip(records, seed_list):
@@ -268,7 +261,7 @@ def _cmd_validate(args):
           f"contraction={_fmt(cfg.topology.conditions[3][2])}")  # "contraction norm < 1"
     for name, passed, residual in cfg.topology.conditions:
         print(f"  [{'ok' if passed else 'FAIL'}] {name} (residual {residual:.3g})")
-    checks, rate = check_conditions(cfg.schedules, cfg.case)
+    checks, rate = cfg.schedule_conditions
     print(f"schedule conditions ({cfg.case.value}):")
     for name, passed in checks:
         print(f"  [{'ok' if passed else 'FAIL'}] {name}")

@@ -55,7 +55,7 @@ def _box(v):
 
 
 _TOP_KEYS = {"topology", "schedules", "problem", "T", "seeds", "master_seed",
-             "init_radius", "case", "sensitivity", "out"}
+             "case", "sensitivity", "out"}
 _TOPOLOGY_KEYS = {"type", "m", "w", "weights"}
 _SCHED_KEYS = {"preset", "delta", "lambda0", "sigma", "stepsize", "noise"}
 _STEP_KEYS = {"lambda0", "v"}
@@ -97,11 +97,11 @@ class RunConfig:
     topology: topo.NetworkTopology
     schedules: ScheduleSet
     case: ConvexityCase
+    schedule_conditions: tuple  # check_conditions(schedules, case)
     problem: problems.ProblemInstance
     T: int
     seeds: int
     master_seed: int
-    init_radius: float
     sensitivity: SensitivityParams | None
     out: str
     warnings: list = field(default_factory=list)
@@ -177,11 +177,11 @@ def _build_problem(block, m):
         m=m, **{k: types[k](v) for k, v in block.items() if k != "family"}))
 
 
-def _top_level(raw, key, default, convert, least):
-    """raw[key], or default when absent, converted, finite and >= least."""
-    v = _checked(f"config.{key}", convert, raw.get(key, default))
-    if not least <= v < float("inf"):
-        raise ConfigError(f"config.{key}: must be finite and at least {least}")
+def _top_level(raw, key, default, least):
+    """raw[key], or default when absent, as an integer >= least."""
+    v = _checked(f"config.{key}", _integer, raw.get(key, default))
+    if v < least:
+        raise ConfigError(f"config.{key}: must be at least {least}")
     return v
 
 
@@ -214,8 +214,8 @@ def parse_config(raw: dict) -> RunConfig:
         case = preset_case or ConvexityCase.STRONGLY_CONVEX
     problem = _build_problem(raw["problem"], topology.m)
 
-    failures = [name for name, passed in sched.check_conditions(schedule_set, case)[0]
-                if not passed]
+    conditions = sched.check_conditions(schedule_set, case)
+    failures = [name for name, passed in conditions[0] if not passed]
     if failures:
         warnings_list.append(
             "schedule conditions violated (run proceeds as an ablation): "
@@ -239,9 +239,8 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError(f"config.out: expected a string, got {out!r}")
     return RunConfig(
         raw=raw, topology=topology, schedules=schedule_set, case=case,
-        problem=problem, T=_top_level(raw, "T", 1000, _integer, 0),
-        seeds=_top_level(raw, "seeds", 1, _integer, 1),
-        master_seed=_top_level(raw, "master_seed", 0, _integer, 0),
-        init_radius=_top_level(raw, "init_radius", 10.0, _real, 0),
-        sensitivity=sens,
-        out=out, warnings=warnings_list)
+        schedule_conditions=conditions, problem=problem,
+        T=_top_level(raw, "T", 1000, 0),
+        seeds=_top_level(raw, "seeds", 1, 1),
+        master_seed=_top_level(raw, "master_seed", 0, 0),
+        sensitivity=sens, out=out, warnings=warnings_list)

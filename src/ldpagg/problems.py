@@ -235,11 +235,11 @@ class QuadraticProblem(ProblemInstance):
 
 def make_quadratic_problem(m, ni=2, r=2, gamma=1.0, alpha=1.0,
                            noise_std_g=0.1, noise_std_f=0.1, box=(-1e6, 1e6),
-                           seed=0, coeff_scale=0.3):
+                           seed=0):
     """Random quadratic instance with a reproducible seed. The defaults
     are those of a config problem block that omits the key."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 9041])))
-    A = coeff_scale * rng.standard_normal((m, r, ni))
+    A = 0.3 * rng.standard_normal((m, r, ni))
     b = rng.standard_normal((m, r))
     c = rng.standard_normal((m, ni))
     d = rng.standard_normal((m, r))
@@ -327,13 +327,15 @@ class ErmEvalPersonalized:
 class PersonalizedProblem(ProblemInstance):
     family = "personalized"
 
-    def __init__(self, feats, labels, lam, box):
+    def __init__(self, feats, labels, classes, lam, box):
         feats = np.asarray(feats, dtype=float)
         labels = np.asarray(labels, dtype=int)
         if lam < 0:
             raise ValueError("penalty weight must be nonnegative")
+        if not np.all((0 <= labels) & (labels < classes)):
+            raise ValueError(f"labels must lie in [0, {classes})")
         self.m, self.N, self.dim = feats.shape
-        self.K = int(labels.max()) + 1
+        self.K = int(classes)
         self.ni = self.K * self.dim
         self.r = 1
         self.lam = float(lam)
@@ -390,28 +392,27 @@ class PersonalizedProblem(ProblemInstance):
 
 
 def make_personalized_problem(m, classes=5, features=2, lam=1.0,
-                              dataset_size=32, box=(-1e6, 1e6), seed=0,
-                              spread=1.5, primary_frac=0.6):
+                              dataset_size=32, box=(-1e6, 1e6), seed=0):
     """Synthetic Gaussian-cluster datasets with heterogeneous class mixtures.
     The defaults are those of a config problem block that omits the key.
 
-    Agent i draws primary_frac of its data from classes i mod K and
-    2i mod K and the rest uniformly from the other classes.
+    Agent i draws 60 % of its data from classes i mod K and 2i mod K and
+    the rest uniformly from the other classes.
     """
     if min(classes, features, dataset_size) < 1:
         raise ValueError("classes, features and dataset_size must be at least 1")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 7177])))
-    centers = spread * rng.standard_normal((classes, features))
+    centers = 1.5 * rng.standard_normal((classes, features))
     feats = np.empty((m, dataset_size, features))
     labels = np.empty((m, dataset_size), dtype=int)
     for i in range(m):
         primary = {i % classes, (2 * i) % classes}
         others = [k for k in range(classes) if k not in primary]
         for j in range(dataset_size):
-            if rng.random() < primary_frac or not others:
+            if rng.random() < 0.6 or not others:
                 k = int(rng.choice(sorted(primary)))
             else:
                 k = int(rng.choice(others))
             labels[i, j] = k
             feats[i, j] = centers[k] + rng.standard_normal(features)
-    return PersonalizedProblem(feats, labels, lam=lam, box=box)
+    return PersonalizedProblem(feats, labels, classes, lam=lam, box=box)

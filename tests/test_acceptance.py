@@ -34,8 +34,7 @@ def run_config_seeds(name):
     cfg = load_config(config_path(name))
     t0 = time.perf_counter()
     recs = run_seeds(cfg.problem, cfg.topology, cfg.schedules, cfg.T,
-                     [cfg.master_seed + k for k in range(cfg.seeds)],
-                     init_radius=cfg.init_radius)
+                     [cfg.master_seed + k for k in range(cfg.seeds)])
     wall = time.perf_counter() - t0
     # the drivers record a divergence per seed; here it is a failure
     assert [r.aborted_at for r in recs] == [None] * len(recs), name

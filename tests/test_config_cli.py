@@ -38,6 +38,10 @@ EXPLICIT_SCHED = {
 }
 
 
+# `ldpagg validate` stdout of each shipped config, as lines
+with open(os.path.join(os.path.dirname(__file__), "validate_stdout.json")) as f:
+    VALIDATE_STDOUT = json.load(f)["stdout"]
+
 # per-agent sigma/varsigma lists (m = 3)
 MIXED_SCHED = copy.deepcopy(EXPLICIT_SCHED)
 MIXED_SCHED["noise"]["x"] = {"sigma": [1.0, 0.5, 2.0], "varsigma": [0.03, 0.5, 0.7]}
@@ -85,7 +89,6 @@ class TestParseConfig:
         del d["T"], d["seeds"], d["master_seed"]
         cfg = parse_config(d)
         assert cfg.T == 1000 and cfg.seeds == 1 and cfg.master_seed == 0
-        assert cfg.init_radius == 10.0
         assert cfg.out == "runs"
         assert cfg.case is ConvexityCase.STRONGLY_CONVEX
         assert cfg.sensitivity is None
@@ -342,8 +345,7 @@ class TestCliRun:
             with np.errstate(over="ignore", invalid="ignore"):
                 assert main([command, "--config", path, "--threads", "1"]) == code
                 alone = {s: driver(cfg.problem, cfg.topology, cfg.schedules,
-                                   cfg.T, [s], init_radius=cfg.init_radius
-                                   )[0].aborted_at for s in seeds}
+                                   cfg.T, [s])[0].aborted_at for s in seeds}
             with open(os.path.join(out, "manifest.json")) as f:
                 aborted = json.load(f)["aborted"]
             assert aborted == {str(s): a for s, a in alone.items() if a}
@@ -389,8 +391,6 @@ class TestCliRun:
     (("topology", "m"), 3.5, "topology"),
     (("problem", "ni"), 2.5, "problem"),
     (("problem", "seed"), True, "problem"),
-    (("init_radius",), float("nan"), "config.init_radius"),
-    (("init_radius",), -3, "config.init_radius"),
     (("topology", "type"), "star", "topology.type"),
     (("schedules", "stepsize"), ..., "schedules.stepsize"),
     (("schedules", "noise"), ..., "schedules.noise"),
@@ -408,7 +408,6 @@ class TestCliRun:
      "schedules.noise.x"),
     (("sensitivity", "L_l"), "0.7", "sensitivity"),
     (("sensitivity", "d_l"), True, "sensitivity"),
-    (("init_radius",), "3", "config.init_radius"),
     (("problem",), {"family": "personalized", "lam": float("nan")}, "problem"),
     (("problem",), {"family": "personalized", "classes": 0}, "problem"),
     (("problem",), {"family": "personalized", "features": 0}, "problem"),
@@ -428,13 +427,13 @@ class TestCliRun:
         "sensitivity.d_z-inf", "T-fraction", "T-bool", "seeds-fraction",
         "seeds-zero", "master_seed-negative", "master_seed-fraction",
         "topology.m-fraction", "problem.ni-fraction", "problem.seed-bool",
-        "init_radius-nan", "init_radius-negative", "topology.type-unknown",
+        "topology.type-unknown",
         "stepsize-missing", "noise-missing", "noise.y-missing",
         "problem.family-missing", "problem.family-unknown", "problem-missing",
         "delta-inadmissible", "problem.gamma-string", "topology.w-string",
         "lambda0-bool", "sigma-string", "delta-string",
         "noise.x.sigma-list-string", "sensitivity.L_l-string",
-        "sensitivity.d_l-bool", "init_radius-string", "problem.lam-nan",
+        "sensitivity.d_l-bool", "problem.lam-nan",
         "problem.classes-zero", "problem.features-zero", "problem.ni-zero",
         "problem.r-zero", "problem.box-string", "problem.box-bool",
         "problem.box-nan", "problem.box-not-a-pair", "out-null", "out-number",
@@ -462,6 +461,27 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, keys, value, where):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {where}: ")
     assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("problem, key, value", [
+    (None, "init_radius", 10.0),
+    ("quadratic", "coeff_scale", 0.3),
+    ("personalized", "spread", 1.5),
+    ("personalized", "primary_frac", 0.6),
+], ids=["init_radius", "quadratic.coeff_scale", "personalized.spread",
+        "personalized.primary_frac"])
+def test_removed_key_is_unknown_key(tmp_path, capsys, problem, key, value):
+    # the start radius and the factories' constants are not config keys:
+    # set, even to the value the code uses, each is one unknown-key line
+    # with exit code 1
+    d = cfg_dict()
+    block, path = d, f"config.{key}"
+    if problem is not None:
+        block = d["problem"] = {"family": problem}
+        path = f"problem.{key}"
+    block[key] = value
+    assert main(["validate", "--config", write_cfg(tmp_path, d)]) == 1
+    assert capsys.readouterr().err == f"config error: {path}: unknown key\n"
 
 
 @pytest.mark.parametrize("text, fragment", [
@@ -796,6 +816,14 @@ class TestCliValidate:
         assert main(["validate", "--config", path]) == 0
         out = capsys.readouterr().out
         assert "[FAIL]" in out
+
+    @pytest.mark.parametrize("name", sorted(VALIDATE_STDOUT))
+    def test_shipped_config_validate_stdout(self, capsys, name):
+        # every line, its order and every digit, as recorded
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", name)
+        assert main(["validate", "--config", path]) == 0
+        want = "".join(line + "\n" for line in VALIDATE_STDOUT[name])
+        assert capsys.readouterr().out == want
 
     def test_bundled_configs_validate(self, capsys):
         root = os.path.join(os.path.dirname(__file__), "..", "configs")

@@ -210,7 +210,7 @@ def test_inverted_box_rejected_by_constructors():
     for build in (lambda box: QuadraticProblem(q.A, q.b, q.c, q.d, 1.0, alpha=1.0,
                                                noise_std_g=0.0, noise_std_f=0.0,
                                                box=box),
-                  lambda box: PersonalizedProblem(p.feats, p.labels, 1.0, box=box),
+                  lambda box: PersonalizedProblem(p.feats, p.labels, p.K, 1.0, box=box),
                   lambda box: make_quadratic_problem(m=2, box=box),
                   lambda box: make_personalized_problem(m=2, box=box)):
         with pytest.raises(ValueError, match="box bounds inverted"):
@@ -299,6 +299,21 @@ class TestPersonalized:
         store = fill_store(self.prob, 20000)
         freq = store.counts_g / store.count
         assert np.max(np.abs(freq - 1.0 / self.prob.N)) < 0.01
+
+    def test_class_count_is_classes(self):
+        # three samples per agent draw a subset of the five classes for
+        # many seeds; the model has five classes whichever were drawn
+        for seed in range(200):
+            prob = make_personalized_problem(m=2, classes=5, dataset_size=3,
+                                             seed=seed)
+            assert (prob.K, prob.ni, prob.onehot.shape[-1]) == (5, 10, 5), seed
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_outside_classes_rejected(self, label):
+        labels = self.prob.labels.copy()
+        labels[1, 4] = label
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+            PersonalizedProblem(self.prob.feats, labels, 3, 0.8, (-10, 10))
 
     def test_negative_lam_rejected(self):
         with pytest.raises(ValueError):
