@@ -420,6 +420,9 @@ class TestCliRun:
     (("out",), None, "config.out"),
     (("out",), 5, "config.out"),
     (("out",), [1], "config.out"),
+    (("init_radius",), float("nan"), "config.init_radius"),
+    (("init_radius",), -3, "config.init_radius"),
+    (("init_radius",), "3", "config.init_radius"),
 ], ids=["topology.m-missing", "topology.w", "stepsize.x.v-missing",
         "noise.x.sigma", "noise.x.sigma-nan", "stepsize.x.lambda0-inf",
         "seeds", "T", "delta", "preset-list", "stepsize-list",
@@ -437,14 +440,16 @@ class TestCliRun:
         "problem.classes-zero", "problem.features-zero", "problem.ni-zero",
         "problem.r-zero", "problem.box-string", "problem.box-bool",
         "problem.box-nan", "problem.box-not-a-pair", "out-null", "out-number",
-        "out-list"])
+        "out-list", "init_radius-nan", "init_radius-negative",
+        "init_radius-string"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, keys, value, where):
     # a missing (...), non-numeric, non-finite (NaN and Infinity are JSON
     # literals to Python), out-of-range or malformed value, a bool or
     # string for a real key (each per-agent element and box bound
     # included, and NaN for a box bound, which may be infinite), a bool or
-    # fractional number for an integer key, or a zero problem dimension,
-    # is one config error line on the path of its block, with exit code 1
+    # fractional number for an integer key, a zero problem dimension, or
+    # any value of a removed key such as init_radius, is one config error
+    # line on the path of its block, with exit code 1
     d = cfg_dict()
     if "stepsize" in keys or "noise" in keys:
         d["schedules"] = copy.deepcopy(EXPLICIT_SCHED)
