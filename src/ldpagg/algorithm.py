@@ -17,13 +17,13 @@ ev the round's step built at that state (at t = T the bundle carried to
 it, None for the main algorithm) and the live-seed mask; callers add
 theirs through observers=. The round works in place only on arrays it
 has just allocated (a frame in the fresh noise slabs the banks hand out
-once), so an emitted state or frame is never written again and may be
-kept uncopied. The built-in observers never feed back into the
-iteration, so none reduces per round and seed: the metric columns come
-from one batched metric_eval call per grid point (the baseline's
-tracker error likewise), and run_seeds copies each round's own blocks,
-z and l into buffers to reduce the F_gap running mean and the z/l
-premise audit once per chunk of rounds.
+once, a new mask when a seed ends), so an emitted state, frame or mask
+is never written again and may be kept uncopied. The built-in observers
+never feed back into the iteration, so none reduces per round and seed:
+the metric columns come from one batched metric_eval call per grid point
+(the baseline's tracker error likewise), and run_seeds copies each
+round's own blocks, z and l into buffers to reduce the F_gap running
+mean and the z/l premise audit once per chunk of rounds.
 
 Random streams: every (seed, agent, tag) triple has its own generator
 from agent_rng (tags theta, chi, zeta for the x, y, z noise, data for
@@ -37,15 +37,18 @@ the horizon T + 1, so a refill holds at most the rounds the run draws
 (the streams do not depend on the refill size).
 
 Seeds never mix: every batched operation gives each seed's slice bitwise
-what the one-seed call gives it, so a seed's RunRecord does not depend on
-the batch it ran in. A seed whose state goes non-finite ends at that
-iteration, the one record of its abort: its live mask, rows, aborted_at
-and audited rounds derive from it. Its rows stay in the batch arrays,
-where its non-finite values reach no other seed, and the others continue.
+what the one-seed call gives it, so a seed's RunRecord does not depend
+on the batch it ran in. A seed whose state sum goes non-finite ends at
+that iteration, the one record of its abort: its live mask, rows,
+aborted_at and audited rounds derive from it; a round looks seed by seed
+only if the sum of their sums is non-finite. Its rows stay in the batch
+arrays, where its non-finite values reach no other seed, and the others
+continue.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,14 +83,14 @@ class RunRecord:
 
 
 def _split_weights(topology):
-    W = np.asarray(topology.weights, dtype=float)
-    return W - np.diag(np.diag(W)), np.diag(W).copy()  # off-diagonal, diagonal
+    W = np.asarray(topology.weights, dtype=float)  # off-diagonal, diagonal column
+    return W - np.diag(np.diag(W)), np.diag(W)[:, None].copy()
 
 
 def _consensus(W0, diagw, hat, raw):
     # sum_{j in N_i} w_ij (hat_j - raw_i), using the zero-sum identity;
     # W0 @ hat multiplies each seed's (m, .) slice of a batch
-    return W0 @ hat + diagw[:, None] * raw
+    return W0 @ hat + diagw * raw
 
 
 def _descend(problem, W0, diagw, X, frame_x, lam, grad_own):
@@ -95,10 +98,11 @@ def _descend(problem, W0, diagw, X, frame_x, lam, grad_own):
     array, U being grad_own on the own blocks and 0 elsewhere; v - lam * 0.0
     is v bitwise, so only the own blocks are stepped."""
     out = np.matmul(W0, frame_x)
-    out += diagw[:, None] * X
+    out += diagw * X
     out += X
     out.reshape(out.shape[:-2] + (-1,))[..., problem.own_flat] -= lam * grad_own
-    return np.clip(out, problem.box_lo, problem.box_hi, out=out)
+    np.maximum(out, problem.box_lo, out=out)  # np.clip's bytes but at a +-0 bound
+    return np.minimum(out, problem.box_hi, out=out)
 
 
 class _Batch:
@@ -140,26 +144,29 @@ class _Batch:
         self.X0 = np.clip(X, problem.box_lo, problem.box_hi)
         self.grid = set(sampling_grid(T).tolist())
         self.cols = []  # per grid point: column name -> (S,) values
-        self.end, self.final = np.full(S, T + 1), [None] * S
+        self.end, self.final, self.live = np.full(S, T + 1), [None] * S, np.full(S, True)
 
     def draw_frame(self, X, Y, Z):
         """The broadcast frame of the next round's state, for every seed
         and agent at once; the noise banks count the rounds."""
-        Tx, Ty, Tz = (bank.next().reshape(A.shape)
-                      for bank, A in zip(self.noise, (X, Y, Z)))
+        nx, ny, nz = self.noise
+        Tx, Ty, Tz = nx.next(), ny.next(), nz.next()
+        Tx, Ty, Tz = Tx.reshape(X.shape), Ty.reshape(Y.shape), Tz.reshape(Z.shape)
         Tx += X  # the noise slabs are fresh: add the state in place
         Ty += Y
         Tz += Z
         return BroadcastFrame(x=Tx, y=Ty, z=Tz)
 
     def retire_nonfinite(self, t, X, Y, Z):
-        """End the live seeds whose state went non-finite at iteration t,
-        keeping that state for their records; returns the mask end > t."""
+        """End the live seeds whose state sum went non-finite at iteration
+        t, keeping that state for their records; returns the mask end > t."""
         total = X.sum(axis=(1, 2)) + Y.sum(axis=(1, 2)) + Z.sum(axis=(1, 2))
-        for s in np.flatnonzero((self.end > t) & ~np.isfinite(total)):
-            self.final[s] = (X[s], Y[s], Z[s])
-            self.end[s] = t
-        return self.end > t
+        if not math.isfinite(total.sum()):
+            for s in np.flatnonzero((self.end > t) & ~np.isfinite(total)):
+                self.final[s] = (X[s], Y[s], Z[s])
+                self.end[s] = t
+            self.live = self.end > t
+        return self.live
 
     def drive(self, step, state, ev, observers):
         """The round loop of both drivers; returns the last state. Round t
@@ -167,15 +174,15 @@ class _Batch:
         step(t, state, frame, ev) -> (new state, bundle built at state,
         bundle carried to the new state or None) and calls the observers;
         it stops early once every seed has gone non-finite."""
-        live = self.end > 0
+        live = self.live
         for t in range(self.T):
             frame = self.draw_frame(*state)
             new, ev_t, ev = step(t, state, frame, ev)
             for obs in observers:
                 obs(t, state, frame, ev_t, live)
             state = new
-            live = self.retire_nonfinite(t + 1, *state)
-            if not live.any():
+            live, was = self.retire_nonfinite(t + 1, *state), live
+            if live is not was and not live.any():
                 return state
         frame = self.draw_frame(*state)
         for obs in observers:
@@ -239,17 +246,20 @@ def run_seeds(problem, topology, schedules, T, seeds, x0=None, observers=()):
     k = max(1, NoiseBank._CHUNK // (S * n))  # rounds per flush
     own, Z, l = np.empty((k, S, n)), np.empty((k, S, m, r)), np.empty((k, S, m, r))
     ts, grid_cols, kept = np.empty((k, 1, 1), dtype=int), [], 0
+    xown = None  # the own blocks step gathered for the round's oracle
 
     def step(t, state, frame, _):
+        nonlocal xown
         problem.draw(b.store)
-        ev = problem.erm_eval(b.store, problem.own_block(state[0]))
+        xown = problem.own_block(state[0])
+        ev = problem.erm_eval(b.store, xown)
         return iterate(*state, frame, t, schedules, b.W0, b.diagw, problem,
                        ev), ev, None
 
     def keep(t, state, frame, ev, alive):
         """Observer: copy what flush needs of round t (l is 0 at t = T)."""
         nonlocal kept
-        own[kept] = problem.own_block(state[0]).reshape(S, n)
+        own[kept] = (problem.own_block(state[0]) if ev is None else xown).reshape(S, n)
         Z[kept] = state[2]
         l[kept] = 0.0 if ev is None else ev.l_newest()
         ts[kept] = t

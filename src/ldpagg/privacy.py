@@ -266,10 +266,12 @@ def calibrate_noise(eps_target: float, p: SensitivityParams,
     """
     if not 0 < eps_target < math.inf:
         raise ValueError("target budget must be finite and positive")
-    gx, gy, gz = _noise_exponent_gaps(p, varsigma_x, varsigma_y, varsigma_z)
-    if min(gx, gy, gz) <= 0:
+    gaps = np.array(_noise_exponent_gaps(p, varsigma_x, varsigma_y, varsigma_z))
+    if gaps.min() <= 0:
         raise ValueError("noise decay exponents leave no positive gap")
     c = closed_form_constants(p)
-    return (3.0 * SQRT2 * c.Cx / (gx * eps_target),
-            3.0 * SQRT2 * c.Cy / (gy * eps_target),
-            3.0 * SQRT2 * c.Cz / (gz * eps_target))
+    with np.errstate(all="ignore"):  # each scale as the scalar formula gives it
+        sigma = 3.0 * SQRT2 * np.array([c.Cx, c.Cy, c.Cz]) / (gaps * eps_target)
+    if not np.isfinite(sigma).all():
+        raise ValueError(f"epsilon {eps_target} needs noise scales beyond the float range")
+    return tuple(sigma.tolist())

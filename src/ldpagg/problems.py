@@ -48,6 +48,7 @@ class SampleStore:
         self.count = 0
         self.last_xi = None
         self.last_phi = None
+        self.ahead = []  # rounds a chunked draw made, not yet handed out, last first
         for name, shape in stats.items():
             setattr(self, name, np.zeros(self.batch + shape))
 
@@ -186,12 +187,15 @@ class QuadraticProblem(ProblemInstance):
                            phi_sum=(self.m, self.ni))
 
     def draw(self, store: SampleStore) -> None:
-        z = store.bank.next().reshape(store.batch + (self.m, self.r + self.ni))
-        xi = self.noise_std_g * z[..., :self.r]
-        phi = self.noise_std_f * z[..., self.r:]
-        store.xi_sum += xi
-        store.phi_sum += phi
-        store.last_xi, store.last_phi = xi, phi
+        # a chunk of rounds in fresh slabs; the cumsum adds as a per-round +=
+        if not store.ahead:
+            z = store.bank.chunk()
+            z = z.reshape((len(z),) + store.batch + (self.m, -1))
+            xi = np.concatenate([store.xi_sum[None], self.noise_std_g * z[..., :self.r]])
+            phi = np.concatenate([store.phi_sum[None], self.noise_std_f * z[..., self.r:]])
+            store.ahead = list(zip(np.cumsum(xi, axis=0)[1:], xi[1:],
+                                   np.cumsum(phi, axis=0)[1:], phi[1:]))[::-1]
+        store.xi_sum, store.last_xi, store.phi_sum, store.last_phi = store.ahead.pop()
         store.count += 1
 
     def erm_eval(self, store: SampleStore, Xown: np.ndarray) -> ErmEvalQuadratic:

@@ -206,6 +206,7 @@ class AgentBank:
     """
 
     _BLOCK = 2048
+    _CHUNK = 8192
 
     def __init__(self, rngs, dim: int, fill: str = "random", high: int | None = None,
                  *, horizon: int):
@@ -216,6 +217,7 @@ class AgentBank:
         self._buf = np.empty((len(self._rngs), rounds, dim),
                              dtype=np.int64 if fill == "integers" else float)
         self._pos = self._buf.shape[1]
+        self._k = max(1, self._CHUNK // max(len(self._rngs) * dim, 1))
 
     def _take(self, k: int) -> np.ndarray:
         """The next k rounds, at most to the block's end, as a view."""
@@ -234,22 +236,24 @@ class AgentBank:
         """The next (rows, dim) draw: a view that a later refill overwrites."""
         return self._take(1)[:, 0]
 
+    def chunk(self) -> np.ndarray:
+        """The next _CHUNK // (rows * dim) rounds (at least one, within a
+        refill block), (k, rows, dim): a view a later refill overwrites."""
+        return self._take(self._k).transpose(1, 0, 2)
+
 
 class NoiseBank(AgentBank):
     """AgentBank of one noise tag that yields Laplace noise: row s*m + i of
     round t is laplace_from_uniform(u - 1/2, noise[i].laplace_param(t)) on
     agent i's next dim uniforms under seed s (reference.LaplaceStream
     replays it). A refill draws at most horizon rounds, as in AgentBank. A
-    transform call covers _CHUNK // (rows * dim) rounds (at least one,
-    within a refill block); being elementwise, it changes no value."""
-
-    _CHUNK = 8192
+    transform call covers one chunk(); being elementwise, it changes no
+    value."""
 
     def __init__(self, rngs, noise, dim: int, *, horizon: int):
         super().__init__(rngs, dim, horizon=horizon)
         self.distinct = list(dict.fromkeys(noise))
         self._index = np.array([self.distinct.index(s) for s in noise])
-        self._k = max(1, self._CHUNK // max(self._buf.shape[0] * dim, 1))
         self._t = 0  # the round of the next draw
         self._slabs = []  # the chunk's rounds not yet drawn, last first
 
@@ -263,7 +267,7 @@ class NoiseBank(AgentBank):
         """The next round's (rows, dim) noise: a contiguous slab of a fresh
         chunk that the bank never writes again."""
         if not self._slabs:
-            u = self._take(self._k).transpose(1, 0, 2)
+            u = self.chunk()
             k, rows, dim = u.shape
             u = np.subtract(u, 0.5, out=np.empty(u.shape))  # round-major
             nu = self.laplace_params(range(self._t, self._t + k))

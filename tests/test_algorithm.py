@@ -671,6 +671,92 @@ def test_aborts_at_observer_chunk_edges(monkeypatch):
         assert np.isfinite(rec.l_norm1_max).all()
 
 
+class PerRoundGate:
+    """The abort check as a per-round formula: every round, end the live
+    seeds whose X, Y and Z sums add to a non-finite total."""
+
+    def __init__(self, S, T):
+        self.end, self.final = np.full(S, T + 1), [None] * S
+
+    def retire(self, t, X, Y, Z):
+        total = X.sum(axis=(1, 2)) + Y.sum(axis=(1, 2)) + Z.sum(axis=(1, 2))
+        for s in np.flatnonzero((self.end > t) & ~np.isfinite(total)):
+            self.final[s] = (X[s], Y[s], Z[s])
+            self.end[s] = t
+        return self.end > t
+
+
+def gate_batch(S, T):
+    prob = BATCH_PROBLEMS["quadratic"]
+    return _Batch(prob, ring_topology(3, 0.3), batch_schedules(), T,
+                  list(range(S)), "", None)
+
+
+def check_gate(b, rounds):
+    """Feed rounds of (X, Y, Z) to b.retire_nonfinite and to the per-round
+    formula: the same ends and final states, a returned mask equal to
+    end > t at every call, and no returned mask ever written."""
+    ref = PerRoundGate(len(b.seeds), b.T)
+    masks = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, state in enumerate(rounds, start=1):
+            got = b.retire_nonfinite(t, *state)
+            assert np.array_equal(got, ref.retire(t, *state))
+            assert np.array_equal(got, b.end > t)
+            masks.append((got, got.copy()))
+    assert np.array_equal(b.end, ref.end)
+    for fin, want in zip(b.final, ref.final):
+        assert (fin is None) == (want is None)
+        if fin is not None:
+            assert all(a.tobytes() == w.tobytes() for a, w in zip(fin, want))
+    for mask, copy in masks:
+        assert np.array_equal(mask, copy)
+
+
+ENTRIES = st.sampled_from([0.0, -0.0, 1.5, -3.0, 8e307, 1e308, -1e308,
+                           np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=60, deadline=None)
+@given(S=st.integers(1, 4), T=st.integers(1, 6), data=st.data())
+def test_abort_gate_equals_the_per_round_formula(S, T, data):
+    # each round, a seed's state is finite and small or drawn entry by
+    # entry from inf, NaN, +-1e308 and small values, so totals overflow
+    # with every entry finite, and finite totals overflow their sum
+    def seed_state(shape):
+        if data.draw(st.booleans()):
+            return np.full(shape, 0.25)
+        size = int(np.prod(shape))
+        return np.array(data.draw(st.lists(ENTRIES, min_size=size,
+                                           max_size=size))).reshape(shape)
+
+    m, n, r = 3, 6, 2
+    rounds = [tuple(np.stack([seed_state((m, d)) for _ in range(S)])
+                    for d in (n, r, r)) for _ in range(T)]
+    check_gate(gate_batch(S, T), rounds)
+
+
+def test_abort_gate_overflow_cases():
+    # round 1: seeds 1 and 2 have finite totals (1.5e308) whose sum
+    # overflows, and no seed ends; round 2: seed 0's entries are finite
+    # but its X and Y sums add to inf, while seed 1's X sum cancels its X
+    # sum in a sum over the whole batch, and seed 0 ends; round 3: seed 2
+    # goes NaN
+    m, n, r = 3, 6, 2
+    big = [np.zeros((3, m, d)) for d in (n, r, r)]
+    big[0][1:, 0, :2] = (1e308, 5e307)
+    over = [np.zeros((3, m, d)) for d in (n, r, r)]
+    over[0][0, 0, 0] = over[1][0, 0, 0] = 1e308
+    over[0][1, 0, 0] = -1e308
+    nan = [a.copy() for a in over]
+    nan[2][2, 1, 0] = np.nan
+    rounds = [tuple(big), tuple(over), tuple(nan), tuple(nan)]
+    assert np.isfinite(sum(a.sum() for a in over))
+    b = gate_batch(3, 4)
+    check_gate(b, rounds)
+    assert b.end.tolist() == [2, 5, 3]
+
+
 def test_fgap_runmean_is_a_per_round_left_fold():
     # the running mean, summed once per chunk of 273 rounds at this shape,
     # is bitwise a per-round sum += F_true(x^t) - F_star divided by t + 1

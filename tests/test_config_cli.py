@@ -635,6 +635,19 @@ class TestCliUsageErrors:
                      "--out", str(out)], "finite and positive")
         assert not out.exists()
 
+    @pytest.mark.parametrize("epsilon", ["1e-300", "5e-324"])
+    def test_calibrate_scale_past_float_range(self, tmp_path, capsys, epsilon):
+        # sigma ~ C / (gap * epsilon) overflows to inf (which would write
+        # "sigma": Infinity, a config no command loads) or divides by an
+        # underflowed zero; either is one error line, and nothing is written
+        out = tmp_path / "calibrated.json"
+        src = os.path.join(os.path.dirname(__file__), "..", "configs",
+                           "quadratic_sc.json")
+        self.assert_usage_error(
+            capsys, ["calibrate", "--config", src, "--epsilon", epsilon,
+                     "--out", str(out)], "beyond the float range")
+        assert not out.exists()
+
     def test_calibrate_out_in_missing_directory(self, tmp_path, capsys):
         out = str(tmp_path / "missing" / "calibrated.json")
         path = write_cfg(tmp_path, cfg_dict(sensitivity=copy.deepcopy(SENS),

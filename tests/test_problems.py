@@ -378,6 +378,39 @@ def test_index_replay_across_bank_refills(N, S, seed):
             assert xi[k] == rng.integers(N)
 
 
+@pytest.mark.parametrize("noise_std", [0.5, 0.0])
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("horizon", [5, 3000])
+def test_chunked_draws_equal_per_round_adds(horizon, batch, noise_std):
+    # the quadratic draw scales and sums a chunk of rounds at once; after
+    # every draw the sums and the newest samples must be bitwise those of
+    # a per-round +=, signed zeros included (noise_std = 0 makes -0.0
+    # samples). At batch (3,) a chunk is 227 rounds and a refill block
+    # 512, so chunks end inside blocks and at their ends; horizon 5 caps
+    # both at 5 rounds. Handed-out arrays are never written again.
+    prob = make_quadratic_problem(m=3, ni=2, r=2, noise_std_g=noise_std,
+                                  noise_std_f=noise_std, seed=4)
+    m, r, ni = prob.m, prob.r, prob.ni
+    store = prob.new_store(batch_rngs(m, batch), batch=batch, horizon=horizon)
+    replay = AgentBank(batch_rngs(m, batch), r + ni, "standard_normal",
+                       horizon=horizon)
+    xi_sum, phi_sum = np.zeros(batch + (m, r)), np.zeros(batch + (m, ni))
+    handed = []
+    for _ in range(min(horizon, 2 * (AgentBank._BLOCK // (r + ni))) + 60):
+        prob.draw(store)
+        z = replay.next().reshape(batch + (m, r + ni))
+        xi, phi = noise_std * z[..., :r], noise_std * z[..., r:]
+        xi_sum += xi
+        phi_sum += phi
+        got = (store.xi_sum, store.phi_sum, store.last_xi, store.last_phi)
+        for a, want in zip(got, (xi_sum, phi_sum, xi, phi)):
+            assert a.shape == want.shape and a.tobytes() == want.tobytes()
+        handed += [(a, a.copy()) for a in got]
+    assert noise_std or np.signbit(xi).any()
+    for a, copy in handed:
+        assert a.tobytes() == copy.tobytes()
+
+
 def family_problems():
     return [make_quadratic_problem(m=3, ni=2, r=2, gamma=1.0, seed=4),
             make_personalized_problem(m=3, classes=3, features=2, lam=0.8,
