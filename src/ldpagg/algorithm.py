@@ -41,9 +41,9 @@ what the one-seed call gives it, so a seed's RunRecord does not depend
 on the batch it ran in. A seed whose state sum goes non-finite ends at
 that iteration, the one record of its abort: its live mask, rows,
 aborted_at and audited rounds derive from it; a round looks seed by seed
-only if the sum of their sums is non-finite. Its rows stay in the batch
-arrays, where its non-finite values reach no other seed, and the others
-continue.
+only if the live seeds' sums add up to a non-finite value. Its rows stay
+in the batch arrays, where its non-finite values reach no other seed,
+and the others continue.
 """
 
 from __future__ import annotations
@@ -159,13 +159,14 @@ class _Batch:
 
     def retire_nonfinite(self, t, X, Y, Z):
         """End the live seeds whose state sum went non-finite at iteration
-        t, keeping that state for their records; returns the mask end > t."""
+        t, keeping that state for their records; returns the mask end > t,
+        which is a new array only if a seed ended."""
         total = X.sum(axis=(1, 2)) + Y.sum(axis=(1, 2)) + Z.sum(axis=(1, 2))
-        if not math.isfinite(total.sum()):
-            for s in np.flatnonzero((self.end > t) & ~np.isfinite(total)):
+        if not math.isfinite(total.sum(where=self.live)):
+            for s in np.flatnonzero(self.live & ~np.isfinite(total)):
                 self.final[s] = (X[s], Y[s], Z[s])
                 self.end[s] = t
-            self.live = self.end > t
+                self.live = self.end > t
         return self.live
 
     def drive(self, step, state, ev, observers):

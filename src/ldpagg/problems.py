@@ -259,24 +259,33 @@ def make_quadratic_problem(m, ni=2, r=2, gamma=1.0, alpha=1.0,
 class SoftmaxPass:
     """The linear softmax model at fixed points Xown (..., m, ni): the
     per-sample losses (..., m, N), and the per-sample gradient tensor
-    (..., m, N, K, d), built on its first read."""
+    (..., m, N, K, d), built on its first read. The logits are built
+    class-major, (..., K, m, N), so each ufunc loops over m*N, not K; _ex
+    and grad keep the (..., m, N, K[, d]) C layout whose sums and
+    contractions over K and d give the oracle's bits."""
 
     def __init__(self, prob, Xown):
         self.prob = prob
         lead = Xown.shape[:-2]
         W = Xown.reshape(lead + (prob.m, prob.K, prob.dim))
-        logits = np.einsum("mnd,...mkd->...mnk", prob.feats, W)
-        lmax = logits.max(axis=-1, keepdims=True)
-        self._ex = np.exp(logits - lmax)
+        lk = np.einsum("mnd,...mkd->...kmn", prob.feats, W, order="C")
+        own = lk.reshape(lead + (-1,)).take(prob.label_flat, axis=-1)
+        lmax = np.maximum.reduce(lk, axis=-3)
+        lk -= lmax[..., None, :, :]
+        self._ex = np.empty(lead + (prob.m, prob.N, prob.K))
+        np.exp(lk, out=self._ex.swapaxes(-1, -2).swapaxes(-2, -3))
         self._Zs = self._ex.sum(axis=-1)
-        lse = np.log(self._Zs) + lmax[..., 0]
-        self.loss = lse - logits[prob.label_index]       # (..., m, N) per-sample L
+        self.loss = np.log(self._Zs) + lmax - own  # (..., m, N) per-sample L
 
     @cached_property
     def grad(self):
         p = self._ex / self._Zs[..., None]
         resid = p - self.prob.onehot  # p - 1 at the label, p elsewhere (exact)
-        return np.einsum("...mnk,mnd->...mnkd", resid, self.prob.feats)
+        # 0.0 + resid * feat, as an outer-product einsum adds it (-0.0 -> +0.0)
+        out = resid.repeat(self.prob.dim, axis=-1)
+        out *= self.prob.feats_tiled
+        out += 0.0
+        return out.reshape(resid.shape + (self.prob.dim,))
 
     def _own(self, out):
         """(..., m, K, d) -> each agent's own block (..., m, ni)."""
@@ -333,9 +342,11 @@ class PersonalizedProblem(ProblemInstance):
 
     def __init__(self, feats, labels, classes, lam, box):
         feats = np.asarray(feats, dtype=float)
-        labels = np.asarray(labels, dtype=int)
         if lam < 0:
             raise ValueError("penalty weight must be nonnegative")
+        labels = np.asarray(labels)
+        if feats.ndim != 3 or labels.shape != feats.shape[:2] or np.any(labels % 1):
+            raise ValueError("feats must be (m, N, features), labels (m, N) integers")
         if not np.all((0 <= labels) & (labels < classes)):
             raise ValueError(f"labels must lie in [0, {classes})")
         self.m, self.N, self.dim = feats.shape
@@ -344,13 +355,21 @@ class PersonalizedProblem(ProblemInstance):
         self.r = 1
         self.lam = float(lam)
         self.feats = feats
-        self.labels = labels
+        self.labels = labels.astype(int)
         self.onehot = np.zeros((self.m, self.N, self.K))
-        np.put_along_axis(self.onehot, labels[:, :, None], 1.0, axis=2)
-        # (..., agent, sample, label) index of each sample's own logit
-        self.label_index = (Ellipsis, np.arange(self.m)[:, None],
-                            np.arange(self.N)[None, :], labels)
+        np.put_along_axis(self.onehot, self.labels[:, :, None], 1.0, axis=2)
         self._set_box_and_index(box)
+
+    @cached_property
+    def label_flat(self):
+        """(m, N) flat index of each sample's own logit in a (K, m, N) block."""
+        m, N = self.m, self.N
+        return self.labels * (m * N) + np.arange(m)[:, None] * N + np.arange(N)
+
+    @cached_property
+    def feats_tiled(self):
+        """feats repeated K times along the feature axis, (m, N, K*d)."""
+        return np.tile(self.feats, (1, 1, self.K))
 
     def new_store(self, data_rngs, batch: tuple = (), *,
                   horizon: int) -> SampleStore:

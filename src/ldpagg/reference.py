@@ -1,11 +1,12 @@
 """Independent oracles that the simulator is checked against.
 
 Centralized solvers, the single-agent Laplace noise stream, the
-per-sample objective h, the ERM oracle recomputed sample by sample
-from raw samples, the scalar sensitivity recursion step, the
-closed-form ring spectrum and the cross-seed stacking of a metric
-column. Deliberately written without reuse of the simulator
-code paths so the distributed implementation can be checked against them.
+per-sample objective h, the batched softmax pass built sample-major,
+the ERM oracle recomputed sample by sample from raw samples, the
+scalar sensitivity recursion step, the closed-form ring spectrum and
+the cross-seed stacking of a metric column. Deliberately written
+without reuse of the simulator code paths so the distributed
+implementation can be checked against them.
 """
 
 from __future__ import annotations
@@ -94,6 +95,26 @@ def _softmax_loss(problem, i, x, idx):
     resid = ex / ex.sum()
     resid[problem.labels[i, idx]] -= 1.0
     return L, np.outer(resid, feat).reshape(-1)
+
+
+def softmax_pass_sample_major(problem, Xown):
+    """The batched softmax pass at Xown (..., m, ni), built sample-major:
+    logits (..., m, N, K), the max over their last axis, the own-label
+    logit by a fancy-index gather and the gradient tensor (..., m, N, K, d)
+    by an outer-product einsum. Returns (ex, Zs, loss, grad), the values
+    problems.SoftmaxPass must give bitwise."""
+    m, N = problem.m, problem.N
+    W = Xown.reshape(Xown.shape[:-2] + (m, problem.K, problem.dim))
+    logits = np.einsum("mnd,...mkd->...mnk", problem.feats, W)
+    lmax = logits.max(axis=-1, keepdims=True)
+    ex = np.exp(logits - lmax)
+    Zs = ex.sum(axis=-1)
+    label_index = (Ellipsis, np.arange(m)[:, None], np.arange(N)[None, :],
+                   problem.labels)
+    loss = np.log(Zs) + lmax[..., 0] - logits[label_index]
+    resid = ex / Zs[..., None] - problem.onehot
+    grad = np.einsum("...mnk,mnd->...mnkd", resid, problem.feats)
+    return ex, Zs, loss, grad
 
 
 def h_value(problem, i, x, y, sample):

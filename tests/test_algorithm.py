@@ -757,6 +757,26 @@ def test_abort_gate_overflow_cases():
     assert b.end.tolist() == [2, 5, 3]
 
 
+def test_abort_gate_keeps_its_mask_until_a_seed_ends():
+    # once seed 0 has ended, its non-finite rows stay in the state; a round
+    # in which no live seed ends returns the mask object it returned before
+    m, n, r = 3, 6, 2
+    fin = [np.zeros((3, m, d)) for d in (n, r, r)]
+    nan0 = [a.copy() for a in fin]
+    nan0[0][0, 0, 0] = np.nan
+    nan1 = [a.copy() for a in nan0]
+    nan1[1][1, 2, 1] = np.inf
+    b = gate_batch(3, 6)
+    first = b.retire_nonfinite(1, *fin)
+    assert b.retire_nonfinite(2, *fin) is first
+    ended = b.retire_nonfinite(3, *nan0)
+    assert ended is not first and ended.tolist() == [False, True, True]
+    assert b.retire_nonfinite(4, *nan0) is ended
+    assert b.retire_nonfinite(5, *nan0) is ended
+    assert b.retire_nonfinite(6, *nan1).tolist() == [False, False, True]
+    assert b.end.tolist() == [3, 6, 7]
+
+
 def test_fgap_runmean_is_a_per_round_left_fold():
     # the running mean, summed once per chunk of 273 rounds at this shape,
     # is bitwise a per-round sum += F_true(x^t) - F_star divided by t + 1

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from ldpagg.algorithm import run_seeds
 from ldpagg.analysis import metric_eval
-from ldpagg.problems import (PersonalizedProblem, QuadraticProblem,
+from ldpagg.problems import (PersonalizedProblem, QuadraticProblem, SoftmaxPass,
                              make_personalized_problem, make_quadratic_problem)
-from ldpagg.reference import ErmReference, h_value
+from ldpagg.reference import (ErmReference, h_value,
+                              softmax_pass_sample_major)
 from ldpagg.schedules import (AgentBank, ConvexityCase, agent_rng,
                               corollary1_preset)
 from ldpagg.topology import ring_topology
@@ -315,6 +316,22 @@ class TestPersonalized:
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
             PersonalizedProblem(self.prob.feats, labels, 3, 0.8, (-10, 10))
 
+    @pytest.mark.parametrize("case", ["one-agent labels", "fractional labels",
+                                      "2-D feats"])
+    def test_labels_not_matching_feats_rejected(self, case):
+        # (1, N) labels would broadcast agent 0's labels to every agent,
+        # and fractional labels would be truncated
+        feats, labels = self.prob.feats, self.prob.labels
+        if case == "one-agent labels":
+            labels = labels[:1]
+        elif case == "fractional labels":
+            labels = labels + 0.5
+        else:
+            feats = feats[..., 0]
+        with pytest.raises(ValueError, match=r"feats must be \(m, N, features\), "
+                                             r"labels \(m, N\) integers"):
+            PersonalizedProblem(feats, labels, 3, 0.8, (-10, 10))
+
     def test_negative_lam_rejected(self):
         with pytest.raises(ValueError):
             make_personalized_problem(m=2, classes=2, features=2, lam=-0.1)
@@ -469,6 +486,36 @@ def test_loss_only_truth_equals_full_pass(prob, batch):
     assert np.array_equal(
         full.l_newest()[..., 0],
         np.take_along_axis(loss, store.last_xi[..., None], -1)[..., 0])
+
+
+@pytest.mark.parametrize("K", [1, 2, 5, 8, 9, 16, 33])
+def test_softmax_pass_equals_sample_major_pass_bitwise(K):
+    # the class-major pass gives the bits of the sample-major formulation
+    # (logits (..., m, N, K), max over K, fancy-index label gather, outer-
+    # product gradient einsum), for K on both sides of numpy's 8-term
+    # pairwise-sum threshold; entries out to 1e6 make the shift matter and
+    # exp underflow, and one NaN seed must stay NaN where it was
+    rng = np.random.default_rng(K)
+    for d in (1, 2, 3, 8, 17, 32):
+        for N in (1, 7, 32):
+            for m in (1, 5):
+                prob = make_personalized_problem(m=m, classes=K, features=d,
+                                                 dataset_size=N, seed=d + N)
+                for lead in [(), (1,), (3,), (4, 3)]:
+                    shape = lead + (m, prob.ni)
+                    Xown = rng.uniform(-1, 1, shape) * 10 ** rng.uniform(0, 6, shape)
+                    nan = lead == (3,)
+                    if nan:
+                        Xown[1, m - 1, -1] = np.nan
+                    sm = SoftmaxPass(prob, Xown)
+                    got = (sm._ex, sm._Zs, sm.loss, sm.grad)
+                    assert sm.grad.flags.c_contiguous
+                    for a, b in zip(got, softmax_pass_sample_major(prob, Xown)):
+                        assert a.shape == b.shape
+                        if nan:
+                            assert np.array_equal(a, b, equal_nan=True)
+                            a, b = np.delete(a, 1, 0), np.delete(b, 1, 0)
+                        assert a.tobytes() == b.tobytes(), (d, N, m, lead)
 
 
 @pytest.mark.parametrize("m", [3, 8])
