@@ -20,10 +20,11 @@ has just allocated (a frame in the fresh noise slabs the banks hand out
 once, a new mask when a seed ends), so an emitted state, frame or mask
 is never written again and may be kept uncopied. The built-in observers
 never feed back into the iteration, so none reduces per round and seed:
-the metric columns come from one batched metric_eval call per grid point
-(the baseline's tracker error likewise), and run_seeds copies each
-round's own blocks, z and l into buffers to reduce the F_gap running
-mean and the z/l premise audit once per chunk of rounds.
+the metric columns come from one metric_eval call per _CHUNK // (S m n)
+grid points, on their states stacked (the baseline's tracker error is
+one batched call per grid point), and run_seeds copies each round's own
+blocks, z and l into buffers to reduce the F_gap running mean and the
+z/l premise audit once per chunk of rounds.
 
 Random streams: every (seed, agent, tag) triple has its own generator
 from agent_rng (tags theta, chi, zeta for the x, y, z noise, data for
@@ -100,7 +101,7 @@ def _descend(problem, W0, diagw, X, frame_x, lam, grad_own):
     out = np.matmul(W0, frame_x)
     out += diagw * X
     out += X
-    out.reshape(out.shape[:-2] + (-1,))[..., problem.own_flat] -= lam * grad_own
+    out.reshape(-1)[problem.own_index(out.size)] -= (lam * grad_own).reshape(-1)
     np.maximum(out, problem.box_lo, out=out)  # np.clip's bytes but at a +-0 bound
     return np.minimum(out, problem.box_hi, out=out)
 
@@ -144,6 +145,9 @@ class _Batch:
         self.X0 = np.clip(X, problem.box_lo, problem.box_hi)
         self.grid = set(sampling_grid(T).tolist())
         self.cols = []  # per grid point: column name -> (S,) values
+        # grid states whose metric columns one metric_eval call evaluates
+        self.per_call = max(1, NoiseBank._CHUNK // (S * m * n))
+        self.pending = []  # (t, state) of the grid points not yet evaluated
         self.end, self.final, self.live = np.full(S, T + 1), [None] * S, np.full(S, True)
 
     def draw_frame(self, X, Y, Z):
@@ -191,14 +195,38 @@ class _Batch:
         return state
 
     def metric_rows(self, t, state, frame, ev, alive):
-        """Observer: every seed's metric columns at the grid points (one
-        metric_eval call), which column observers listed after it extend."""
+        """Observer: a row of every seed's columns at the grid points, which
+        column observers listed after it extend; the metric columns fill
+        it once per_call grid states are pending (the states are kept
+        uncopied, as the drivers never write them again)."""
         if t in self.grid:
-            self.cols.append(metric_eval(self.problem, *state, t))
+            self.cols.append({})
+            self.pending.append((t, state))
+            if len(self.pending) == self.per_call:
+                self.snapshots()
+
+    def snapshots(self):
+        """Fill the rows of the pending grid states from one metric_eval
+        call on their (g*S, m, .) stack, a lone state going in unstacked;
+        each slice is bitwise the per-state call's. The metric columns
+        come first in a row, as if metric_rows had written them."""
+        S, g = len(self.seeds), len(self.pending)
+        ts, states = zip(*self.pending)
+        stack = states[0] if g == 1 else [np.concatenate(a) for a in zip(*states)]
+        cols = metric_eval(self.problem, *stack, 0)
+        for k, (t, row) in enumerate(zip(ts, self.cols[-g:])):
+            extra = row.copy()
+            row.clear()
+            row.update((c, v[k * S:(k + 1) * S]) for c, v in cols.items())
+            row["t"] = np.full(S, float(t))
+            row.update(extra)
+        self.pending = []
 
     def records(self, state, z_max=None, l_max=None):
         """One RunRecord per seed, in seed order; state is the final
         (X, Y, Z) of the seeds still live."""
+        if self.pending:
+            self.snapshots()
         cols = {c: np.array([g[c] for g in self.cols]) for c in self.cols[0]}
         n_rows = np.searchsorted(cols["t"][:, 0], self.end)  # grid points < end
         out = []

@@ -49,15 +49,18 @@ def _writing(path):
 
 
 def _write_csv(path, ts, columns, extra=None):
-    """t, then columns in _COLUMN_ORDER, then the extra columns by name."""
+    """t, then columns in _COLUMN_ORDER, then the extra columns by name,
+    len(ts) rows; each row is one % of a "%.17g,...,%.17g" template on
+    Python floats, so its fields are the strings _fmt gives."""
     names = [c for c in _COLUMN_ORDER if c == "t" or c in columns]
     extra_names = sorted(extra) if extra else []
+    cols = [ts if c == "t" else columns[c] for c in names]
+    cols = [np.asarray(c, dtype=float)[:len(ts)].tolist()
+            for c in cols + [extra[c] for c in extra_names]]
+    template = ",".join(["%.17g"] * len(cols)) + "\n"
     with _writing(path) as f:
         f.write(",".join(names + extra_names) + "\n")
-        for k in range(len(ts)):
-            vals = [ts[k] if c == "t" else columns[c][k] for c in names]
-            vals += [extra[c][k] for c in extra_names]
-            f.write(",".join(_fmt(v) for v in vals) + "\n")
+        f.write("".join(template % row for row in zip(*cols)))
 
 
 def _read_csv(path):

@@ -78,6 +78,15 @@ class ProblemInstance:
         rows = np.arange(self.m)[:, None]
         cols = rows * self.ni + np.arange(self.ni)[None, :]
         self.own_flat = rows * self.n + cols
+        self._own_index = {}
+
+    def own_index(self, size: int) -> np.ndarray:
+        """The 1-D index of every own block in size floats of stacked
+        estimates (..., m, n), flattened; built once per size."""
+        if size not in self._own_index:
+            starts = np.arange(0, size, self.m * self.n)[:, None, None]
+            self._own_index[size] = (starts + self.own_flat).reshape(-1)
+        return self._own_index[size]
 
     def own_block(self, X: np.ndarray) -> np.ndarray:
         """Each agent's own block (..., m, ni) of stacked estimates X (..., m, n).
@@ -344,6 +353,8 @@ class PersonalizedProblem(ProblemInstance):
         feats = np.asarray(feats, dtype=float)
         if lam < 0:
             raise ValueError("penalty weight must be nonnegative")
+        if isinstance(classes, (bool, np.bool_)) or not float(classes).is_integer():
+            raise ValueError(f"classes must be an integer, not {classes!r}")
         labels = np.asarray(labels)
         if feats.ndim != 3 or labels.shape != feats.shape[:2] or np.any(labels % 1):
             raise ValueError("feats must be (m, N, features), labels (m, N) integers")

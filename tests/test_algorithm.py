@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ldpagg.algorithm import (BroadcastFrame, _Batch, _consensus, _descend,
                               _split_weights, baseline_seeds, iterate,
                               run_seeds)
-from ldpagg.analysis import sampling_grid
+from ldpagg.analysis import metric_eval, sampling_grid
 from ldpagg.problems import (QuadraticProblem, make_personalized_problem,
                              make_quadratic_problem)
 from ldpagg.reference import (ErmReference, LaplaceStream,
@@ -794,9 +794,9 @@ def test_fgap_runmean_is_a_per_round_left_fold():
 
 @pytest.mark.parametrize("driver", sorted(DRIVERS))
 def test_truth_calls_per_chunk_and_grid_point(driver, monkeypatch):
-    # metric_eval runs once per grid point on the whole batch, and run's
-    # F_gap running mean calls F_true once per chunk of rounds, not once
-    # per round
+    # metric_eval runs once per _CHUNK // (S m n) grid points (54 here) on
+    # their stacked states, and run's F_gap running mean calls F_true once
+    # per chunk of rounds, not once per round
     import ldpagg.algorithm as algorithm
     prob, calls = sc_paper_problem(), defaultdict(int)
     F_true, metric_eval = QuadraticProblem.F_true, algorithm.metric_eval
@@ -814,6 +814,75 @@ def test_truth_calls_per_chunk_and_grid_point(driver, monkeypatch):
     T, S = 2000, 3
     sc_paper_run(prob, T, S, DRIVERS[driver])
     grid = sampling_grid(T).size
+    per_call = NoiseBank._CHUNK // (S * prob.m * prob.n)
     chunks = -(-(T + 1) // (NoiseBank._CHUNK // (S * prob.n)))
-    assert calls["metric_eval"] == grid
-    assert calls["F_true"] == grid + (chunks if driver == "run" else 0)
+    assert calls["metric_eval"] == -(-grid // per_call) == 3
+    assert calls["F_true"] == 3 + (chunks if driver == "run" else 0)
+
+
+def snapshot_calls(monkeypatch):
+    """The leading shape of the X each metric_eval call of a driver gets."""
+    import ldpagg.algorithm as algorithm
+    calls, metric_eval = [], algorithm.metric_eval
+
+    def recording_metric_eval(problem, X, Y, Z, t):
+        calls.append(X.shape[:-2])
+        return metric_eval(problem, X, Y, Z, t)
+
+    monkeypatch.setattr(algorithm, "metric_eval", recording_metric_eval)
+    return calls
+
+
+def assert_snapshots_per_grid_point(prob, recs, rec):
+    """Each record's metric columns are, byte for byte, one-seed metric_eval
+    calls on the states the Recorder kept at its grid points."""
+    for s, r in enumerate(recs):
+        rows = [metric_eval(prob, *rec.states[s][int(t)], int(t)) for t in r.ts]
+        assert r.ts.tobytes() == np.array([row["t"] for row in rows]).tobytes()
+        assert set(r.columns) >= set(rows[0]) - {"t"}
+        for c in set(rows[0]) - {"t"}:
+            want = np.array([row[c] for row in rows])
+            assert r.columns[c].tobytes() == want.tobytes(), (s, c)
+
+
+@pytest.mark.parametrize("S", [1, 3])
+@pytest.mark.parametrize("family", sorted(BATCH_PROBLEMS))
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_snapshots_equal_per_grid_point_calls(driver, family, S, monkeypatch):
+    # T = 2,000 has 140 grid points: at sc_paper's shape (the quadratic
+    # case) and at S = 3 of the personalized one more than one stack of
+    # _CHUNK // (S m n) pending states is evaluated before the records
+    prob = sc_paper_problem() if family == "quadratic" else BATCH_PROBLEMS[family]
+    calls, rec, T = snapshot_calls(monkeypatch), Recorder(), 2000
+    recs = sc_paper_run(prob, T, S, DRIVERS[driver], observers=[rec])
+    per_call = NoiseBank._CHUNK // (S * prob.m * prob.n)
+    grid = sampling_grid(T).size
+    assert calls == [(per_call * S,)] * (grid // per_call) + [(grid % per_call * S,)]
+    assert_snapshots_per_grid_point(prob, recs, rec)
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_snapshots_of_aborted_seeds(driver):
+    # the pending stacks (45 states of 10 seeds here, of 61 grid points)
+    # hold the non-finite states of seeds that ended, which reach no other
+    # seed's slice
+    prob, schedules = DIVERGING[driver]
+    rec = Recorder()
+    with np.errstate(over="ignore", invalid="ignore"):
+        recs = DRIVERS[driver](prob, ring_topology(3, 0.3), schedules, 60,
+                               list(range(10)), observers=[rec])
+    assert None in [r.aborted_at for r in recs]
+    assert len({r.aborted_at for r in recs}) > 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_snapshots_per_grid_point(prob, recs, rec)
+
+
+def test_one_state_per_snapshot_call_past_a_chunk(monkeypatch):
+    # S m n = 3 * 40 * 80 > _CHUNK: every grid state goes to metric_eval
+    # alone, as the (S, m, .) state itself
+    prob = make_quadratic_problem(m=40, ni=2, r=2, box=(-10, 10), seed=7)
+    assert 3 * prob.m * prob.n > NoiseBank._CHUNK
+    calls, rec, T = snapshot_calls(monkeypatch), Recorder(), 30
+    recs = sc_paper_run(prob, T, 3, observers=[rec])
+    assert calls == [(3,)] * sampling_grid(T).size
+    assert_snapshots_per_grid_point(prob, recs, rec)

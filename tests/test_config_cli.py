@@ -9,7 +9,7 @@ import pytest
 
 from ldpagg import privacy
 from ldpagg.algorithm import baseline_seeds, run_seeds
-from ldpagg.cli import main
+from ldpagg.cli import _COLUMN_ORDER, _write_csv, main
 from ldpagg.config import ConfigError, parse_config
 from ldpagg.problems import make_personalized_problem, make_quadratic_problem
 from ldpagg.schedules import ConvexityCase
@@ -849,3 +849,66 @@ class TestCliValidate:
         assert paths
         for path in paths:
             assert main(["validate", "--config", path]) == 0, path
+
+
+def per_value_csv(path, ts, columns, extra=None):
+    """The CSV writer as a per-value join of "%.17g" % float(v), the oracle
+    of _write_csv's bytes."""
+    names = [c for c in _COLUMN_ORDER if c == "t" or c in columns]
+    extra_names = sorted(extra) if extra else []
+    with open(path, "w") as f:
+        f.write(",".join(names + extra_names) + "\n")
+        for k in range(len(ts)):
+            vals = [ts[k] if c == "t" else columns[c][k] for c in names]
+            vals += [extra[c][k] for c in extra_names]
+            f.write(",".join("%.17g" % float(v) for v in vals) + "\n")
+
+
+SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324,
+                    2.2250738585072004e-308, 1e300, -1e300, 1.7976931348623157e308,
+                    0.1, 1 / 3, 2.0 ** 53 + 2, 1e-5, 123456.0])
+
+
+def csv_cases():
+    n, rng = len(SPECIAL), np.random.default_rng(5)
+    columns = {"err_to_opt_sq": SPECIAL, "consensus_x": rng.permutation(SPECIAL),
+               "F_gap": rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n),
+               "F_gap_runmean": -SPECIAL[::-1],
+               "tracker_err": list(rng.permutation(SPECIAL))}
+    # eps columns on the full grid: longer than an aborted seed's rows,
+    # and a10 sorts before a2
+    eps = {f"eps_cum_a{i}": np.cumsum(rng.random(n + 4)) for i in range(12)}
+    ts = np.arange(n) * 7  # an integer t column
+    return {"all": (ts, columns, eps), "no extras": (ts, columns, None),
+            "float t, extras only": (ts.astype(float), {}, eps),
+            "aborted": (ts[:5], {c: v[:5] for c, v in columns.items()}, eps),
+            "no rows": (ts[:0], {c: v[:0] for c, v in columns.items()}, eps)}
+
+
+@pytest.mark.parametrize("case", sorted(csv_cases()))
+def test_write_csv_bytes_equal_per_value_join(tmp_path, case):
+    ts, columns, extra = csv_cases()[case]
+    _write_csv(str(tmp_path / "a.csv"), ts, columns, extra)
+    per_value_csv(str(tmp_path / "b.csv"), ts, columns, extra)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_analyze_mean_csv_bytes_equal_per_value_join(tmp_path, capsys):
+    # values before the fit window carry NaN, inf, a subnormal and 1e300
+    # into the cross-seed mean (-0.0 comes out of np.mean as +0.0); the fit
+    # reads only t in [10, 1000]
+    ts = np.array([0, 1, 2, 3, 4, 100, 200, 300, 400, 500, 1000])
+    fit = 1.0 / ts[5:]
+    a = np.concatenate([[np.nan, np.inf, -0.0, 5e-324, 1e300], fit])
+    b = np.concatenate([[1.0, 2.0, -0.0, 5e-324, 1e300], 3 * fit])
+    for seed, v in ((1, a), (2, b)):
+        per_value_csv(str(tmp_path / f"seed_{seed}.csv"), ts, {"F_gap": v})
+    assert main(["analyze", "--in", str(tmp_path), "--metric", "F_gap"]) == 0
+    capsys.readouterr()
+    want = str(tmp_path / "want.csv")
+    # analyze's mean of the two series, as parsed back from the CSVs
+    per_value_csv(want, ts.astype(float), {},
+                  {"F_gap": np.stack([a, b]).mean(axis=0)})
+    got = (tmp_path / "mean_F_gap.csv").read_bytes()
+    assert got == open(want, "rb").read()
+    assert b",nan\n" in got and b",inf\n" in got

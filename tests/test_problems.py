@@ -316,6 +316,22 @@ class TestPersonalized:
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
             PersonalizedProblem(self.prob.feats, labels, 3, 0.8, (-10, 10))
 
+    @pytest.mark.parametrize("classes", [2.5, True, np.True_, float("nan"),
+                                         float("inf")])
+    def test_classes_not_an_integer_rejected(self, classes):
+        # a label 2 passes the range check of classes 2.5, and K = int(2.5)
+        # then has no slot for it; True, with labels all 0, would be K = 1
+        labels = np.zeros_like(self.prob.labels)
+        labels[0, 0] = 2 if classes == 2.5 else 0
+        with pytest.raises(ValueError, match="classes must be an integer"):
+            PersonalizedProblem(self.prob.feats, labels, classes, 0.8, (-10, 10))
+
+    @pytest.mark.parametrize("classes", [3, 3.0, np.int64(3)])
+    def test_integral_classes_accepted(self, classes):
+        p = PersonalizedProblem(self.prob.feats, self.prob.labels, classes,
+                                0.8, (-10, 10))
+        assert p.K == 3 and type(p.K) is int
+
     @pytest.mark.parametrize("case", ["one-agent labels", "fractional labels",
                                       "2-D feats"])
     def test_labels_not_matching_feats_rejected(self, case):
