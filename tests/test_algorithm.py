@@ -879,7 +879,7 @@ def test_snapshots_of_aborted_seeds(driver):
 
 def test_one_state_per_snapshot_call_past_a_chunk(monkeypatch):
     # S m n = 3 * 40 * 80 > _CHUNK: every grid state goes to metric_eval
-    # alone, as the (S, m, .) state itself
+    # alone, unstacked
     prob = make_quadratic_problem(m=40, ni=2, r=2, box=(-10, 10), seed=7)
     assert 3 * prob.m * prob.n > NoiseBank._CHUNK
     calls, rec, T = snapshot_calls(monkeypatch), Recorder(), 30
