@@ -3,7 +3,8 @@ conventional gradient-tracking baseline.
 
 One call advances a batch of S seeds through one Python loop. State is
 stacked across seeds and agents: X is (S, m, n) (each agent carries a
-full-network estimate), trackers Y and Z are (S, m, r). All cross-agent
+full-network estimate), and the trackers Y and Z (S, m, r), or the
+baseline's G and Q, travel as one (2, S, m, r) pair P. All cross-agent
 reads go through BroadcastFrame, which holds the obscured values
 state + Laplace noise; raw peer state is never consumed. Rounds are
 synchronous: every agent reads the iteration-t frame and writes the
@@ -12,13 +13,14 @@ iteration-(t+1) frame.
 Both drivers run one round loop, _Batch.drive, with their own step
 (iterate, or the gradient-tracking update) and observers. An observer
 obs(t, state, frame, ev, alive) sees each emitted frame, t = 0..T: the
-iteration-t state (X, Y, Z), its broadcast frame, the ERM oracle bundle
-ev the round's step built at that state (at t = T the bundle carried to
-it, None for the main algorithm) and the live-seed mask; callers add
-theirs through observers=. The round works in place only on arrays it
-has just allocated (a frame in the fresh noise slabs the banks hand out
-once, a new mask when a seed ends), so an emitted state, frame or mask
-is never written again and may be kept uncopied. The built-in observers
+iteration-t state (X, Y, Z) (Y, Z the pair's halves), its broadcast
+frame, the ERM oracle bundle ev the round's step built at that state (at
+t = T the bundle carried to it, None for the main algorithm) and the
+live-seed mask; callers add theirs through observers=. The round works
+in place only on arrays it has just allocated (a frame in the fresh
+noise slabs the banks hand out once, a new mask when a seed ends), so an
+emitted state, frame or mask is never written again and may be kept
+uncopied. The built-in observers
 never feed back into the iteration, so none reduces per round and seed:
 the metric columns come from one metric_eval call per _CHUNK // (S m n)
 grid points, on their states stacked (the baseline's tracker error is
@@ -30,9 +32,9 @@ Random streams: every (seed, agent, tag) triple has its own generator
 from agent_rng (tags theta, chi, zeta for the x, y, z noise, data for
 the samples, init for the start point, which unless x0 is given is
 uniform on the box cut to +-INIT_RADIUS; the baseline prefixes
-"baseline-"). Each tag is drawn through one lockstep bank over the S*m
-generators, a NoiseBank per noise tag and the sample store's AgentBank
-for the data; row s*m + i of a bank is agent i's stream under seed s,
+"baseline-"). One lockstep bank per state block draws them, a NoiseBank
+for theta, one for chi then zeta and the sample store's AgentBank for
+the data; row s*m + i of a tag's rows is agent i's stream under seed s,
 and every bank advances one draw per round. The drivers give each bank
 the horizon T + 1, so a refill holds at most the rounds the run draws
 (the streams do not depend on the refill size).
@@ -64,9 +66,10 @@ INIT_RADIUS = 10.0  # the random start's bound on |x| in every coordinate
 class BroadcastFrame:
     """Obscured per-agent messages for one round; the only sharable values."""
 
-    x: np.ndarray  # (S, m, n)
-    y: np.ndarray  # (S, m, r)
-    z: np.ndarray  # (S, m, r)
+    x: np.ndarray   # (S, m, n)
+    yz: np.ndarray  # (2, S, m, r): the y and z messages, read as .y and .z
+    y = property(lambda self: self.yz[0])
+    z = property(lambda self: self.yz[1])
 
 
 @dataclass
@@ -90,7 +93,7 @@ def _split_weights(topology):
 
 def _consensus(W0, diagw, hat, raw):
     # sum_{j in N_i} w_ij (hat_j - raw_i), using the zero-sum identity;
-    # W0 @ hat multiplies each seed's (m, .) slice of a batch
+    # W0 @ hat multiplies each (m, .) slice of a stack
     return W0 @ hat + diagw * raw
 
 
@@ -123,17 +126,15 @@ class _Batch:
         self.seeds = [int(s) for s in seeds]
         S = len(self.seeds)
 
-        def rngs(tag):
-            # independently seeded, seed-major: entry s*m + i is agent i's
-            # generator under seeds[s]
+        def rngs(*tags):
+            # independently seeded, tag- then seed-major: entry
+            # (g*S + s)*m + i is agent i's generator for tags[g] under seeds[s]
             return [agent_rng(s, i, prefix + tag)
-                    for s in self.seeds for i in range(m)]
-        # one lockstep bank per noise tag; its round counter is the clock
-        self.noise = tuple(
-            NoiseBank(rngs(tag), sched, dim, horizon=T + 1)
-            for tag, sched, dim in (("theta", schedules.noise_x, n),
-                                    ("chi", schedules.noise_y, r),
-                                    ("zeta", schedules.noise_z, r)))
+                    for tag in tags for s in self.seeds for i in range(m)]
+        # one lockstep bank per state block; its round counter is the clock
+        self.noise = [NoiseBank(rngs(*tags), noise, dim, horizon=T + 1) for tags, noise, dim in
+                      ((["theta"], [schedules.noise_x], n),
+                       (["chi", "zeta"], [schedules.noise_y, schedules.noise_z], r))]
         self.store = problem.new_store(rngs("data"), batch=(S,), horizon=T + 1)
         if x0 is None:
             lo = np.maximum(problem.box_lo, -INIT_RADIUS)
@@ -149,49 +150,49 @@ class _Batch:
         self.per_call = max(1, NoiseBank._CHUNK // (S * m * n))
         self.pending = []  # (t, state) of the grid points not yet evaluated
         self.end, self.final, self.live = np.full(S, T + 1), [None] * S, np.full(S, True)
+        self.gate = True  # the sum's where=: True until a seed ends, then live
 
-    def draw_frame(self, X, Y, Z):
-        """The broadcast frame of the next round's state, for every seed
-        and agent at once; the noise banks count the rounds."""
-        nx, ny, nz = self.noise
-        Tx, Ty, Tz = nx.next(), ny.next(), nz.next()
-        Tx, Ty, Tz = Tx.reshape(X.shape), Ty.reshape(Y.shape), Tz.reshape(Z.shape)
-        Tx += X  # the noise slabs are fresh: add the state in place
-        Ty += Y
-        Tz += Z
-        return BroadcastFrame(x=Tx, y=Ty, z=Tz)
+    def draw_frame(self, X, P):
+        """The broadcast frame of the next round's state (X, pair P), for
+        every seed and agent at once; the noise banks count the rounds."""
+        nx, npair = self.noise[0].next()[0], self.noise[1].next()
+        nx += X  # the noise slabs are fresh: add the state in place
+        npair += P
+        return BroadcastFrame(nx, npair)
 
-    def retire_nonfinite(self, t, X, Y, Z):
+    def retire_nonfinite(self, t, X, P):
         """End the live seeds whose state sum went non-finite at iteration
         t, keeping that state for their records; returns the mask end > t,
         which is a new array only if a seed ended."""
-        total = X.sum(axis=(1, 2)) + Y.sum(axis=(1, 2)) + Z.sum(axis=(1, 2))
-        if not math.isfinite(total.sum(where=self.live)):
+        p = P.sum(axis=(2, 3))  # each tracker's per-seed sums, as (S, m, r) sums them
+        total = X.sum(axis=(1, 2)) + p[0] + p[1]
+        if not math.isfinite(total.sum(where=self.gate)):
             for s in np.flatnonzero(self.live & ~np.isfinite(total)):
-                self.final[s] = (X[s], Y[s], Z[s])
+                self.final[s] = (X[s], P[0, s], P[1, s])
                 self.end[s] = t
-                self.live = self.end > t
+                self.live = self.gate = self.end > t
         return self.live
 
     def drive(self, step, state, ev, observers):
-        """The round loop of both drivers; returns the last state. Round t
-        draws the frame of the iteration-t state, advances it with
+        """The round loop of both drivers; returns the last state (X, P).
+        Round t draws the frame of the iteration-t state, advances it with
         step(t, state, frame, ev) -> (new state, bundle built at state,
-        bundle carried to the new state or None) and calls the observers;
-        it stops early once every seed has gone non-finite."""
+        bundle carried to the new state or None) and calls the observers
+        on (X, Y, Z); it stops early once every seed has gone non-finite."""
         live = self.live
         for t in range(self.T):
             frame = self.draw_frame(*state)
             new, ev_t, ev = step(t, state, frame, ev)
+            seen = (state[0], state[1][0], state[1][1])
             for obs in observers:
-                obs(t, state, frame, ev_t, live)
-            state = new
+                obs(t, seen, frame, ev_t, live)
+            state, seen = new, None  # seen must not keep the old X alive
             live, was = self.retire_nonfinite(t + 1, *state), live
             if live is not was and not live.any():
                 return state
         frame = self.draw_frame(*state)
         for obs in observers:
-            obs(self.T, state, frame, ev, live)
+            obs(self.T, (state[0], *state[1]), frame, ev, live)
         return state
 
     def metric_rows(self, t, state, frame, ev, alive):
@@ -224,14 +225,14 @@ class _Batch:
 
     def records(self, state, z_max=None, l_max=None):
         """One RunRecord per seed, in seed order; state is the final
-        (X, Y, Z) of the seeds still live."""
+        (X, P) of the seeds still live."""
         if self.pending:
             self.snapshots()
         cols = {c: np.array([g[c] for g in self.cols]) for c in self.cols[0]}
         n_rows = np.searchsorted(cols["t"][:, 0], self.end)  # grid points < end
         out = []
         for s, (n, end) in enumerate(zip(n_rows, self.end)):
-            fx, fy, fz = self.final[s] if end <= self.T else (a[s] for a in state)
+            fx, fy, fz = self.final[s] if end <= self.T else (state[0][s], *state[1][:, s])
             out.append(RunRecord(
                 ts=cols["t"][:n, s],
                 columns={c: v[:n, s] for c, v in cols.items() if c != "t"},
@@ -242,24 +243,38 @@ class _Batch:
         return out
 
 
-def iterate(X, Y, Z, frame, t, schedules, W0, diagw, problem, ev):
+def iterate(X, P, frame, t, schedules, W0, diagw, problem, ev):
     """One synchronous round of the main algorithm (order y -> z -> x).
 
-    State is (S, m, .) for a batch of seeds or (m, .) for one. frame
-    carries the iteration-t obscured values and ev is the ERM oracle at
-    the agents' own points against the round's samples. Returns the new
-    (X, Y, Z).
+    State is X (S, m, n) and the tracker pair P (2, S, m, r) for a batch
+    of seeds, or (m, n) and (2, m, r) for one. frame carries the
+    iteration-t obscured values and ev is the ERM oracle at the agents'
+    own points against the round's samples. Returns the new (X, P).
     """
-    lam_y = schedules.lambda_y.value(t)
-    lam_z = schedules.lambda_z.value(t)
-    Y_new = Y + _consensus(W0, diagw, frame.y, Y) + lam_y * ev.g
+    lam_y, lam_z = schedules.lambda_y.value(t), schedules.lambda_z.value(t)
+    P_new = _consensus(W0, diagw, frame.yz, P)
+    P_new += P  # (Y + c_y, Z + c_z): each half is stepped in place
+    Y, Z, Y_new, Z_new = P[0], P[1], P_new[0], P_new[1]
+    Y_new += lam_y * ev.g
     Ytil = (Y_new - Y) / lam_y
-    Z_new = Z + _consensus(W0, diagw, frame.z, Z) + lam_z * ev.grad_f_y(Ytil)
+    Z_new += lam_z * ev.grad_f_y(Ytil)
     Ztil = (Z_new - Z) / lam_z
     grad_own = ev.grad_f_x(Ytil) + ev.grad_g_dot(Ztil)
     X_new = _descend(problem, W0, diagw, X, frame.x,
                      schedules.lambda_x.value(t), grad_own)
-    return X_new, Y_new, Z_new
+    return X_new, P_new
+
+
+def _track(W0, diagw, P, frame, ev, ev2):
+    """The baseline's new pair from P = (G, Q), c being a tracker's consensus:
+    G' = G + c_g + ev2.g - ev.g, then Q' = Q + c_q + ev2.grad_f_y(G') - ev.grad_f_y(G)."""
+    P_new = _consensus(W0, diagw, frame.yz, P)
+    P_new += P
+    P_new[0] += ev2.g
+    P_new[0] -= ev.g
+    P_new[1] += ev2.grad_f_y(P_new[0])
+    P_new[1] -= ev.grad_f_y(P[0])
+    return P_new
 
 
 def run_seeds(problem, topology, schedules, T, seeds, x0=None, observers=()):
@@ -320,8 +335,8 @@ def run_seeds(problem, topology, schedules, T, seeds, x0=None, observers=()):
         grid_cols.clear()
         kept = 0
 
-    state = b.drive(step, (b.X0, np.zeros((S, m, r)), np.zeros((S, m, r))),
-                    None, [b.metric_rows, keep, *observers])
+    state = b.drive(step, (b.X0, np.zeros((2, S, m, r))), None,
+                    [b.metric_rows, keep, *observers])
     if kept:
         flush()
     return b.records(state, *top)
@@ -340,26 +355,22 @@ def baseline_seeds(problem, topology, schedules, T, seeds, x0=None,
     divergence is the expected phenomenon.
     """
     b = _Batch(problem, topology, schedules, T, seeds, "baseline-", x0)
-    store = b.store
-    problem.draw(store)
-    ev = problem.erm_eval(store, problem.own_block(b.X0))
-    G = ev.g.copy()  # aggregate tracker
+    problem.draw(b.store)
+    ev = problem.erm_eval(b.store, problem.own_block(b.X0))
+    P = np.stack([ev.g, ev.grad_f_y(ev.g)])  # aggregate tracker G, Q
     lam = schedules.lambda_x.lambda0  # constant stepsize, no decay
 
     def step(t, state, frame, ev):
-        X, G, Q = state
+        X, P = state
         # ev is the oracle at X: last round's ev2, reweighted after the
         # draw; round 0 uses the draw made before the loop
         if t:
-            problem.draw(store)
-            ev = ev.reweighted(store)
+            problem.draw(b.store)
+            ev = ev.reweighted(b.store)
         X_new = _descend(problem, b.W0, b.diagw, X, frame.x, lam,
-                         ev.grad_f_x(G) + ev.grad_g_dot(Q))
-        ev2 = problem.erm_eval(store, problem.own_block(X_new))
-        G_new = G + _consensus(b.W0, b.diagw, frame.y, G) + ev2.g - ev.g
-        Q_new = Q + _consensus(b.W0, b.diagw, frame.z, Q) \
-            + ev2.grad_f_y(G_new) - ev.grad_f_y(G)
-        return (X_new, G_new, Q_new), ev, ev2
+                         ev.grad_f_x(P[0]) + ev.grad_g_dot(P[1]))
+        ev2 = problem.erm_eval(b.store, problem.own_block(X_new))
+        return (X_new, _track(b.W0, b.diagw, P, frame, ev, ev2)), ev, ev2
 
     def tracker_err(t, state, frame, ev, alive):
         """Squared distance of the aggregate tracker from the population
@@ -368,6 +379,6 @@ def baseline_seeds(problem, topology, schedules, T, seeds, x0=None,
             gbar = ev.g_population().mean(axis=-2, keepdims=True)
             b.cols[-1]["tracker_err"] = ((state[1] - gbar) ** 2).sum(axis=(-2, -1))
 
-    state = b.drive(step, (b.X0, G, ev.grad_f_y(G)), ev,
+    state = b.drive(step, (b.X0, P), ev,
                     [b.metric_rows, tracker_err, *observers])
     return b.records(state)

@@ -132,17 +132,17 @@ class ProblemInstance:
 
 class ErmEvalQuadratic:
     """Closed-form ERM quantities for the quadratic family at fixed points
-    Xown against a store's samples; lin = A_i x + b_i depends on the
-    points only."""
+    Xown against a store's samples, read from its sample means; lin =
+    A_i x + b_i depends on the points only."""
 
     def __init__(self, prob, store, Xown, lin):
         if store.count < 1:
             raise ValueError("empty sample store")
         self.prob, self.Xown, self.lin = prob, Xown, lin
-        self.phi_mean = store.phi_sum / store.count
+        self.phi_mean = store.phi_mean
         self.last_xi = store.last_xi
         # g_i^t(x) = (A_i x + b_i) + mean(xi)
-        self.g = lin + store.xi_sum / store.count
+        self.g = lin + store.xi_mean
 
     def reweighted(self, store: SampleStore) -> "ErmEvalQuadratic":
         return ErmEvalQuadratic(self.prob, store, self.Xown, self.lin)
@@ -202,9 +202,12 @@ class QuadraticProblem(ProblemInstance):
             z = z.reshape((len(z),) + store.batch + (self.m, -1))
             xi = np.concatenate([store.xi_sum[None], self.noise_std_g * z[..., :self.r]])
             phi = np.concatenate([store.phi_sum[None], self.noise_std_f * z[..., self.r:]])
-            store.ahead = list(zip(np.cumsum(xi, axis=0)[1:], xi[1:],
-                                   np.cumsum(phi, axis=0)[1:], phi[1:]))[::-1]
-        store.xi_sum, store.last_xi, store.phi_sum, store.last_phi = store.ahead.pop()
+            xi_sum, phi_sum = np.cumsum(xi, axis=0)[1:], np.cumsum(phi, axis=0)[1:]
+            count = (store.count + np.arange(1, len(z) + 1)).reshape((-1,) + (1,) * (xi.ndim - 1))
+            store.ahead = list(zip(xi_sum, xi_sum / count, xi[1:],
+                                   phi_sum, phi_sum / count, phi[1:]))[::-1]
+        (store.xi_sum, store.xi_mean, store.last_xi,
+         store.phi_sum, store.phi_mean, store.last_phi) = store.ahead.pop()
         store.count += 1
 
     def erm_eval(self, store: SampleStore, Xown: np.ndarray) -> ErmEvalQuadratic:

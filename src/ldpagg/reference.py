@@ -3,8 +3,9 @@
 Centralized solvers, the single-agent Laplace noise stream, the
 per-sample objective h, the batched softmax pass built sample-major,
 the ERM oracle recomputed sample by sample from raw samples, the
-scalar sensitivity recursion step, the closed-form ring spectrum and
-the cross-seed stacking of a metric column. Deliberately written
+tracker updates of both drivers one tracker at a time, the scalar
+sensitivity recursion step, the closed-form ring spectrum and the
+cross-seed stacking of a metric column. Deliberately written
 without reuse of the simulator code paths so the distributed
 implementation can be checked against them.
 """
@@ -168,6 +169,29 @@ class ErmReference:
 
     def grad_g_dot(self, Z):
         return np.einsum("mrn,mr->mn", self._mean(self.xis, 1), Z)
+
+
+def tracker_round(Y, Z, hat_y, hat_z, W0, diagw, lam_y, lam_z, ev):
+    """The main algorithm's tracker update, one tracker at a time, from
+    the trackers Y, Z, their obscured values hat_y, hat_z and the round's
+    ERM oracle bundle ev; c = W0 @ hat + diagw * raw is a tracker's
+    consensus term. Y' = (Y + c_y) + lam_y g, Ytil = (Y' - Y) / lam_y,
+    then Z' = (Z + c_z) + lam_z grad_f_y(Ytil), Ztil = (Z' - Z) / lam_z.
+    Returns (Y', Z', Ytil, Ztil)."""
+    Y_new = Y + (W0 @ hat_y + diagw * Y) + lam_y * ev.g
+    Ytil = (Y_new - Y) / lam_y
+    Z_new = Z + (W0 @ hat_z + diagw * Z) + lam_z * ev.grad_f_y(Ytil)
+    return Y_new, Z_new, Ytil, (Z_new - Z) / lam_z
+
+
+def baseline_tracker_round(G, Q, hat_g, hat_q, W0, diagw, ev, ev2):
+    """The gradient-tracking baseline's tracker update, one tracker at a
+    time, with ev the bundle at the old points and ev2 at the new ones:
+    G' = ((G + c_g) + ev2.g) - ev.g, then
+    Q' = ((Q + c_q) + ev2.grad_f_y(G')) - ev.grad_f_y(G). Returns (G', Q')."""
+    G_new = G + (W0 @ hat_g + diagw * G) + ev2.g - ev.g
+    Q_new = Q + (W0 @ hat_q + diagw * Q) + ev2.grad_f_y(G_new) - ev.grad_f_y(G)
+    return G_new, Q_new
 
 
 def sensitivity_step(dx, dy, dz, t, p):

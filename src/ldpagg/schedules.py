@@ -171,8 +171,8 @@ def laplace_from_uniform(u: np.ndarray, nu) -> np.ndarray:
 
     Returns a fresh array of u's shape and leaves u unmodified. nu may be
     a scalar or an array that broadcasts to u's shape without widening it
-    (a (k, 1, m, 1) array of per-round, per-agent parameters transforms k
-    rounds of stacked frames at once).
+    (a (k, G, 1, m, 1) array of per-round, per-agent parameters transforms
+    k rounds of stacked frames at once).
     """
     arg = np.abs(u)
     arg *= 2.0
@@ -243,38 +243,39 @@ class AgentBank:
 
 
 class NoiseBank(AgentBank):
-    """AgentBank of one noise tag that yields Laplace noise: row s*m + i of
-    round t is laplace_from_uniform(u - 1/2, noise[i].laplace_param(t)) on
-    agent i's next dim uniforms under seed s (reference.LaplaceStream
-    replays it). A refill draws at most horizon rounds, as in AgentBank. A
-    transform call covers one chunk(); being elementwise, it changes no
-    value."""
+    """AgentBank of G noise tags (noise[g]: tag g's per-agent schedules)
+    that yields Laplace noise: row (g*S + s)*m + i of round t, entry
+    [g, s, i] of its (G, S, m, dim) slab, is laplace_from_uniform(u - 1/2,
+    noise[g][i].laplace_param(t)) on agent i's next dim tag-g uniforms
+    under seed s (reference.LaplaceStream replays it). A refill draws at
+    most horizon rounds, as in AgentBank; a transform call covers one
+    chunk() and, being elementwise, changes no value."""
 
     def __init__(self, rngs, noise, dim: int, *, horizon: int):
         super().__init__(rngs, dim, horizon=horizon)
-        self.distinct = list(dict.fromkeys(noise))
-        self._index = np.array([self.distinct.index(s) for s in noise])
+        self.distinct = list(dict.fromkeys(s for tag in noise for s in tag))
+        self._index = np.array([[self.distinct.index(s) for s in tag] for tag in noise])
+        self._shape = (len(noise), len(self._rngs) // self._index.size, len(noise[0]), dim)
         self._t = 0  # the round of the next draw
         self._slabs = []  # the chunk's rounds not yet drawn, last first
 
     def laplace_params(self, ts) -> np.ndarray:
-        """(len(ts), m) per-agent Laplace parameters at the rounds ts,
-        evaluated once per distinct schedule and gathered by agent."""
+        """(len(ts), G, m) per-agent Laplace parameters of every tag at the
+        rounds ts, evaluated once per distinct schedule and gathered."""
         return np.array([[s.laplace_param(t) for s in self.distinct]
                          for t in ts])[:, self._index]
 
     def next(self) -> np.ndarray:
-        """The next round's (rows, dim) noise: a contiguous slab of a fresh
-        chunk that the bank never writes again."""
+        """The next round's (G, S, m, dim) noise: a contiguous slab of a
+        fresh chunk that the bank never writes again."""
         if not self._slabs:
             u = self.chunk()
-            k, rows, dim = u.shape
+            k = len(u)
             u = np.subtract(u, 0.5, out=np.empty(u.shape))  # round-major
             nu = self.laplace_params(range(self._t, self._t + k))
-            m = nu.shape[1]
-            chunk = laplace_from_uniform(u.reshape(k, rows // m, m, dim),
-                                         nu[:, None, :, None])
-            self._slabs = list(chunk.reshape(u.shape)[::-1])
+            chunk = laplace_from_uniform(u.reshape((k,) + self._shape),
+                                         nu[:, :, None, :, None])
+            self._slabs = list(chunk[::-1])
         self._t += 1
         return self._slabs.pop()
 

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldpagg.algorithm import (BroadcastFrame, _Batch, _consensus, _descend,
-                              _split_weights, baseline_seeds, iterate,
-                              run_seeds)
+                              _split_weights, _track, baseline_seeds,
+                              iterate, run_seeds)
 from ldpagg.analysis import metric_eval, sampling_grid
 from ldpagg.problems import (QuadraticProblem, make_personalized_problem,
                              make_quadratic_problem)
 from ldpagg.reference import (ErmReference, LaplaceStream,
-                              centralized_trajectory)
+                              baseline_tracker_round, centralized_trajectory,
+                              tracker_round)
 from ldpagg.schedules import (AgentBank, ConvexityCase, NoiseBank,
                               ScheduleSet, StepsizeSchedule, agent_rng,
                               broadcast_noise, corollary1_preset,
@@ -30,8 +31,8 @@ class Recorder:
 
     def __call__(self, t, state, frame, ev, alive):
         for s in np.flatnonzero(alive):
-            self.frames[s].append(BroadcastFrame(
-                *(a[s].copy() for a in (frame.x, frame.y, frame.z))))
+            self.frames[s].append(BroadcastFrame(frame.x[s].copy(),
+                                                 frame.yz[:, s].copy()))
             self.states[s].append(tuple(a[s].copy() for a in state))
 
 
@@ -111,17 +112,16 @@ class TestIterate:
         W0, diagw = _split_weights(topo)
         rng = np.random.default_rng(4)
         X = rng.uniform(-1, 1, (5, prob.n))
-        Y = np.zeros((5, 2))
-        Z = np.zeros((5, 2))
+        P = np.zeros((2, 5, 2))  # the tracker pair (Y, Z)
         store = prob.new_store([agent_rng(11, i, "data") for i in range(5)],
                                horizon=30)
         for t in range(30):
-            frame = BroadcastFrame(x=X, y=Y, z=Z)  # noise-free frames
+            frame = BroadcastFrame(x=X, yz=P)  # noise-free frames
             prob.draw(store)
             ev = prob.erm_eval(store, prob.own_block(X))
-            expect = Y.mean(axis=0) + s.lambda_y.value(t) * ev.g.mean(axis=0)
-            X, Y, Z = iterate(X, Y, Z, frame, t, s, W0, diagw, prob, ev)
-            assert np.max(np.abs(Y.mean(axis=0) - expect)) < 1e-12
+            expect = P[0].mean(axis=0) + s.lambda_y.value(t) * ev.g.mean(axis=0)
+            X, P = iterate(X, P, frame, t, s, W0, diagw, prob, ev)
+            assert np.max(np.abs(P[0].mean(axis=0) - expect)) < 1e-12
 
     def test_consensus_identity_matches_neighbor_sum(self):
         topo = ring_topology(6, 0.2)
@@ -460,7 +460,8 @@ def test_emitted_arrays_are_never_written_again(driver, family):
 @given(seed=st.integers(0, 2 ** 32 - 1), S=st.integers(1, 3),
        family=st.sampled_from(sorted(BATCH_PROBLEMS)))
 def test_round_leaves_its_inputs_unchanged(seed, S, family):
-    # iterate and _descend read X and the frame without writing them, and
+    # iterate, _descend and the baseline's _track read X, the tracker pair
+    # and the frame without writing them, and
     # _descend gives bitwise clip(X + consensus - lam U), U being grad_own
     # on the own blocks and zero elsewhere, also at -0.0 and the box ends
     prob = BATCH_PROBLEMS[family]
@@ -470,10 +471,10 @@ def test_round_leaves_its_inputs_unchanged(seed, S, family):
     rng = np.random.default_rng(seed)
     X = rng.normal(0.0, 20.0, (S, m, n))
     X.reshape(-1)[rng.choice(X.size, 2, replace=False)] = -0.0
-    Y, Z = rng.normal(0.0, 1.0, (2, S, m, r))
-    frame = BroadcastFrame(*(a + rng.normal(0.0, 1.0, a.shape)
-                             for a in (X, Y, Z)))
-    inputs = [a.copy() for a in (X, Y, Z, frame.x, frame.y, frame.z)]
+    P = rng.normal(0.0, 1.0, (2, S, m, r))
+    Y, Z = P
+    frame = BroadcastFrame(*(a + rng.normal(0.0, 1.0, a.shape) for a in (X, P)))
+    inputs = [a.copy() for a in (X, P, frame.x, frame.yz)]
     store = prob.new_store([agent_rng(seed, i, "data") for i in range(S * m)],
                            batch=(S,), horizon=1)
     prob.draw(store)
@@ -486,9 +487,154 @@ def test_round_leaves_its_inputs_unchanged(seed, S, family):
                      prob.box_lo, prob.box_hi)
     got = _descend(prob, W0, diagw, X, frame.x, 0.7, grad_own)
     assert got.tobytes() == expect.tobytes()
-    iterate(X, Y, Z, frame, 3, s, W0, diagw, prob, ev)
-    for a, b in zip((X, Y, Z, frame.x, frame.y, frame.z), inputs):
+    iterate(X, P, frame, 3, s, W0, diagw, prob, ev)
+    _track(W0, diagw, P, frame, ev, ev)
+    for a, b in zip((X, P, frame.x, frame.yz), inputs):
         assert a.tobytes() == b.tobytes()
+
+
+PAIR_PROBLEMS = {
+    "quadratic-r1": make_quadratic_problem(m=3, ni=2, r=1, gamma=1.0,
+                                           box=(-10, 10), seed=7),
+    "quadratic-r2": BATCH_PROBLEMS["quadratic"],
+    "personalized": BATCH_PROBLEMS["personalized"],  # r = 1
+}
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (3,)], ids=["unbatched", "S1", "S3"])
+@pytest.mark.parametrize("family", sorted(PAIR_PROBLEMS))
+def test_one_round_equals_the_per_tracker_update(family, lead):
+    # one round of iterate and of the baseline's tracker step on the pair
+    # (one consensus product on its (2, ..., m, r) stack) gives each
+    # tracker bitwise what its own update gives it, for (m, .) states and
+    # batches of S seeds
+    prob = PAIR_PROBLEMS[family]
+    m, n, r, t = prob.m, prob.n, prob.r, 4
+    s = batch_schedules()
+    W0, diagw = _split_weights(ring_topology(m, 0.3))
+    rng = np.random.default_rng(len(lead) and lead[0])
+    X = rng.normal(0.0, 2.0, lead + (m, n))
+    P = rng.normal(0.0, 1.0, (2,) + lead + (m, r))
+    frame = BroadcastFrame(X + rng.normal(0.0, 1.0, X.shape),
+                           P + rng.normal(0.0, 1.0, P.shape))
+    rows = (lead[0] if lead else 1) * m
+    store = prob.new_store([agent_rng(3, i, "data") for i in range(rows)],
+                           batch=lead, horizon=2)
+    prob.draw(store)
+    ev = prob.erm_eval(store, prob.own_block(X))
+    Y, Z, hat_y, hat_z = (a.copy() for a in (*P, *frame.yz))  # one array each
+
+    X_new, P_new = iterate(X, P, frame, t, s, W0, diagw, prob, ev)
+    Y_new, Z_new, Ytil, Ztil = tracker_round(
+        Y, Z, hat_y, hat_z, W0, diagw, s.lambda_y.value(t), s.lambda_z.value(t), ev)
+    assert P_new.shape == P.shape
+    assert P_new[0].tobytes() == Y_new.tobytes()
+    assert P_new[1].tobytes() == Z_new.tobytes()
+    X_want = _descend(prob, W0, diagw, X, frame.x, s.lambda_x.value(t),
+                      ev.grad_f_x(Ytil) + ev.grad_g_dot(Ztil))
+    assert X_new.tobytes() == X_want.tobytes()
+
+    prob.draw(store)
+    ev2 = prob.erm_eval(store, prob.own_block(X_new))
+    P_new = _track(W0, diagw, P, frame, ev.reweighted(store), ev2)
+    G_new, Q_new = baseline_tracker_round(Y, Z, hat_y, hat_z, W0, diagw,
+                                          ev.reweighted(store), ev2)
+    assert P_new.shape == P.shape
+    assert P_new[0].tobytes() == G_new.tobytes()
+    assert P_new[1].tobytes() == Q_new.tobytes()
+
+
+def poisoned_draw(prob, row, count):
+    """prob's draw, which at store count `count` makes batch row `row`'s
+    aggregate samples infinite: the quadratic xi mean, the personalized
+    g-stream counts."""
+    draw = type(prob).draw
+
+    def draw_poisoned(self, store):
+        draw(self, store)
+        if store.count == count:
+            stat = store.xi_mean if self.family == "quadratic" else store.counts_g
+            stat[row] = np.inf
+    return draw_poisoned
+
+
+def replay_per_tracker(driver, prob, s, seeds, calls):
+    """Replay a batch's rounds from its seeds alone: every frame from the
+    agents' reference noise streams, each tracker by its own update
+    (reference.tracker_round, baseline_tracker_round); asserts that every
+    emitted state and frame in calls (a Keeper's) is bitwise the replay's."""
+    m, S, prefix = prob.m, len(seeds), "" if driver == "run" else "baseline-"
+    W0, diagw = _split_weights(ring_topology(m, 0.3))
+    noise = {"theta": s.noise_x, "chi": s.noise_y, "zeta": s.noise_z}
+    streams = {tag: [LaplaceStream(agent_rng(sd, i, prefix + tag))
+                     for sd in seeds for i in range(m)] for tag in noise}
+    store = prob.new_store([agent_rng(sd, i, prefix + "data")
+                            for sd in seeds for i in range(m)],
+                           batch=(S,), horizon=len(calls))
+
+    def obscured(t, A, tag):
+        dim = A.shape[-1]
+        return A + np.array([
+            laplace_from_uniform(st.draw_centered(dim),
+                                 noise[tag][k % m].laplace_param(t))
+            for k, st in enumerate(streams[tag])]).reshape(A.shape)
+
+    X = calls[0][1][0]  # the start point
+    if driver == "run":
+        Y = Z = np.zeros((S, m, prob.r))
+    else:
+        prob.draw(store)
+        ev = prob.erm_eval(store, prob.own_block(X))
+        Y, Z = ev.g, ev.grad_f_y(ev.g)
+    for t, (frame, state, _) in enumerate(calls):
+        for got, want in zip(state, (X, Y, Z)):
+            assert got.tobytes() == want.tobytes()
+        hx, hy, hz = obscured(t, X, "theta"), obscured(t, Y, "chi"), obscured(t, Z, "zeta")
+        for got, want in zip((frame.x, frame.y, frame.z), (hx, hy, hz)):
+            assert got.tobytes() == want.tobytes()
+        if t == len(calls) - 1:
+            break
+        if driver == "run":
+            prob.draw(store)
+            ev = prob.erm_eval(store, prob.own_block(X))
+            Y, Z, Ytil, Ztil = tracker_round(Y, Z, hy, hz, W0, diagw,
+                                             s.lambda_y.value(t),
+                                             s.lambda_z.value(t), ev)
+            X = _descend(prob, W0, diagw, X, hx, s.lambda_x.value(t),
+                         ev.grad_f_x(Ytil) + ev.grad_g_dot(Ztil))
+        else:
+            if t:
+                prob.draw(store)
+                ev = ev.reweighted(store)
+            X = _descend(prob, W0, diagw, X, hx, s.lambda_x.lambda0,
+                         ev.grad_f_x(Y) + ev.grad_g_dot(Z))
+            ev2 = prob.erm_eval(store, prob.own_block(X))
+            Y, Z = baseline_tracker_round(Y, Z, hy, hz, W0, diagw, ev, ev2)
+            ev = ev2
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+@pytest.mark.parametrize("family", sorted(BATCH_PROBLEMS))
+def test_runs_replay_the_per_tracker_update(driver, family, monkeypatch):
+    # whole batches of 3 seeds over two chunks of the pair bank and more,
+    # with seed 1 ending inside the second chunk: every state, frame and
+    # record is bitwise the per-tracker replay's
+    prob, seeds = BATCH_PROBLEMS[family], [5, 6, 7]
+    k = NoiseBank._CHUNK // (2 * len(seeds) * prob.m * prob.r)  # pair chunk
+    T, end = 2 * k + 10, k + 7
+    monkeypatch.setattr(type(prob), "draw", poisoned_draw(prob, 1, end))
+    keep, s = Keeper(), batch_schedules()
+    with np.errstate(over="ignore", invalid="ignore"):
+        recs = DRIVERS[driver](prob, ring_topology(3, 0.3), s, T, seeds,
+                               observers=[keep])
+        replay_per_tracker(driver, prob, s, seeds, keep.calls)
+    assert len(keep.calls) == T + 1
+    assert [r.aborted_at for r in recs] == [None, end, None]
+    for row, r in enumerate(recs):
+        last = keep.calls[T][1] if r.aborted_at is None else \
+            keep.calls[r.aborted_at][1]
+        for got, want in zip((r.final_x, r.final_y, r.final_z), last):
+            assert got.tobytes() == want[row].tobytes()
 
 
 def replay_data(prob, seed, T):
@@ -560,8 +706,9 @@ def test_one_softmax_pass_per_round(driver, monkeypatch):
 
 def test_one_transform_call_per_noise_chunk(monkeypatch):
     # at the sc_paper shape (m = 5, S = 3, n = 10, r = 2) each noise bank
-    # transforms a chunk of rounds per laplace_from_uniform call; a chunk
-    # ends at the bank's chunk size or at the end of a refill block
+    # (theta, and the chi and zeta pair on 2 S m rows) transforms a chunk
+    # of rounds per laplace_from_uniform call; a chunk ends at the bank's
+    # chunk size or at the end of a refill block
     import ldpagg.schedules as schedules
     calls = [0]
     transform = schedules.laplace_from_uniform
@@ -578,9 +725,9 @@ def test_one_transform_call_per_noise_chunk(monkeypatch):
                           lambda0=(0.5, 1, 1), sigma=(1, 1, 1))
     run_seeds(prob, ring_topology(m, 0.3), s, T, list(range(S)))
     expect = 0
-    for dim in (prob.n, prob.r, prob.r):
+    for rows, dim in ((S * m, prob.n), (2 * S * m, prob.r)):  # theta, pair
         block = max(1, AgentBank._BLOCK // dim)
-        chunk = min(block, max(1, NoiseBank._CHUNK // (S * m * dim)))
+        chunk = min(block, max(1, NoiseBank._CHUNK // (rows * dim)))
         per_block = -(-block // chunk)
         draws = T + 1
         expect += draws // block * per_block + -(-(draws % block) // chunk)
@@ -591,7 +738,8 @@ def test_one_transform_call_per_noise_chunk(monkeypatch):
 @pytest.mark.parametrize("family", ["quadratic", "personalized"])
 def test_banks_refill_no_more_rounds_than_the_run_draws(family, prefix):
     # every noise bank and the data bank of a T-round batch refill at most
-    # T + 1 rounds, and a whole block when the run is longer
+    # T + 1 rounds, and a whole block when the run is longer; the pair bank
+    # has a row per tracker, seed and agent
     m = 4
     prob = (make_quadratic_problem(m=m, ni=2, r=2, box=(-10, 10), seed=7)
             if family == "quadratic" else make_personalized_problem(m=m, seed=7))
@@ -599,9 +747,9 @@ def test_banks_refill_no_more_rounds_than_the_run_draws(family, prefix):
     data_dim = prob.r + prob.ni if family == "quadratic" else 2
     for T in (0, 7, 3000):
         b = _Batch(prob, ring_topology(m, 0.3), s, T, [0, 1], prefix, None)
-        for bank, dim in zip((*b.noise, b.store.bank),
-                             (prob.n, prob.r, prob.r, data_dim)):
-            assert bank._buf.shape == (2 * m, min(AgentBank._BLOCK // dim, T + 1),
+        for bank, rows, dim in zip((*b.noise, b.store.bank), (2 * m, 4 * m, 2 * m),
+                                   (prob.n, prob.r, data_dim)):
+            assert bank._buf.shape == (rows, min(AgentBank._BLOCK // dim, T + 1),
                                        dim)
 
 
@@ -643,9 +791,9 @@ def test_aborted_seeds_across_observer_chunks():
 def test_aborts_at_observer_chunk_edges(monkeypatch):
     # seeds end at the first and the second round of an observer chunk, at
     # its last round and the round after, and at T; the data draw that
-    # makes a seed's xi sum infinite at store count a makes its y, so its
-    # state, non-finite at iteration a, while l, on the newest xi alone,
-    # and z up to a stay finite
+    # makes a seed's xi sum and mean infinite at store count a makes its y,
+    # so its state, non-finite at iteration a, while l, on the newest xi
+    # alone, and z up to a stay finite
     prob, T, seeds = BATCH_PROBLEMS["quadratic"], 400, list(range(7))
     k = NoiseBank._CHUNK // (len(seeds) * prob.n)
     ends = {1: k, 2: k + 1, 3: 2 * k - 1, 4: 2 * k, 5: T}
@@ -654,9 +802,10 @@ def test_aborts_at_observer_chunk_edges(monkeypatch):
     def draw_to_end(self, store):
         draw(self, store)
         rows = store.xi_sum.reshape((-1,) + store.xi_sum.shape[-2:])
-        for row, rng in zip(rows, store.bank._rngs[::self.m]):
+        means = store.xi_mean.reshape(rows.shape)
+        for row, mean, rng in zip(rows, means, store.bank._rngs[::self.m]):
             if ends.get(rng.bit_generator.seed_seq.entropy[0]) == store.count:
-                row[...] = np.inf
+                row[...] = mean[...] = np.inf
 
     monkeypatch.setattr(QuadraticProblem, "draw", draw_to_end)
     recs, alone = run_batch_and_solo("run", prob, batch_schedules(), T, seeds)
@@ -692,15 +841,21 @@ def gate_batch(S, T):
                   list(range(S)), "", None)
 
 
+def paired(X, Y, Z):
+    """(X, Y, Z) as the drivers carry it: X and the tracker pair."""
+    return X, np.stack([Y, Z])
+
+
 def check_gate(b, rounds):
-    """Feed rounds of (X, Y, Z) to b.retire_nonfinite and to the per-round
-    formula: the same ends and final states, a returned mask equal to
-    end > t at every call, and no returned mask ever written."""
+    """Feed rounds of (X, Y, Z) to b.retire_nonfinite, the trackers as a
+    pair, and to the per-round formula: the same ends and final states, a
+    returned mask equal to end > t at every call, and no returned mask
+    ever written."""
     ref = PerRoundGate(len(b.seeds), b.T)
     masks = []
     with np.errstate(over="ignore", invalid="ignore"):
         for t, state in enumerate(rounds, start=1):
-            got = b.retire_nonfinite(t, *state)
+            got = b.retire_nonfinite(t, *paired(*state))
             assert np.array_equal(got, ref.retire(t, *state))
             assert np.array_equal(got, b.end > t)
             masks.append((got, got.copy()))
@@ -767,13 +922,13 @@ def test_abort_gate_keeps_its_mask_until_a_seed_ends():
     nan1 = [a.copy() for a in nan0]
     nan1[1][1, 2, 1] = np.inf
     b = gate_batch(3, 6)
-    first = b.retire_nonfinite(1, *fin)
-    assert b.retire_nonfinite(2, *fin) is first
-    ended = b.retire_nonfinite(3, *nan0)
+    first = b.retire_nonfinite(1, *paired(*fin))
+    assert b.retire_nonfinite(2, *paired(*fin)) is first
+    ended = b.retire_nonfinite(3, *paired(*nan0))
     assert ended is not first and ended.tolist() == [False, True, True]
-    assert b.retire_nonfinite(4, *nan0) is ended
-    assert b.retire_nonfinite(5, *nan0) is ended
-    assert b.retire_nonfinite(6, *nan1).tolist() == [False, False, True]
+    assert b.retire_nonfinite(4, *paired(*nan0)) is ended
+    assert b.retire_nonfinite(5, *paired(*nan0)) is ended
+    assert b.retire_nonfinite(6, *paired(*nan1)).tolist() == [False, False, True]
     assert b.end.tolist() == [3, 6, 7]
 
 

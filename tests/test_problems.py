@@ -444,6 +444,27 @@ def test_chunked_draws_equal_per_round_adds(horizon, batch, noise_std):
         assert a.tobytes() == copy.tobytes()
 
 
+@pytest.mark.parametrize("batch", [(), (1,), (3,)])
+@pytest.mark.parametrize("horizon", [5, 3000])
+def test_store_means_are_the_sums_over_the_count(horizon, batch):
+    # the quadratic draw divides a chunk's running sums by their counts
+    # once; every round's xi_mean and phi_mean, which the ERM oracle reads,
+    # must be bitwise its sums / count. At batch (3,) a chunk is 227 rounds
+    # and a refill block 512, so the rounds cross chunk ends inside blocks
+    # and at their ends; unbatched and at (1,) a chunk ends at each block
+    # end; horizon 5 caps both at 5 rounds
+    prob = make_quadratic_problem(m=3, ni=2, r=2, noise_std_g=0.5,
+                                  noise_std_f=0.5, seed=4)
+    store = prob.new_store(batch_rngs(prob.m, batch), batch=batch,
+                           horizon=horizon)
+    for _ in range(min(horizon, 2 * (AgentBank._BLOCK // (prob.r + prob.ni))) + 60):
+        prob.draw(store)
+        for mean, total in ((store.xi_mean, store.xi_sum),
+                            (store.phi_mean, store.phi_sum)):
+            want = total / store.count
+            assert mean.shape == want.shape and mean.tobytes() == want.tobytes()
+
+
 def family_problems():
     return [make_quadratic_problem(m=3, ni=2, r=2, gamma=1.0, seed=4),
             make_personalized_problem(m=3, classes=3, features=2, lam=0.8,

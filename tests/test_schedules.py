@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ldpagg.reference import LaplaceStream, sample_laplace
@@ -189,10 +189,15 @@ def test_bank_rows_replay_agent_streams_across_refills(m, dim, extra, seed, tag,
             assert np.array_equal(u[i], streams[i].draw_centered(dim))
 
 
-def hetero_noise(m):
-    """m <= 4 per-agent schedules: agent 0 has sigma = 0, agents 1 and 2
-    share a schedule, agent 3 has its own."""
+def hetero_noise(m, tag=0):
+    """m <= 4 per-agent schedules of noise tag 0 or 1. Tag 0: agent 0 has
+    sigma = 0, agents 1 and 2 share a schedule, agent 3 has its own. Tag 1:
+    agents 0 and 2 share a schedule, agent 1 has sigma = 0 and agent 3
+    shares tag 0's schedule of agents 1 and 2."""
     a, b = NoiseSchedule(1.3, 0.6), NoiseSchedule(0.4, 0.1)
+    if tag:
+        c = NoiseSchedule(0.7, 0.05)
+        return (c, NoiseSchedule(0.0, 0.0), c, a)[:m]
     return (NoiseSchedule(0.0, 0.2), a, a, b)[:m]
 
 
@@ -200,28 +205,35 @@ def hetero_noise(m):
 @given(S=st.integers(1, 3), m=st.integers(1, 4),
        dim=st.sampled_from([0, 1, 3, 400, 2049, 5000]),
        extra=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 4),
-       tag=st.sampled_from(["theta", "chi", "zeta"]), place=HORIZONS)
-def test_noise_bank_replays_reference_streams(S, m, dim, extra, seed, tag,
+       tags=st.sampled_from([("theta",), ("chi",), ("chi", "zeta")]),
+       place=HORIZONS)
+@example(S=3, m=4, dim=2, extra=1, seed=5, tags=("chi", "zeta"), place="above")
+@example(S=1, m=4, dim=1, extra=0, seed=9, tags=("chi", "zeta"), place="at")
+def test_noise_bank_replays_reference_streams(S, m, dim, extra, seed, tags,
                                               place):
-    # row s*m + i of round t is agent i's reference Laplace draw under seed
-    # s; the rounds go at least three refills past the horizon and so
-    # cross at least three chunk boundaries (a chunk never spans a refill)
-    noise = hetero_noise(m)
-    rows = [(seed + s, i) for s in range(S) for i in range(m)]
+    # row (g*S + s)*m + i of round t, entry [g, s, i] of its (G, S, m, dim)
+    # slab, is agent i's reference Laplace draw for tag g under seed s, on
+    # tag g's own per-agent schedule; the rounds go at least three refills
+    # past the horizon and so cross at least three chunk boundaries (a
+    # chunk never spans a refill)
+    G = len(tags)
+    noise = [hetero_noise(m, g) for g in range(G)]
+    rows = [(g, s, i) for g in range(G) for s in range(S) for i in range(m)]
     horizon, per_refill = bank_horizon(place, dim)
-    bank = NoiseBank([agent_rng(sd, i, tag) for sd, i in rows], noise, dim,
-                     horizon=horizon)
-    assert bank._buf.shape[1] == per_refill
+    bank = NoiseBank([agent_rng(seed + s, i, tags[g]) for g, s, i in rows],
+                     noise, dim, horizon=horizon)
+    assert bank._buf.shape == (G * S * m, per_refill, dim)
     rounds = horizon + 3 * per_refill + extra + 1
-    streams = [LaplaceStream(agent_rng(sd, i, tag)) for sd, i in rows]
+    streams = [LaplaceStream(agent_rng(seed + s, i, tags[g]))
+               for g, s, i in rows]
     slabs, copies = [], []
     for t in range(rounds):
         slab = bank.next()
-        assert slab.shape == (S * m, dim) and slab.flags.c_contiguous
-        for row, (stream, (_, i)) in enumerate(zip(streams, rows)):
+        assert slab.shape == (G, S, m, dim) and slab.flags.c_contiguous
+        for stream, (g, s, i) in zip(streams, rows):
             expect = laplace_from_uniform(stream.draw_centered(dim),
-                                          noise[i].laplace_param(t))
-            assert slab[row].tobytes() == expect.tobytes()
+                                          noise[g][i].laplace_param(t))
+            assert slab[g, s, i].tobytes() == expect.tobytes()
         slabs.append(slab)
         copies.append(slab.copy())
     # every slab is kept alive, so disjoint address ranges mean no two
@@ -235,15 +247,26 @@ def test_noise_bank_replays_reference_streams(S, m, dim, extra, seed, tag,
 
 
 def test_laplace_params_gather_matches_per_agent_schedules():
+    # one tag with 3 distinct schedules; a second tag that repeats one of
+    # them and adds one: each (tag, agent) gathers its own schedule's value
     noise = broadcast_noise([1.0, 0.5, 1.0, 2.0, 0.5], [0.1, 0.1, 0.1, 0.3, 0.1], 5)
-    bank = NoiseBank([agent_rng(0, i, "theta") for i in range(5)], noise, 1,
+    bank = NoiseBank([agent_rng(0, i, "theta") for i in range(5)], [noise], 1,
                      horizon=0)
     assert len(bank.distinct) == 3
     ts = (0, 1, 17, 10 ** 5)
     params = bank.laplace_params(ts)
-    assert params.shape == (len(ts), 5)
+    assert params.shape == (len(ts), 1, 5)
     for t, row in zip(ts, params):
-        assert np.array_equal(row, [s.laplace_param(t) for s in noise])
+        assert np.array_equal(row, [[s.laplace_param(t) for s in noise]])
+    pair = [noise, broadcast_noise([2.0, 3.0, 2.0, 2.0, 3.0], [0.3, 0.2, 0.3, 0.3, 0.2], 5)]
+    bank = NoiseBank([agent_rng(0, i, tag) for tag in ("chi", "zeta")
+                      for i in range(5)], pair, 1, horizon=0)
+    assert len(bank.distinct) == 4
+    params = bank.laplace_params(ts)
+    assert params.shape == (len(ts), 2, 5)
+    for t, row in zip(ts, params):
+        assert np.array_equal(row, [[s.laplace_param(t) for s in tag]
+                                    for tag in pair])
 
 
 @settings(max_examples=30, deadline=None)
