@@ -214,7 +214,7 @@ class _Batch:
         S, g = len(self.seeds), len(self.pending)
         ts, states = zip(*self.pending)
         stack = states[0] if g == 1 else [np.concatenate(a) for a in zip(*states)]
-        cols = metric_eval(self.problem, *stack, 0)
+        cols = metric_eval(self.problem, *stack)
         for k, (t, row) in enumerate(zip(ts, self.cols[-g:])):
             extra = row.copy()
             row.clear()

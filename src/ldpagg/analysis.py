@@ -28,17 +28,17 @@ def sampling_grid(T: int) -> np.ndarray:
     return np.array(sorted(p for p in pts if 0 <= p <= T), dtype=int)
 
 
-def metric_eval(problem, X, Y, Z, t):
-    """The metric columns of stacked states (..., m, .) at iteration t,
-    each a (...,) array whose slices are bitwise the one-seed call's.
+def metric_eval(problem, X, Y, Z):
+    """The metric columns of stacked states (..., m, .), each a (...,)
+    array whose slices are bitwise the one-seed call's.
     Columns requiring a truth optimizer (the problem's x_star and F_star)
     are omitted (not zero-filled) when the problem does not provide one.
     """
     def spread(A):  # squared distance from the agent mean, summed
         return ((A - A.mean(axis=-2, keepdims=True)) ** 2).sum(axis=(-2, -1))
     xown = problem.own_block(X).reshape(X.shape[:-2] + (problem.n,))
-    row = {"t": np.full(X.shape[:-2], float(t)), "consensus_x": spread(X),
-           "consensus_y": spread(Y), "consensus_z": spread(Z),
+    row = {"consensus_x": spread(X), "consensus_y": spread(Y),
+           "consensus_z": spread(Z),
            "grad_norm_sq": (problem.grad_F_true(xown) ** 2).sum(axis=-1)}
     if problem.has_optimizer:
         row["err_to_opt_sq"] = ((xown - problem.x_star) ** 2).sum(axis=-1)

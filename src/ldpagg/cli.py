@@ -33,6 +33,14 @@ class _UsageError(Exception):
     """A bad argument: main prints it as an error line and returns 1."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with exit 1, not 2, for an argument error; subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _fmt(x) -> str:
     return "%.17g" % float(x)
 
@@ -138,7 +146,6 @@ def _cmd_run(args):
         "version": __version__,
         "baseline": baseline,
         "seeds": seed_list,
-        "master_seed": cfg.master_seed,
         "aborted": {str(s): r.aborted_at for s, r in zip(seed_list, records)
                     if r.aborted_at is not None},
         "wall_time_sec": time.perf_counter() - t0,
@@ -184,10 +191,7 @@ def _cmd_budget(args):
     cfg = load_config(args.config)
     sens = _sensitivity(cfg)
     try:
-        # the infinite-horizon table holds bound_inf alone, which does not
-        # depend on the source
-        accounts = budgets(horizon or 0, sens, cfg.schedules,
-                           args.source if horizon is not None else "recursion")
+        accounts = budgets(horizon or 0, sens, cfg.schedules)
     except ValueError as e:
         raise _UsageError(e) from None
     print("agent,eps_x,eps_y,eps_z,eps_total,bound_inf")
@@ -277,7 +281,7 @@ def _cmd_validate(args):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ldpagg",
         description="LDP distributed aggregative optimization simulator "
                     "and privacy accountant")
@@ -303,8 +307,6 @@ def main(argv=None) -> int:
     add_config(p_budget)
     p_budget.add_argument("--horizon", default="inf",
                           help="iteration count or 'inf'")
-    p_budget.add_argument("--source", choices=["recursion", "closed_form"],
-                          default="recursion")
 
     p_cal = sub.add_parser("calibrate", help="noise scales for a target budget")
     p_cal.set_defaults(func=_cmd_calibrate)

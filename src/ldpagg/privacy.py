@@ -211,15 +211,11 @@ def accountable(schedules: ScheduleSet) -> bool:
     return not any(n.sigma <= 0 for n in s.noise_x + s.noise_y + s.noise_z)
 
 
-def budgets(T: int, p: SensitivityParams, schedules: ScheduleSet,
-            source: str = "recursion"):
+def budgets(T: int, p: SensitivityParams, schedules: ScheduleSet):
     """Cumulative budget of every agent over t = 1..T from one recursion.
 
     Returns one (PrivacyAccount, eps_cum) pair per agent, where eps_cum
-    holds the cumulative eps_total at t = 0..T. source "recursion" sums
-    Delta^t/nu^t with the numeric recursion (the tighter accountant);
-    "closed_form" sums the certificate bounds
-    sqrt(2) C / (sigma (t+1)^{1+..-varsigma}) instead. Agents with equal
+    holds the running sum of Delta^t/nu^t at t = 0..T. Agents with equal
     noise schedules share one pair.
     """
     if T < 0:
@@ -228,26 +224,11 @@ def budgets(T: int, p: SensitivityParams, schedules: ScheduleSet,
         raise ValueError("budget accounting requires positive noise scales")
     triples = list(zip(schedules.noise_x, schedules.noise_y, schedules.noise_z))
     ts = np.arange(1, T + 1, dtype=float)
-    if source == "recursion":
-        traj = sensitivity_trajectory(T, p)
-
-        def terms(nx, ny, nz):
-            return (traj.dx[1:] / nx.laplace_param(ts),
-                    traj.dy[1:] / ny.laplace_param(ts),
-                    traj.dz[1:] / nz.laplace_param(ts))
-    elif source == "closed_form":
-        c = closed_form_constants(p)
-        vx, vy, vz = p.lambda_x.v, p.lambda_y.v, p.lambda_z.v
-
-        def terms(nx, ny, nz):
-            return (SQRT2 * c.Cx / (nx.sigma * (ts + 1) ** (1 + vx - vz - nx.varsigma)),
-                    SQRT2 * c.Cy / (ny.sigma * (ts + 1) ** (1 + vy - ny.varsigma)),
-                    SQRT2 * c.Cz / (nz.sigma * (ts + 1) ** (1 + vz - nz.varsigma)))
-    else:
-        raise ValueError(f"unknown budget source {source!r}")
+    traj = sensitivity_trajectory(T, p)
     out = {}
     for triple in dict.fromkeys(triples):
-        ex, ey, ez = terms(*triple)
+        ex, ey, ez = (d[1:] / n.laplace_param(ts)
+                      for d, n in zip((traj.dx, traj.dy, traj.dz), triple))
         eps_cum = np.zeros(T + 1)
         eps_cum[1:] = np.cumsum(ex + ey + ez)
         acct = PrivacyAccount(

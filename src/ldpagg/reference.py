@@ -4,10 +4,10 @@ Centralized solvers, the single-agent Laplace noise stream, the
 per-sample objective h, the batched softmax pass built sample-major,
 the ERM oracle recomputed sample by sample from raw samples, the
 tracker updates of both drivers one tracker at a time, the scalar
-sensitivity recursion step, the closed-form ring spectrum and the
-cross-seed stacking of a metric column. Deliberately written
-without reuse of the simulator code paths so the distributed
-implementation can be checked against them.
+sensitivity recursion step, the closed-form certificate budget, the
+closed-form ring spectrum and the cross-seed stacking of a metric
+column. Deliberately written without reuse of the simulator code paths
+so the distributed implementation can be checked against them.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .privacy import closed_form_constants
 from .schedules import laplace_from_uniform
 
 
@@ -225,6 +226,22 @@ def sensitivity_step(dx, dy, dz, t, p):
         + 2.0 * sn * p.d_z * p.L_l * lam_x / (lam_z * (t + 1))
     )
     return dx_new, dy_new, dz_new
+
+
+def closed_form_budget(T, p, nx, ny, nz):
+    """The paper's per-round certificate sum for one agent with noise
+    schedules nx, ny, nz under a privacy.SensitivityParams p: the
+    components (eps_x, eps_y, eps_z) of
+    sum_{t=1..T} sqrt(2) C_a / (sigma_a (t+1)^(1 + r_a - varsigma_a)),
+    with C_a the certificate constants and r = (v_x - v_z, v_y, v_z).
+    The recursion budget is at most their sum once the certificates
+    dominate, and their sum is at most the infinite-horizon bound."""
+    c = closed_form_constants(p)
+    vx, vy, vz = p.lambda_x.v, p.lambda_y.v, p.lambda_z.v
+    s = np.arange(2.0, T + 2.0)  # t + 1
+    return tuple(
+        float(np.sum(math.sqrt(2.0) * C / (n.sigma * s ** (1.0 + r - n.varsigma))))
+        for C, r, n in ((c.Cx, vx - vz, nx), (c.Cy, vy, ny), (c.Cz, vz, nz)))
 
 
 def ring_spectrum(m: int, w: float) -> np.ndarray:

@@ -10,10 +10,10 @@ from ldpagg.schedules import ScheduleSet
 def one_agent_budget():
     """The PrivacyAccount of one agent's noise triple over t = 1..T:
     budgets on a one-agent ScheduleSet."""
-    def budget(T, p, noise_x, noise_y, noise_z, source="recursion"):
+    def budget(T, p, noise_x, noise_y, noise_z):
         one = ScheduleSet(p.lambda_x, p.lambda_y, p.lambda_z,
                           (noise_x,), (noise_y,), (noise_z,))
-        return budgets(T, p, one, source)[0][0]
+        return budgets(T, p, one)[0][0]
     return budget
 
 

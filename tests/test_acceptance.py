@@ -16,8 +16,8 @@ from ldpagg.config import load_config
 from ldpagg.privacy import (calibrate_noise, closed_form_constants,
                             infinite_horizon_bound, sensitivity_trajectory)
 from ldpagg.problems import make_personalized_problem, make_quadratic_problem
-from ldpagg.reference import (centralized_trajectory, h_value, mean_over_seeds,
-                              sample_laplace)
+from ldpagg.reference import (centralized_trajectory, closed_form_budget,
+                              h_value, mean_over_seeds, sample_laplace)
 from ldpagg.schedules import (ConvexityCase, NoiseSchedule, ScheduleSet,
                               StepsizeSchedule, broadcast_noise,
                               corollary1_preset)
@@ -89,7 +89,7 @@ class TestRateClasses:
 
 
 class TestPrivacyAccounting:
-    def test_finite_cumulative_budget(self, budget_fixture, one_agent_budget):
+    def test_finite_cumulative_budget(self, budget_fixture):
         cfg = budget_fixture
         p = cfg.sensitivity
         s = cfg.schedules
@@ -107,9 +107,9 @@ class TestPrivacyAccounting:
         bound = infinite_horizon_bound(p, nx, ny, nz)
         assert np.isfinite(bound)
         for T in (100, 1000, 10000, 100000):
-            cf = one_agent_budget(T, p, nx, ny, nz, source="closed_form")
-            assert cum[T] <= cf.eps_total + 1e-12
-            assert cf.eps_total <= bound + 1e-12
+            cf = sum(closed_form_budget(T, p, nx, ny, nz))
+            assert cum[T] <= cf + 1e-12
+            assert cf <= bound + 1e-12
 
     def test_sensitivity_dominance(self, budget_fixture, own_coef_x):
         p = budget_fixture.sensitivity

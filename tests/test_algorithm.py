@@ -980,22 +980,25 @@ def snapshot_calls(monkeypatch):
     import ldpagg.algorithm as algorithm
     calls, metric_eval = [], algorithm.metric_eval
 
-    def recording_metric_eval(problem, X, Y, Z, t):
+    def recording_metric_eval(problem, X, Y, Z):
         calls.append(X.shape[:-2])
-        return metric_eval(problem, X, Y, Z, t)
+        return metric_eval(problem, X, Y, Z)
 
     monkeypatch.setattr(algorithm, "metric_eval", recording_metric_eval)
     return calls
 
 
-def assert_snapshots_per_grid_point(prob, recs, rec):
-    """Each record's metric columns are, byte for byte, one-seed metric_eval
-    calls on the states the Recorder kept at its grid points."""
+def assert_snapshots_per_grid_point(prob, recs, rec, T):
+    """Each record holds the grid points of a T-round run below its seed's
+    end, and its metric columns are, byte for byte, one-seed metric_eval
+    calls on the states the Recorder kept at those points."""
+    grid = sampling_grid(T)
     for s, r in enumerate(recs):
-        rows = [metric_eval(prob, *rec.states[s][int(t)], int(t)) for t in r.ts]
-        assert r.ts.tobytes() == np.array([row["t"] for row in rows]).tobytes()
-        assert set(r.columns) >= set(rows[0]) - {"t"}
-        for c in set(rows[0]) - {"t"}:
+        end = T + 1 if r.aborted_at is None else r.aborted_at
+        assert r.ts.tobytes() == grid[grid < end].astype(float).tobytes()
+        rows = [metric_eval(prob, *rec.states[s][int(t)]) for t in r.ts]
+        assert set(r.columns) >= set(rows[0])
+        for c in rows[0]:
             want = np.array([row[c] for row in rows])
             assert r.columns[c].tobytes() == want.tobytes(), (s, c)
 
@@ -1013,7 +1016,7 @@ def test_snapshots_equal_per_grid_point_calls(driver, family, S, monkeypatch):
     per_call = NoiseBank._CHUNK // (S * prob.m * prob.n)
     grid = sampling_grid(T).size
     assert calls == [(per_call * S,)] * (grid // per_call) + [(grid % per_call * S,)]
-    assert_snapshots_per_grid_point(prob, recs, rec)
+    assert_snapshots_per_grid_point(prob, recs, rec, T)
 
 
 @pytest.mark.parametrize("driver", sorted(DRIVERS))
@@ -1029,7 +1032,7 @@ def test_snapshots_of_aborted_seeds(driver):
     assert None in [r.aborted_at for r in recs]
     assert len({r.aborted_at for r in recs}) > 2
     with np.errstate(over="ignore", invalid="ignore"):
-        assert_snapshots_per_grid_point(prob, recs, rec)
+        assert_snapshots_per_grid_point(prob, recs, rec, 60)
 
 
 def test_one_state_per_snapshot_call_past_a_chunk(monkeypatch):
@@ -1040,4 +1043,4 @@ def test_one_state_per_snapshot_call_past_a_chunk(monkeypatch):
     calls, rec, T = snapshot_calls(monkeypatch), Recorder(), 30
     recs = sc_paper_run(prob, T, 3, observers=[rec])
     assert calls == [(3,)] * sampling_grid(T).size
-    assert_snapshots_per_grid_point(prob, recs, rec)
+    assert_snapshots_per_grid_point(prob, recs, rec, T)

@@ -109,8 +109,7 @@ class TestMetricEval:
         X = np.tile(xs, (3, 1))
         Y = np.zeros((3, 2))
         Z = np.zeros((3, 2))
-        row = metric_eval(self.prob, X, Y, Z, 5)
-        assert row["t"] == 5.0
+        row = metric_eval(self.prob, X, Y, Z)
         assert row["consensus_x"] < 1e-28
         assert row["err_to_opt_sq"] == 0.0
         assert abs(row["F_gap"]) < 1e-12
@@ -120,7 +119,7 @@ class TestMetricEval:
         prob = make_personalized_problem(m=3, classes=3, dataset_size=8, seed=1)
         assert not prob.has_optimizer
         X = np.zeros((3, prob.n))
-        row = metric_eval(prob, X, np.zeros((3, 1)), np.zeros((3, 1)), 0)
+        row = metric_eval(prob, X, np.zeros((3, 1)), np.zeros((3, 1)))
         assert "err_to_opt_sq" not in row and "F_gap" not in row
         assert "grad_norm_sq" in row
 
@@ -129,7 +128,7 @@ class TestMetricEval:
         X = rng.normal(0, 1, (3, self.prob.n))
         Y = rng.normal(0, 1, (3, 2))
         Z = rng.normal(0, 1, (3, 2))
-        row = metric_eval(self.prob, X, Y, Z, 1)
+        row = metric_eval(self.prob, X, Y, Z)
         expect = sum(np.sum((X[i] - X.mean(axis=0)) ** 2) for i in range(3))
         assert row["consensus_x"] == pytest.approx(expect, rel=1e-12)
         expect_y = sum(np.sum((Y[i] - Y.mean(axis=0)) ** 2) for i in range(3))

@@ -42,6 +42,11 @@ EXPLICIT_SCHED = {
 with open(os.path.join(os.path.dirname(__file__), "validate_stdout.json")) as f:
     VALIDATE_STDOUT = json.load(f)["stdout"]
 
+# `ldpagg budget` and `ldpagg calibrate` stdout of each shipped config with
+# a sensitivity block, as lines: config name -> command -> lines
+with open(os.path.join(os.path.dirname(__file__), "accountant_stdout.json")) as f:
+    ACCOUNTANT_STDOUT = json.load(f)["stdout"]
+
 # per-agent sigma/varsigma lists (m = 3)
 MIXED_SCHED = copy.deepcopy(EXPLICIT_SCHED)
 MIXED_SCHED["noise"]["x"] = {"sigma": [1.0, 0.5, 2.0], "varsigma": [0.03, 0.5, 0.7]}
@@ -227,6 +232,7 @@ class TestCliRun:
         with open(os.path.join(out, "manifest.json")) as f:
             manifest = json.load(f)
         assert manifest["seeds"] == [11, 12]
+        assert "master_seed" not in manifest  # seeds[0] holds it
         assert manifest["config"]["T"] == 200
         with open(os.path.join(out, "seed_11.csv")) as f:
             header = f.readline().strip().split(",")
@@ -520,6 +526,21 @@ class TestCliUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and fragment in err
 
+    @pytest.mark.parametrize("argv", [
+        ["budget", "--config", "x.json", "--bogus"],
+        ["run", "--config", "x.json", "--seeds", "x"],
+        ["budget"],
+        ["nosuch"],
+        ["budget", "--config", "x.json", "--source", "recursion"],
+    ], ids=["unknown-option", "bad-int", "missing-config", "unknown-command",
+            "removed-source"])
+    def test_argument_error_exits_1(self, capsys, argv):
+        # argparse's own rejections are usage errors too, not its exit 2
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("horizon", ["abc", "-3"])
     def test_budget_bad_horizon(self, tmp_path, capsys, horizon):
         path = write_cfg(tmp_path, cfg_dict(sensitivity=copy.deepcopy(SENS),
@@ -609,17 +630,13 @@ class TestCliUsageErrors:
                      "--horizon", horizon], "positive noise scales")
 
     def test_budget_closed_form_without_constants(self, tmp_path, capsys):
-        # v_z < v_y admits no closed-form constants; only the infinite
-        # horizon table, which holds bound_inf alone, has rows
+        # v_z < v_y admits no closed-form constants: the infinite horizon
+        # table still has a row per agent, with bound_inf +inf
         d = cfg_dict(sensitivity=copy.deepcopy(SENS),
                      schedules=copy.deepcopy(EXPLICIT_SCHED))
         d["schedules"]["stepsize"]["y"]["v"] = 0.2
         path = write_cfg(tmp_path, d)
-        self.assert_usage_error(
-            capsys, ["budget", "--config", path, "--horizon", "100",
-                     "--source", "closed_form"], "constants require")
-        assert main(["budget", "--config", path, "--horizon", "inf",
-                     "--source", "closed_form"]) == 0
+        assert main(["budget", "--config", path, "--horizon", "inf"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[1:] == [f"{i},,,,,inf" for i in range(3)]
 
@@ -712,26 +729,35 @@ class TestCliBudget:
         bound = float(lines[1].split(",")[-1])
         assert np.isfinite(bound) and bound > 0
 
-    @pytest.mark.parametrize("source", ["recursion", "closed_form"])
-    def test_budget_rows_match_per_agent_budget(self, tmp_path, capsys, source,
+    def test_budget_rows_match_per_agent_budget(self, tmp_path, capsys,
                                                 one_agent_budget):
         d = cfg_dict(sensitivity=copy.deepcopy(SENS),
                      schedules=copy.deepcopy(MIXED_SCHED))
         path = write_cfg(tmp_path, d)
-        assert main(["budget", "--config", path, "--horizon", "300",
-                     "--source", source]) == 0
+        assert main(["budget", "--config", path, "--horizon", "300"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         cfg = parse_config(d)
         s = cfg.schedules
         assert len(lines) == 4
         for i in range(3):
             acct = one_agent_budget(300, cfg.sensitivity, s.noise_x[i],
-                                    s.noise_y[i], s.noise_z[i],
-                                    source=source)
+                                    s.noise_y[i], s.noise_z[i])
             expect = ",".join([str(i)] + ["%.17g" % v for v in (
                 acct.eps_x, acct.eps_y, acct.eps_z, acct.eps_total,
                 acct.bound_inf)])
             assert lines[i + 1] == expect
+
+    @pytest.mark.parametrize("name,command", [
+        (name, command) for name, runs in sorted(ACCOUNTANT_STDOUT.items())
+        for command in runs])
+    def test_shipped_config_accountant_stdout(self, capsys, name, command):
+        # every line and every digit of the table or the patched config,
+        # as recorded
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", name)
+        cmd, *args = command.split()
+        assert main([cmd, "--config", path, *args]) == 0
+        want = "".join(line + "\n" for line in ACCOUNTANT_STDOUT[name][command])
+        assert capsys.readouterr().out == want
 
     def test_budget_runs_recursion_once(self, tmp_path, monkeypatch):
         calls = []

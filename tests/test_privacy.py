@@ -10,7 +10,7 @@ from ldpagg.config import load_config
 from ldpagg.privacy import (_BLOCK, PrivacyAccount, SensitivityParams,
                             budgets, calibrate_noise, closed_form_constants,
                             infinite_horizon_bound, sensitivity_trajectory)
-from ldpagg.reference import sensitivity_step
+from ldpagg.reference import closed_form_budget, sensitivity_step
 from ldpagg.schedules import NoiseSchedule, ScheduleSet, StepsizeSchedule
 
 
@@ -242,10 +242,10 @@ class TestBudget:
         p = fixture_params()
         nx, ny, nz = fixture_noise()
         for T in (100, 1000, 10000):
-            rec = one_agent_budget(T, p, nx, ny, nz, source="recursion")
-            cf = one_agent_budget(T, p, nx, ny, nz, source="closed_form")
-            assert rec.eps_total <= cf.eps_total + 1e-12
-            assert cf.eps_total <= cf.bound_inf + 1e-12
+            rec = one_agent_budget(T, p, nx, ny, nz)
+            cf = sum(closed_form_budget(T, p, nx, ny, nz))
+            assert rec.eps_total <= cf + 1e-12
+            assert cf <= rec.bound_inf + 1e-12
 
     def test_tail_convergence(self, one_agent_budget):
         p = fixture_params()
@@ -261,27 +261,27 @@ class TestBudget:
         p = fixture_params()
         nx, ny, nz = fixture_noise()
         T = 5000
-        cf = one_agent_budget(T, p, nx, ny, nz, source="closed_form")
+        cf_x, cf_y, cf_z = closed_form_budget(T, p, nx, ny, nz)
         c = closed_form_constants(p)
         ts = np.arange(2.0, T + 2.0)
         ex = np.sum(math.sqrt(2) * c.Cx / (1.0 * ts ** (1 + 0.95 - 0.12 - 0.03)))
         ey = np.sum(math.sqrt(2) * c.Cy / (1e6 * ts ** (1 + 0.1 - 0.05)))
         ez = np.sum(math.sqrt(2) * c.Cz / (1e6 * ts ** (1 + 0.12 - 0.06)))
-        assert cf.eps_x == pytest.approx(ex, rel=1e-12)
-        assert cf.eps_y == pytest.approx(ey, rel=1e-12)
-        assert cf.eps_z == pytest.approx(ez, rel=1e-12)
+        assert cf_x == pytest.approx(ex, rel=1e-12)
+        assert cf_y == pytest.approx(ey, rel=1e-12)
+        assert cf_z == pytest.approx(ez, rel=1e-12)
 
-    def test_inf_bound_matches_analytic_formula(self, one_agent_budget):
+    def test_inf_bound_matches_analytic_formula(self):
         p = fixture_params()
         nx, ny, nz = fixture_noise()
         c = closed_form_constants(p)
         expect = (math.sqrt(2) * c.Cx / (1.0 * (0.95 - 0.12 - 0.03))
                   + math.sqrt(2) * c.Cy / (1e6 * (0.1 - 0.05))
                   + math.sqrt(2) * c.Cz / (1e6 * (0.12 - 0.06)))
-        assert infinite_horizon_bound(p, nx, ny, nz) == pytest.approx(expect, rel=1e-14)
+        bound = infinite_horizon_bound(p, nx, ny, nz)
+        assert bound == pytest.approx(expect, rel=1e-14)
         # and the infinite bound dominates every finite closed-form budget
-        cf = one_agent_budget(100000, p, nx, ny, nz, source="closed_form")
-        assert cf.eps_total <= cf.bound_inf
+        assert sum(closed_form_budget(100000, p, nx, ny, nz)) <= bound
 
     def test_inf_bound_infinite_when_gap_closed(self):
         p = fixture_params()
@@ -294,11 +294,6 @@ class TestBudget:
         _, ny, nz = fixture_noise()
         with pytest.raises(ValueError):
             one_agent_budget(10, p, NoiseSchedule(0.0, 0.03), ny, nz)
-
-    def test_rejects_unknown_source(self, one_agent_budget):
-        with pytest.raises(ValueError):
-            one_agent_budget(10, fixture_params(), *fixture_noise(),
-                             source="exact")
 
     def test_eps_total_is_component_sum(self):
         acc = PrivacyAccount(eps_x=1.0, eps_y=2.0, eps_z=3.5, bound_inf=10.0)
@@ -317,17 +312,15 @@ def mixed_schedules(p):
 
 
 class TestBudgets:
-    @pytest.mark.parametrize("source", ["recursion", "closed_form"])
     @pytest.mark.parametrize("T", [0, 1, 777])
-    def test_entries_equal_single_agent_budget(self, source, T,
-                                               one_agent_budget):
+    def test_entries_equal_single_agent_budget(self, T, one_agent_budget):
         p = fixture_params()
         s = mixed_schedules(p)
-        out = budgets(T, p, s, source=source)
+        out = budgets(T, p, s)
         assert len(out) == 4
         for i, (acct, eps_cum) in enumerate(out):
             one = one_agent_budget(T, p, s.noise_x[i], s.noise_y[i],
-                                   s.noise_z[i], source=source)
+                                   s.noise_z[i])
             assert acct == one  # bitwise equal fields
             assert eps_cum.shape == (T + 1,) and eps_cum[0] == 0.0
             assert np.all(np.diff(eps_cum) > 0)

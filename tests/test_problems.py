@@ -569,11 +569,11 @@ def test_batched_truth_equals_per_seed_calls(family, m):
     X = rng.normal(0, 2, (3, m, prob.n))
     Y, Z = rng.normal(0, 2, (2, 3, m, prob.r))
     xown = prob.own_block(X).reshape(3, prob.n)
-    grads, cols = prob.grad_F_true(xown), metric_eval(prob, X, Y, Z, 9)
+    grads, cols = prob.grad_F_true(xown), metric_eval(prob, X, Y, Z)
     assert grads.shape == xown.shape
     for s in range(3):
         assert grads[s].tobytes() == prob.grad_F_true(xown[s]).tobytes()
-        row = metric_eval(prob, X[s], Y[s], Z[s], 9)
+        row = metric_eval(prob, X[s], Y[s], Z[s])
         assert list(row) == list(cols)
         for c, v in row.items():
             assert np.float64(v).tobytes() == cols[c][s].tobytes(), c
