@@ -13,7 +13,9 @@ Two families are provided:
 ERM averages are maintained through exact sufficient statistics (running
 sums for the quadratic family, sample multiplicity counts for the finite
 personalized datasets); reference.ErmReference recomputes them sample by
-sample for equality testing.
+sample for equality testing. Both families' draws hand out precomputed
+rounds (see SampleStore), _CHUNK // (S*m*w) at a time (AgentBank.chunk),
+w being an agent's values per round: r + ni samples, or N counts.
 
 Oracles take stacked per-agent arrays (..., m, .): leading axes are batch
 axes (the seeds of a batched run), and every batched call gives each
@@ -39,7 +41,12 @@ class SampleStore:
 
     Each keyword names a sufficient statistic, zeros of batch + its shape;
     last_xi and last_phi hold the newest draw's samples, and bank is the
-    lockstep bank over the data generators that every draw reads.
+    lockstep bank over the data generators that every draw reads. A draw
+    pops its round's fresh arrays from ahead, bitwise what per-round adds
+    and divisions give: the quadratic xi_sum, phi_sum, xi_mean, phi_mean
+    and samples; the personalized counts_f, counts_g, weights wf, wg
+    (counts / count), last_phi, last_xi and xi_flat, the flat index
+    row * N + last_xi of each newest g sample in (..., m, N) arrays.
     """
 
     def __init__(self, bank: AgentBank, batch: tuple = (), **stats):
@@ -319,9 +326,7 @@ class ErmEvalPersonalized:
         self.sm = sm
         self.prob = sm.prob
         self.loss = sm.loss
-        self.wf = store.counts_f / store.count
-        self.wg = store.counts_g / store.count
-        self.last_xi = store.last_xi
+        self.wf, self.wg, self.xi_flat = store.wf, store.wg, store.xi_flat
         # g_i^t(x): multiplicity-weighted mean loss over the g-stream samples
         self.g = np.einsum("...mn,...mn->...m", self.wg, self.loss)[..., None]
 
@@ -329,9 +334,7 @@ class ErmEvalPersonalized:
         return ErmEvalPersonalized(self.sm, store)
 
     def l_newest(self):
-        xi = self.last_xi  # one loss per (seed, agent) row
-        l = self.loss.reshape(-1, self.prob.N)[np.arange(xi.size), xi.reshape(-1)]
-        return l.reshape(xi.shape + (1,))
+        return self.loss.take(self.xi_flat)  # one loss per (seed, agent) row
 
     def g_population(self):
         return self.sm._population()[1][..., None]
@@ -392,13 +395,26 @@ class PersonalizedProblem(ProblemInstance):
                            counts_g=(self.m, self.N))
 
     def draw(self, store: SampleStore) -> None:
-        idx = store.bank.next().copy()  # (f, g) index per generator
-        rows = np.arange(len(idx))
-        store.counts_f.reshape(-1, self.N)[rows, idx[:, 0]] += 1
-        store.counts_g.reshape(-1, self.N)[rows, idx[:, 1]] += 1
-        idx = idx.reshape(store.batch + (self.m, 2))
-        idx_f, idx_g = idx[..., 0], idx[..., 1]
-        store.last_phi, store.last_xi = idx_f, idx_g
+        # a chunk of rounds in fresh arrays: the (f, g) draws scatter as 0/1
+        # hits onto the current counts, integer-valued floats that add exactly
+        if not store.ahead:
+            idx = store.bank.chunk(self.N)  # (k, rows, 2): each row's (f, g)
+            k, rows = idx.shape[:2]
+            flat = (idx + self.N * np.arange(rows)[:, None]).transpose(0, 2, 1)
+            counts = np.zeros((k + 1, 2, rows * self.N))
+            counts[0] = store.counts_f.reshape(-1), store.counts_g.reshape(-1)
+            np.put_along_axis(counts[1:], flat, 1.0, axis=-1)
+            for j in range(k):  # the cumsum as k adds: an axis-0 cumsum loops per count
+                counts[j + 1] += counts[j]
+            w = counts[1:] / (store.count + np.arange(1, k + 1))[:, None, None]
+            shape = (k, 2) + store.batch + (self.m,)
+            counts, w = (a.reshape(shape + (self.N,)) for a in (counts[1:], w))
+            last = idx.transpose(0, 2, 1).reshape(shape).copy()
+            xi_flat = flat.reshape(shape + (1,))[:, 1]
+            store.ahead = list(zip(counts[:, 0], counts[:, 1], w[:, 0], w[:, 1],
+                                   last[:, 0], last[:, 1], xi_flat))[::-1]
+        (store.counts_f, store.counts_g, store.wf, store.wg,
+         store.last_phi, store.last_xi, store.xi_flat) = store.ahead.pop()
         store.count += 1
 
     def erm_eval(self, store, Xown):

@@ -217,7 +217,6 @@ class AgentBank:
         self._buf = np.empty((len(self._rngs), rounds, dim),
                              dtype=np.int64 if fill == "integers" else float)
         self._pos = self._buf.shape[1]
-        self._k = max(1, self._CHUNK // max(len(self._rngs) * dim, 1))
 
     def _take(self, k: int) -> np.ndarray:
         """The next k rounds, at most to the block's end, as a view."""
@@ -236,10 +235,12 @@ class AgentBank:
         """The next (rows, dim) draw: a view that a later refill overwrites."""
         return self._take(1)[:, 0]
 
-    def chunk(self) -> np.ndarray:
-        """The next _CHUNK // (rows * dim) rounds (at least one, within a
-        refill block), (k, rows, dim): a view a later refill overwrites."""
-        return self._take(self._k).transpose(1, 0, 2)
+    def chunk(self, width: int = 0) -> np.ndarray:
+        """The next _CHUNK // (rows * width) rounds (at least one, within a
+        refill block), (k, rows, dim): a view a later refill overwrites.
+        width, the values its owner makes of a row's draw, defaults to dim."""
+        rows, _, dim = self._buf.shape
+        return self._take(max(1, self._CHUNK // (rows * max(width or dim, 1)))).transpose(1, 0, 2)
 
 
 class NoiseBank(AgentBank):

@@ -547,14 +547,16 @@ def test_one_round_equals_the_per_tracker_update(family, lead):
 def poisoned_draw(prob, row, count):
     """prob's draw, which at store count `count` makes batch row `row`'s
     aggregate samples infinite: the quadratic xi mean, the personalized
-    g-stream counts."""
+    g-stream counts and weights."""
     draw = type(prob).draw
 
     def draw_poisoned(self, store):
         draw(self, store)
         if store.count == count:
-            stat = store.xi_mean if self.family == "quadratic" else store.counts_g
-            stat[row] = np.inf
+            stats = ((store.xi_mean,) if self.family == "quadratic"
+                     else (store.counts_g, store.wg))
+            for stat in stats:
+                stat[row] = np.inf
     return draw_poisoned
 
 

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from ldpagg.algorithm import run_seeds
 from ldpagg.analysis import metric_eval
-from ldpagg.problems import (PersonalizedProblem, QuadraticProblem, SoftmaxPass,
+from ldpagg.problems import (ErmEvalPersonalized, PersonalizedProblem,
+                             QuadraticProblem, SoftmaxPass,
                              make_personalized_problem, make_quadratic_problem)
 from ldpagg.reference import (ErmReference, h_value,
                               softmax_pass_sample_major)
@@ -463,6 +464,48 @@ def test_store_means_are_the_sums_over_the_count(horizon, batch):
                             (store.phi_mean, store.phi_sum)):
             want = total / store.count
             assert mean.shape == want.shape and mean.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (3,)])
+@pytest.mark.parametrize("horizon", [5, 3000])
+def test_chunked_personalized_draws_equal_per_round_adds(horizon, batch):
+    # the personalized draw scatters, sums and divides a chunk of rounds at
+    # once; after every draw the counts and the newest samples must be
+    # bitwise those of a per-round scatter-add of the generators' (f, g)
+    # draws, the weights bitwise counts / count, and l_newest the loss at
+    # the newest g sample. At m = 3, N = 16 a chunk is 170 rounds
+    # unbatched and at (1,), 56 at (3,), and a refill block 1,024, so
+    # chunks end inside blocks and at their ends; horizon 5 caps both at
+    # 5 rounds. Handed-out arrays are never written again.
+    prob = make_personalized_problem(m=3, classes=3, features=2,
+                                     dataset_size=16, seed=6)
+    m, N = prob.m, prob.N
+    store = prob.new_store(batch_rngs(m, batch), batch=batch, horizon=horizon)
+    replay = batch_rngs(m, batch)
+    sm = SoftmaxPass(prob, np.random.default_rng(1).normal(0, 1, batch + (m, prob.ni)))
+    counts = np.zeros((2, len(replay), N))
+    handed = []
+    for t in range(min(horizon, 2 * (AgentBank._BLOCK // 2)) + 60):
+        prob.draw(store)
+        idx = np.array([rng.integers(N, size=2) for rng in replay])
+        counts[0, np.arange(len(idx)), idx[:, 0]] += 1
+        counts[1, np.arange(len(idx)), idx[:, 1]] += 1
+        want = [c.reshape(batch + (m, N)) for c in counts]
+        want += [idx[:, 0].reshape(batch + (m,)), idx[:, 1].reshape(batch + (m,))]
+        got = (store.counts_f, store.counts_g, store.last_phi, store.last_xi)
+        for a, w in zip(got, want):
+            assert a.shape == w.shape and a.tobytes() == w.tobytes()
+        assert store.count == t + 1
+        for weight, total in ((store.wf, store.counts_f), (store.wg, store.counts_g)):
+            w = total / store.count
+            assert weight.shape == w.shape and weight.tobytes() == w.tobytes()
+        ev = ErmEvalPersonalized(sm, store)
+        l = sm.loss.reshape(-1, N)[np.arange(len(idx)), idx[:, 1]]
+        assert ev.l_newest().tobytes() == l.reshape(batch + (m, 1)).tobytes()
+        assert ev.l_newest().shape == batch + (m, 1)
+        handed += [(a, a.copy()) for a in got + (store.wf, store.wg)]
+    for a, copy in handed:
+        assert a.tobytes() == copy.tobytes()
 
 
 def family_problems():
