@@ -20,13 +20,13 @@ live-seed mask; callers add theirs through observers=. The round works
 in place only on arrays it has just allocated (a frame in the fresh
 noise slabs the banks hand out once, a new mask when a seed ends), so an
 emitted state, frame or mask is never written again and may be kept
-uncopied. The built-in observers
-never feed back into the iteration, so none reduces per round and seed:
-the metric columns come from one metric_eval call per _CHUNK // (S m n)
-grid points, on their states stacked (the baseline's tracker error is
-one batched call per grid point), and run_seeds copies each round's own
-blocks, z and l into buffers to reduce the F_gap running mean and the
-z/l premise audit once per chunk of rounds.
+uncopied. The built-in observers never feed back into the iteration,
+so none reduces per round and seed; each writes (grid rows, S) columns
+by grid row. One metric_eval call per CHUNK // (S m n) grid states, on
+their stack, writes the metric columns' consecutive rows; the baseline
+writes a tracker_err row per grid point; run_seeds copies each round's
+own blocks, z and l into buffers, and per chunk of rounds reduces the z/l
+premise audit and writes the F_gap_runmean rows of the rounds it kept.
 
 Random streams: every (seed, agent, tag) triple has its own generator
 from agent_rng (tags theta, chi, zeta for the x, y, z noise, data for
@@ -52,12 +52,13 @@ and the others continue.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import metric_eval, sampling_grid
-from .schedules import NoiseBank, agent_rng
+from .schedules import CHUNK, NoiseBank, agent_rng
 
 INIT_RADIUS = 10.0  # the random start's bound on |x| in every coordinate
 
@@ -144,11 +145,15 @@ class _Batch:
         else:
             X = np.broadcast_to(np.asarray(x0, dtype=float), (S, m, n))
         self.X0 = np.clip(X, problem.box_lo, problem.box_hi)
-        self.grid = set(sampling_grid(T).tolist())
-        self.cols = []  # per grid point: column name -> (S,) values
+        self.grid = sampling_grid(T).astype(float)
+        self.row = {int(t): i for i, t in enumerate(self.grid)}  # t -> grid row
+        # column name -> (grid rows, S) values, made on first write; the
+        # factory must not hold self, or the cycle keeps the banks alive
+        shape = (len(self.grid), S)
+        self.cols = defaultdict(lambda: np.full(shape, np.nan))
         # grid states whose metric columns one metric_eval call evaluates
-        self.per_call = max(1, NoiseBank._CHUNK // (S * m * n))
-        self.pending = []  # (t, state) of the grid points not yet evaluated
+        self.per_call = max(1, CHUNK // (S * m * n))
+        self.pending = []  # (row, state) of the grid points not yet evaluated
         self.end, self.final, self.live = np.full(S, T + 1), [None] * S, np.full(S, True)
         self.gate = True  # the sum's where=: True until a seed ends, then live
 
@@ -196,31 +201,21 @@ class _Batch:
         return state
 
     def metric_rows(self, t, state, frame, ev, alive):
-        """Observer: a row of every seed's columns at the grid points, which
-        column observers listed after it extend; the metric columns fill
-        it once per_call grid states are pending (the states are kept
-        uncopied, as the drivers never write them again)."""
-        if t in self.grid:
-            self.cols.append({})
-            self.pending.append((t, state))
+        """Observer: queue the grid states, kept uncopied (the drivers never
+        write them again), until per_call of them are pending."""
+        if t in self.row:
+            self.pending.append((self.row[t], state))
             if len(self.pending) == self.per_call:
                 self.snapshots()
 
     def snapshots(self):
-        """Fill the rows of the pending grid states from one metric_eval
-        call on their (g*S, m, .) stack, a lone state going in unstacked;
-        each slice is bitwise the per-state call's. The metric columns
-        come first in a row, as if metric_rows had written them."""
-        S, g = len(self.seeds), len(self.pending)
-        ts, states = zip(*self.pending)
-        stack = states[0] if g == 1 else [np.concatenate(a) for a in zip(*states)]
-        cols = metric_eval(self.problem, *stack)
-        for k, (t, row) in enumerate(zip(ts, self.cols[-g:])):
-            extra = row.copy()
-            row.clear()
-            row.update((c, v[k * S:(k + 1) * S]) for c, v in cols.items())
-            row["t"] = np.full(S, float(t))
-            row.update(extra)
+        """Write the metric columns' rows of the pending grid states from
+        one metric_eval call on their (g*S, m, .) stack, a lone state going
+        in unstacked; each slice is bitwise the per-state call's."""
+        rows, states = zip(*self.pending)
+        stack = states[0] if len(rows) == 1 else [np.concatenate(a) for a in zip(*states)]
+        for c, v in metric_eval(self.problem, *stack).items():
+            self.cols[c][rows[0]:rows[-1] + 1] = v.reshape(len(rows), -1)
         self.pending = []
 
     def records(self, state, z_max=None, l_max=None):
@@ -228,14 +223,13 @@ class _Batch:
         (X, P) of the seeds still live."""
         if self.pending:
             self.snapshots()
-        cols = {c: np.array([g[c] for g in self.cols]) for c in self.cols[0]}
-        n_rows = np.searchsorted(cols["t"][:, 0], self.end)  # grid points < end
         out = []
-        for s, (n, end) in enumerate(zip(n_rows, self.end)):
+        for s, end in enumerate(self.end):
+            n = np.searchsorted(self.grid, end)  # grid points < end
             fx, fy, fz = self.final[s] if end <= self.T else (state[0][s], *state[1][:, s])
             out.append(RunRecord(
-                ts=cols["t"][:n, s],
-                columns={c: v[:n, s] for c, v in cols.items() if c != "t"},
+                ts=self.grid[:n],
+                columns={c: v[:n, s] for c, v in sorted(self.cols.items())},
                 final_x=fx, final_y=fy, final_z=fz,
                 aborted_at=None if end > self.T else int(end),
                 z_norm_max=None if z_max is None else z_max[s],
@@ -287,9 +281,9 @@ def run_seeds(problem, topology, schedules, T, seeds, x0=None, observers=()):
     S, m, n, r = len(b.seeds), problem.m, problem.n, problem.r
     top = np.zeros((2, S, m))  # per agent: sup ||z_i||_2, sup ||l_i||_1
     fgap_sum = np.zeros(S)
-    k = max(1, NoiseBank._CHUNK // (S * n))  # rounds per flush
+    k = max(1, CHUNK // (S * n))  # rounds per flush
     own, Z, l = np.empty((k, S, n)), np.empty((k, S, m, r)), np.empty((k, S, m, r))
-    ts, grid_cols, kept = np.empty((k, 1, 1), dtype=int), [], 0
+    ts, kept = np.empty((k, 1, 1), dtype=int), 0
     xown = None  # the own blocks step gathered for the round's oracle
 
     def step(t, state, frame, _):
@@ -307,8 +301,6 @@ def run_seeds(problem, topology, schedules, T, seeds, x0=None, observers=()):
         Z[kept] = state[2]
         l[kept] = 0.0 if ev is None else ev.l_newest()
         ts[kept] = t
-        if t in b.grid:
-            grid_cols.append((kept, t, b.cols[-1]))
         kept += 1
         if kept == k:
             flush()
@@ -330,9 +322,10 @@ def run_seeds(problem, topology, schedules, T, seeds, x0=None, observers=()):
             gap = problem.F_true(own[:kept]) - problem.F_star
             run = np.cumsum(np.vstack([fgap_sum, gap]), axis=0)[1:]
             fgap_sum[:] = run[-1]
-            for i, t, cols in grid_cols:
-                cols["F_gap_runmean"] = run[i] / (t + 1)
-        grid_cols.clear()
+            t0 = ts[0, 0, 0]  # kept rounds t0.. hold grid rows lo..hi-1
+            lo, hi = np.searchsorted(b.grid, (t0, t0 + kept))
+            i = b.grid[lo:hi].astype(int) - t0
+            b.cols["F_gap_runmean"][lo:hi] = run[i] / (ts[i, 0] + 1)
         kept = 0
 
     state = b.drive(step, (b.X0, np.zeros((2, S, m, r))), None,
@@ -375,9 +368,9 @@ def baseline_seeds(problem, topology, schedules, T, seeds, x0=None,
     def tracker_err(t, state, frame, ev, alive):
         """Squared distance of the aggregate tracker from the population
         aggregate, on the grid."""
-        if t in b.grid:
+        if t in b.row:
             gbar = ev.g_population().mean(axis=-2, keepdims=True)
-            b.cols[-1]["tracker_err"] = ((state[1] - gbar) ** 2).sum(axis=(-2, -1))
+            b.cols["tracker_err"][b.row[t]] = ((state[1] - gbar) ** 2).sum(axis=(-2, -1))
 
     state = b.drive(step, (b.X0, P), ev,
                     [b.metric_rows, tracker_err, *observers])

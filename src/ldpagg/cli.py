@@ -72,9 +72,12 @@ def _write_csv(path, ts, columns, extra=None):
 
 
 def _read_csv(path):
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in f if line.strip()]
+    try:
+        with open(path) as f:
+            header = f.readline().strip().split(",")
+            rows = [line.strip().split(",") for line in f if line.strip()]
+    except OSError as e:
+        raise _UsageError(f"cannot read {path}: {e.strerror}") from None
     if any(len(row) != len(header) for row in rows):
         raise _UsageError(f"{path}: a row without the {len(header)} header fields")
     try:
@@ -233,8 +236,14 @@ def _cmd_analyze(args):
     window = _window(args.window)
     if not os.path.isdir(args.indir):
         raise _UsageError(f"no directory {args.indir}")
-    files = sorted(f for f in os.listdir(args.indir)
-                   if f.startswith("seed_") and f.endswith(".csv"))
+    manifest = os.path.join(args.indir, "manifest.json")
+    try:  # the seeds of the run that wrote the directory, not stale files
+        with open(manifest) as f:
+            files = sorted(f"seed_{int(s)}.csv" for s in json.load(f)["seeds"])
+    except OSError as e:
+        raise _UsageError(f"cannot read {manifest}: {e.strerror}") from None
+    except (ValueError, KeyError, TypeError):  # not JSON, or no seed list
+        raise _UsageError(f"{manifest} holds no list of integer seeds") from None
     if not files:
         raise _UsageError(f"no seed CSVs in {args.indir}")
     series = []

@@ -7,10 +7,11 @@ Delta_y <= C_y/(t+1)^(1+v_y), Delta_x <= C_x/(t+1)^(1+v_x-v_z),
 Delta_z <= C_z/(t+1)^(1+v_z). Budgets compose as
 eps_i(T) = sum_{t=1..T} (Dx/nu_x + Dy/nu_y + Dz/nu_z).
 
-t_contract, on each trajectory, is the first t < T at which the
-recursion contracts, else T: Delta_x's own coefficient is below 1 (those
-of Delta_y and Delta_z are the constant 1 - w_bar, which it never falls
-below). The certificates dominate the recursion only from there on.
+t_contract, on each trajectory, checks only Delta_x's own coefficient
+(Delta_y's and Delta_z's are 1 - w_bar): the first t < T at which it is
+below 1, else T. It is not a dominance condition, and the certificates
+need not bound the coupled recursion after it: on quadratic_sc it is 1,
+yet Delta_x peaks at 5.47e22 at t = 221 (ROADMAP item 2).
 
 sensitivity_trajectory walks T in blocks of 128 rounds: a numpy pass
 computes a block's coefficients, each associated as in reference's

@@ -14,7 +14,7 @@ ERM averages are maintained through exact sufficient statistics (running
 sums for the quadratic family, sample multiplicity counts for the finite
 personalized datasets); reference.ErmReference recomputes them sample by
 sample for equality testing. Both families' draws hand out precomputed
-rounds (see SampleStore), _CHUNK // (S*m*w) at a time (AgentBank.chunk),
+rounds (see SampleStore), CHUNK // (S*m*w) at a time (AgentBank.chunk),
 w being an agent's values per round: r + ni samples, or N counts.
 
 Oracles take stacked per-agent arrays (..., m, .): leading axes are batch

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SQRT2 = math.sqrt(2.0)
+CHUNK = 8192  # values per chunked pass: bank chunks, metric stacks, flushes
 
 
 class ConvexityCase(enum.Enum):
@@ -206,7 +207,6 @@ class AgentBank:
     """
 
     _BLOCK = 2048
-    _CHUNK = 8192
 
     def __init__(self, rngs, dim: int, fill: str = "random", high: int | None = None,
                  *, horizon: int):
@@ -231,16 +231,12 @@ class AgentBank:
         self._pos += out.shape[1]
         return out
 
-    def next(self) -> np.ndarray:
-        """The next (rows, dim) draw: a view that a later refill overwrites."""
-        return self._take(1)[:, 0]
-
     def chunk(self, width: int = 0) -> np.ndarray:
-        """The next _CHUNK // (rows * width) rounds (at least one, within a
+        """The next CHUNK // (rows * width) rounds (at least one, within a
         refill block), (k, rows, dim): a view a later refill overwrites.
         width, the values its owner makes of a row's draw, defaults to dim."""
         rows, _, dim = self._buf.shape
-        return self._take(max(1, self._CHUNK // (rows * max(width or dim, 1)))).transpose(1, 0, 2)
+        return self._take(max(1, CHUNK // (rows * max(width or dim, 1)))).transpose(1, 0, 2)
 
 
 class NoiseBank(AgentBank):

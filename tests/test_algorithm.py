@@ -1,3 +1,5 @@
+import gc
+import weakref
 from collections import defaultdict
 
 import numpy as np
@@ -14,7 +16,7 @@ from ldpagg.problems import (QuadraticProblem, make_personalized_problem,
 from ldpagg.reference import (ErmReference, LaplaceStream,
                               baseline_tracker_round, centralized_trajectory,
                               tracker_round)
-from ldpagg.schedules import (AgentBank, ConvexityCase, NoiseBank,
+from ldpagg.schedules import (CHUNK, AgentBank, ConvexityCase,
                               ScheduleSet, StepsizeSchedule, agent_rng,
                               broadcast_noise, corollary1_preset,
                               laplace_from_uniform)
@@ -256,7 +258,7 @@ class TestFrameAudit:
         prob = make_quadratic_problem(m=m, ni=2, r=2, gamma=1.0,
                                       box=(-10, 10), seed=7)
         for dim in (prob.n, prob.r):  # a chunk ends inside a refill block
-            assert NoiseBank._CHUNK // (m * dim) < AgentBank._BLOCK // dim
+            assert CHUNK // (m * dim) < AgentBank._BLOCK // dim
         T = T or max(AgentBank._BLOCK // dim for dim in (prob.n, prob.r)) + 1
         s = ScheduleSet(
             lambda_x=StepsizeSchedule(0.05, 0.58),
@@ -622,7 +624,7 @@ def test_runs_replay_the_per_tracker_update(driver, family, monkeypatch):
     # with seed 1 ending inside the second chunk: every state, frame and
     # record is bitwise the per-tracker replay's
     prob, seeds = BATCH_PROBLEMS[family], [5, 6, 7]
-    k = NoiseBank._CHUNK // (2 * len(seeds) * prob.m * prob.r)  # pair chunk
+    k = CHUNK // (2 * len(seeds) * prob.m * prob.r)  # pair chunk
     T, end = 2 * k + 10, k + 7
     monkeypatch.setattr(type(prob), "draw", poisoned_draw(prob, 1, end))
     keep, s = Keeper(), batch_schedules()
@@ -729,7 +731,7 @@ def test_one_transform_call_per_noise_chunk(monkeypatch):
     expect = 0
     for rows, dim in ((S * m, prob.n), (2 * S * m, prob.r)):  # theta, pair
         block = max(1, AgentBank._BLOCK // dim)
-        chunk = min(block, max(1, NoiseBank._CHUNK // (rows * dim)))
+        chunk = min(block, max(1, CHUNK // (rows * dim)))
         per_block = -(-block // chunk)
         draws = T + 1
         expect += draws // block * per_block + -(-(draws % block) // chunk)
@@ -776,7 +778,7 @@ def test_aborted_seeds_across_observer_chunks():
     # per k rounds (k = 136 for 10 seeds of n = 6); T = 400 crosses two
     # chunk boundaries, and seeds leave inside more than one chunk
     prob, T, seeds = DIVERGING["run"][0], 400, list(range(10))
-    k = NoiseBank._CHUNK // (len(seeds) * prob.n)
+    k = CHUNK // (len(seeds) * prob.n)
     recs, alone = run_batch_and_solo("run", prob,
                                      batch_schedules(sigma_x=1e306), T, seeds)
     aborted = [r.aborted_at for r, _, _ in recs]
@@ -797,7 +799,7 @@ def test_aborts_at_observer_chunk_edges(monkeypatch):
     # so its state, non-finite at iteration a, while l, on the newest xi
     # alone, and z up to a stay finite
     prob, T, seeds = BATCH_PROBLEMS["quadratic"], 400, list(range(7))
-    k = NoiseBank._CHUNK // (len(seeds) * prob.n)
+    k = CHUNK // (len(seeds) * prob.n)
     ends = {1: k, 2: k + 1, 3: 2 * k - 1, 4: 2 * k, 5: T}
     draw = QuadraticProblem.draw
 
@@ -914,6 +916,22 @@ def test_abort_gate_overflow_cases():
     assert b.end.tolist() == [2, 5, 3]
 
 
+def test_a_batch_is_freed_without_the_cycle_collector():
+    # nothing a batch holds refers back to it, its column factory
+    # included, so its banks go with its last reference; a cycle would
+    # keep finished runs' banks alive (peak RSS of 4 sc_paper cycles in
+    # one process: 40.7 -> 48.6 MB)
+    gc.disable()
+    try:
+        b = gate_batch(2, 5)
+        b.cols["x"][0] = 1.0  # a column made on first write
+        ref = weakref.ref(b)
+        del b
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_abort_gate_keeps_its_mask_until_a_seed_ends():
     # once seed 0 has ended, its non-finite rows stay in the state; a round
     # in which no live seed ends returns the mask object it returned before
@@ -934,24 +952,73 @@ def test_abort_gate_keeps_its_mask_until_a_seed_ends():
     assert b.end.tolist() == [3, 6, 7]
 
 
+def fgap_case(case):
+    """(problem, records, Recorder) of a run_seeds batch: sc_paper's shape
+    at S = 3 or S = 1, or 10 diverging seeds that end at different rounds."""
+    rec = Recorder()
+    if case == "aborts":
+        prob = DIVERGING["run"][0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            recs = run_seeds(prob, ring_topology(3, 0.3),
+                             batch_schedules(sigma_x=1e306), 400,
+                             list(range(10)), observers=[rec])
+        assert len({r.aborted_at for r in recs}) > 2 and recs[0].aborted_at
+    else:
+        prob = sc_paper_problem()
+        recs = sc_paper_run(prob, {"S3": 700, "S1": 2000}[case],
+                            S=int(case[1]), observers=[rec])
+    return prob, recs, rec
+
+
 def test_fgap_runmean_is_a_per_round_left_fold():
-    # the running mean, summed once per chunk of 273 rounds at this shape,
-    # is bitwise a per-round sum += F_true(x^t) - F_star divided by t + 1
-    rec, prob = Recorder(), sc_paper_problem()
-    recs = sc_paper_run(prob, 700, observers=[rec])
+    # the running mean, summed once per chunk of rounds (273 at sc_paper's
+    # shape for S = 3 and 819 for S = 1, so T crosses two chunk ends; 136
+    # for 10 diverging seeds, which end in more than one chunk), is bitwise
+    # a per-round sum += F_true(x^t) - F_star divided by t + 1 at each
+    # seed's grid points below its end
+    for case in ("S3", "S1", "aborts"):
+        prob, recs, rec = fgap_case(case)
+        for s, r in enumerate(recs):
+            total, expect = 0.0, []
+            with np.errstate(over="ignore", invalid="ignore"):
+                for t, (X, _, _) in enumerate(rec.states[s]):
+                    total += prob.F_true(prob.own_block(X).reshape(prob.n)) \
+                        - prob.F_star
+                    expect.append(total / (t + 1))
+            got = r.columns["F_gap_runmean"]
+            want = np.array(expect)[r.ts.astype(int)]
+            assert got.tobytes() == want.tobytes(), (case, s)
+
+
+@pytest.mark.parametrize("case", ["quadratic", "personalized", "aborts"])
+def test_tracker_err_is_the_per_state_distance(case):
+    # each baseline record's tracker_err is, byte for byte, the squared
+    # distance of the aggregate tracker G from the agent mean of g_true at
+    # the own blocks, on the states a Recorder kept at the record's grid
+    # points; the diverging batch's seeds end at different rounds
+    rec = Recorder()
+    if case == "aborts":
+        prob, schedules = DIVERGING["baseline"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            recs = baseline_seeds(prob, ring_topology(3, 0.3), schedules, 60,
+                                  list(range(10)), observers=[rec])
+        assert len({r.aborted_at for r in recs}) > 2
+    else:
+        prob = BATCH_PROBLEMS[case]
+        recs = sc_paper_run(prob, 300, driver=baseline_seeds, observers=[rec])
     for s, r in enumerate(recs):
-        total, expect = 0.0, []
-        for t, (X, _, _) in enumerate(rec.states[s]):
-            total += prob.F_true(prob.own_block(X).reshape(prob.n)) \
-                - prob.F_star
-            expect.append(total / (t + 1))
-        got = r.columns["F_gap_runmean"]
-        assert got.tobytes() == np.array(expect)[r.ts.astype(int)].tobytes()
+        want = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in r.ts.astype(int):
+                X, G, _ = rec.states[s][t]
+                gbar = prob.g_true(prob.own_block(X)).mean(axis=0)
+                want.append(((G - gbar) ** 2).sum())
+        assert r.columns["tracker_err"].tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("driver", sorted(DRIVERS))
 def test_truth_calls_per_chunk_and_grid_point(driver, monkeypatch):
-    # metric_eval runs once per _CHUNK // (S m n) grid points (54 here) on
+    # metric_eval runs once per CHUNK // (S m n) grid points (54 here) on
     # their stacked states, and run's F_gap running mean calls F_true once
     # per chunk of rounds, not once per round
     import ldpagg.algorithm as algorithm
@@ -971,8 +1038,8 @@ def test_truth_calls_per_chunk_and_grid_point(driver, monkeypatch):
     T, S = 2000, 3
     sc_paper_run(prob, T, S, DRIVERS[driver])
     grid = sampling_grid(T).size
-    per_call = NoiseBank._CHUNK // (S * prob.m * prob.n)
-    chunks = -(-(T + 1) // (NoiseBank._CHUNK // (S * prob.n)))
+    per_call = CHUNK // (S * prob.m * prob.n)
+    chunks = -(-(T + 1) // (CHUNK // (S * prob.n)))
     assert calls["metric_eval"] == -(-grid // per_call) == 3
     assert calls["F_true"] == 3 + (chunks if driver == "run" else 0)
 
@@ -1011,11 +1078,11 @@ def assert_snapshots_per_grid_point(prob, recs, rec, T):
 def test_snapshots_equal_per_grid_point_calls(driver, family, S, monkeypatch):
     # T = 2,000 has 140 grid points: at sc_paper's shape (the quadratic
     # case) and at S = 3 of the personalized one more than one stack of
-    # _CHUNK // (S m n) pending states is evaluated before the records
+    # CHUNK // (S m n) pending states is evaluated before the records
     prob = sc_paper_problem() if family == "quadratic" else BATCH_PROBLEMS[family]
     calls, rec, T = snapshot_calls(monkeypatch), Recorder(), 2000
     recs = sc_paper_run(prob, T, S, DRIVERS[driver], observers=[rec])
-    per_call = NoiseBank._CHUNK // (S * prob.m * prob.n)
+    per_call = CHUNK // (S * prob.m * prob.n)
     grid = sampling_grid(T).size
     assert calls == [(per_call * S,)] * (grid // per_call) + [(grid % per_call * S,)]
     assert_snapshots_per_grid_point(prob, recs, rec, T)
@@ -1038,10 +1105,10 @@ def test_snapshots_of_aborted_seeds(driver):
 
 
 def test_one_state_per_snapshot_call_past_a_chunk(monkeypatch):
-    # S m n = 3 * 40 * 80 > _CHUNK: every grid state goes to metric_eval
+    # S m n = 3 * 40 * 80 > CHUNK: every grid state goes to metric_eval
     # alone, unstacked
     prob = make_quadratic_problem(m=40, ni=2, r=2, box=(-10, 10), seed=7)
-    assert 3 * prob.m * prob.n > NoiseBank._CHUNK
+    assert 3 * prob.m * prob.n > CHUNK
     calls, rec, T = snapshot_calls(monkeypatch), Recorder(), 30
     recs = sc_paper_run(prob, T, 3, observers=[rec])
     assert calls == [(3,)] * sampling_grid(T).size

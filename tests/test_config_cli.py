@@ -88,6 +88,11 @@ def write_cfg(tmp_path, d, name="cfg.json"):
     return str(p)
 
 
+def write_manifest(directory, seeds):
+    """The one manifest field analyze reads: the run's seeds."""
+    (directory / "manifest.json").write_text(json.dumps({"seeds": seeds}))
+
+
 class TestParseConfig:
     def test_defaults_fill_in(self):
         d = cfg_dict()
@@ -317,6 +322,26 @@ class TestCliRun:
         assert set(fit) >= {"slope", "r2", "window", "n_seeds"}
         assert fit["n_seeds"] == 2
         assert os.path.exists(os.path.join(out, "mean_err_to_opt_sq.csv"))
+
+    def test_analyze_fits_only_the_manifest_seeds(self, tmp_path, capsys):
+        # a 2-seed run into the directory of a 4-seed run leaves 4 stale
+        # seed CSVs; analyze fits the 2 seeds the manifest lists, exactly
+        # as in a directory of the 2-seed run alone
+        reused, clean = str(tmp_path / "reused"), str(tmp_path / "clean")
+        for out, seeds, master in ((reused, 4, 100), (reused, 2, 5000),
+                                   (clean, 2, 5000)):
+            path = write_cfg(tmp_path, cfg_dict(out=out, seeds=seeds,
+                                                master_seed=master))
+            assert main(["run", "--config", path, "--threads", "1"]) == 0
+        capsys.readouterr()
+        fits = []
+        for out in (reused, clean):
+            assert main(["analyze", "--in", out, "--metric", "err_to_opt_sq"]) == 0
+            fits.append(capsys.readouterr().out)
+        assert json.loads(fits[0])["n_seeds"] == 2 and fits[0] == fits[1]
+        means = [open(os.path.join(out, "mean_err_to_opt_sq.csv"), "rb").read()
+                 for out in (reused, clean)]
+        assert means[0] == means[1]
 
     def test_baseline_subcommand(self, tmp_path):
         out = str(tmp_path / "out")
@@ -551,6 +576,7 @@ class TestCliUsageErrors:
 
     @pytest.mark.parametrize("window", ["1,2,3", "a,b"])
     def test_analyze_bad_window(self, tmp_path, capsys, window):
+        write_manifest(tmp_path, [1])
         (tmp_path / "seed_1.csv").write_text(
             "t,err_to_opt_sq\n" + "".join(f"{t},{1.0 / (t + 1)}\n"
                                           for t in range(20)))
@@ -595,6 +621,8 @@ class TestCliUsageErrors:
                                   fragment):
         for name, text in files.items():
             (tmp_path / name).write_text(text)
+        write_manifest(tmp_path, [int(name[5:-4]) for name in files
+                                  if name.startswith("seed_")])
         self.assert_usage_error(
             capsys, ["analyze", "--in", str(tmp_path), "--metric", metric],
             fragment)
@@ -693,6 +721,7 @@ class TestCliUsageErrors:
             f"cannot write {out / name}")
 
     def test_analyze_mean_csv_is_a_directory(self, tmp_path, capsys):
+        write_manifest(tmp_path, [1])
         (tmp_path / "seed_1.csv").write_text(
             "t,err_to_opt_sq\n" + "".join(f"{t},{1.0 / (t + 1)}\n"
                                           for t in range(20)))
@@ -701,6 +730,23 @@ class TestCliUsageErrors:
         self.assert_usage_error(
             capsys, ["analyze", "--in", str(tmp_path), "--metric",
                      "err_to_opt_sq"], f"cannot write {out}")
+
+    @pytest.mark.parametrize("manifest, fragment", [
+        (None, "cannot read {dir}/manifest.json"),
+        ("{", "manifest.json holds no list of integer seeds"),
+        ('{"seeds": 3}', "manifest.json holds no list of integer seeds"),
+        ('{"seeds": [1, 2]}', "cannot read {dir}/seed_2.csv"),
+    ], ids=["missing", "not-json", "not-a-list", "missing-seed-csv"])
+    def test_analyze_reads_the_manifest_seeds(self, tmp_path, capsys,
+                                              manifest, fragment):
+        (tmp_path / "seed_1.csv").write_text(
+            "t,err_to_opt_sq\n" + "".join(f"{t},{1.0 / (t + 1)}\n"
+                                          for t in range(20)))
+        if manifest is not None:
+            (tmp_path / "manifest.json").write_text(manifest)
+        self.assert_usage_error(
+            capsys, ["analyze", "--in", str(tmp_path), "--metric",
+                     "err_to_opt_sq"], fragment.format(dir=tmp_path))
 
     def test_analyze_missing_directory(self, tmp_path, capsys):
         missing = str(tmp_path / "missing")
@@ -929,6 +975,7 @@ def test_analyze_mean_csv_bytes_equal_per_value_join(tmp_path, capsys):
     b = np.concatenate([[1.0, 2.0, -0.0, 5e-324, 1e300], 3 * fit])
     for seed, v in ((1, a), (2, b)):
         per_value_csv(str(tmp_path / f"seed_{seed}.csv"), ts, {"F_gap": v})
+    write_manifest(tmp_path, [1, 2])
     assert main(["analyze", "--in", str(tmp_path), "--metric", "F_gap"]) == 0
     capsys.readouterr()
     want = str(tmp_path / "want.csv")

@@ -426,13 +426,18 @@ def test_chunked_draws_equal_per_round_adds(horizon, batch, noise_std):
                                   noise_std_f=noise_std, seed=4)
     m, r, ni = prob.m, prob.r, prob.ni
     store = prob.new_store(batch_rngs(m, batch), batch=batch, horizon=horizon)
-    replay = AgentBank(batch_rngs(m, batch), r + ni, "standard_normal",
-                       horizon=horizon)
+    bank = AgentBank(batch_rngs(m, batch), r + ni, "standard_normal",
+                     horizon=horizon)
+
+    def rounds():  # one at a time; a chunk is used up before a refill
+        while True:
+            yield from bank.chunk()
+    replay = rounds()
     xi_sum, phi_sum = np.zeros(batch + (m, r)), np.zeros(batch + (m, ni))
     handed = []
     for _ in range(min(horizon, 2 * (AgentBank._BLOCK // (r + ni))) + 60):
         prob.draw(store)
-        z = replay.next().reshape(batch + (m, r + ni))
+        z = next(replay).reshape(batch + (m, r + ni))
         xi, phi = noise_std * z[..., :r], noise_std * z[..., r:]
         xi_sum += xi
         phi_sum += phi

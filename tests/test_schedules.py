@@ -182,11 +182,13 @@ def test_bank_rows_replay_agent_streams_across_refills(m, dim, extra, seed, tag,
     assert bank._buf.shape[1] == per_refill
     rounds = horizon + 3 * per_refill + extra
     streams = [LaplaceStream(agent_rng(seed, i, tag)) for i in range(m)]
-    for _ in range(rounds):
-        u = bank.next() - 0.5
-        assert u.shape == (m, dim)
-        for i in range(m):
-            assert np.array_equal(u[i], streams[i].draw_centered(dim))
+    done = 0
+    while done < rounds:
+        for u in (bank.chunk() - 0.5)[:rounds - done]:
+            assert u.shape == (m, dim)
+            for i in range(m):
+                assert np.array_equal(u[i], streams[i].draw_centered(dim))
+            done += 1
 
 
 def hetero_noise(m, tag=0):
