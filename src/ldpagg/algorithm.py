@@ -22,9 +22,9 @@ noise slabs the banks hand out once, a new mask when a seed ends), so an
 emitted state, frame or mask is never written again and may be kept
 uncopied. The built-in observers never feed back into the iteration,
 so none reduces per round and seed; each writes (grid rows, S) columns
-by grid row. One metric_eval call per CHUNK // (S m n) grid states, on
-their stack, writes the metric columns' consecutive rows; the baseline
-writes a tracker_err row per grid point; run_seeds copies each round's
+by grid row. One call of the driver's column function per CHUNK // (S m n)
+grid states, on their stack, writes its columns' consecutive rows (the
+baseline adds tracker_err to metric_eval's); run_seeds copies each round's
 own blocks, z and l into buffers, and per chunk of rounds reduces the z/l
 premise audit and writes the F_gap_runmean rows of the rounds it kept.
 
@@ -92,19 +92,19 @@ def _split_weights(topology):
     return W - np.diag(np.diag(W)), np.diag(W)[:, None].copy()
 
 
-def _consensus(W0, diagw, hat, raw):
-    # sum_{j in N_i} w_ij (hat_j - raw_i), using the zero-sum identity;
-    # W0 @ hat multiplies each (m, .) slice of a stack
-    return W0 @ hat + diagw * raw
+def _mix(W0, diagw, hat, raw):
+    # raw + sum_{j in N_i} w_ij (hat_j - raw_i) as (W0 @ hat + diagw raw) + raw
+    out = W0 @ hat
+    out += diagw * raw
+    out += raw
+    return out
 
 
 def _descend(problem, W0, diagw, X, frame_x, lam, grad_own):
-    """clip(X + (W0 @ frame_x + diagw X) - lam U, lo, hi) in one fresh
-    array, U being grad_own on the own blocks and 0 elsewhere; v - lam * 0.0
-    is v bitwise, so only the own blocks are stepped."""
-    out = np.matmul(W0, frame_x)
-    out += diagw * X
-    out += X
+    """clip(_mix(frame_x, X) - lam U, lo, hi) in one fresh array, U being
+    grad_own on the own blocks and 0 elsewhere; v - lam * 0.0 is v bitwise,
+    so only the own blocks are stepped."""
+    out = _mix(W0, diagw, frame_x, X)
     out.reshape(-1)[problem.own_index(out.size)] -= (lam * grad_own).reshape(-1)
     np.maximum(out, problem.box_lo, out=out)  # np.clip's bytes but at a +-0 bound
     return np.minimum(out, problem.box_hi, out=out)
@@ -112,17 +112,18 @@ def _descend(problem, W0, diagw, X, frame_x, lam, grad_own):
 
 class _Batch:
     """What both drivers share for one batch of seeds: the set-up, the
-    round loop and what it records (metric columns, final states, aborts).
+    round loop and what it records (grid columns, final states, aborts).
     Batch row s is seeds[s]; end[s] is its first non-finite iteration
-    (T + 1 for none), and it is live at iteration t while end[s] > t."""
+    (T + 1 for none), and it is live at iteration t while end[s] > t.
+    columns(problem, X, Y, Z) gives the grid columns, as metric_eval does."""
 
-    def __init__(self, problem, topology, schedules, T, seeds, prefix, x0):
+    def __init__(self, problem, topology, schedules, T, seeds, prefix, x0, columns):
         m, n, r = problem.m, problem.n, problem.r
         if topology.m != m:
             raise ValueError("topology and problem disagree on the agent count")
         if schedules.m != m:
             raise ValueError("noise schedules and problem disagree on the agent count")
-        self.problem, self.T = problem, T
+        self.problem, self.T, self.columns = problem, T, columns
         self.W0, self.diagw = _split_weights(topology)
         self.seeds = [int(s) for s in seeds]
         S = len(self.seeds)
@@ -151,7 +152,7 @@ class _Batch:
         # factory must not hold self, or the cycle keeps the banks alive
         shape = (len(self.grid), S)
         self.cols = defaultdict(lambda: np.full(shape, np.nan))
-        # grid states whose metric columns one metric_eval call evaluates
+        # grid states per columns call, on their stack
         self.per_call = max(1, CHUNK // (S * m * n))
         self.pending = []  # (row, state) of the grid points not yet evaluated
         self.end, self.final, self.live = np.full(S, T + 1), [None] * S, np.full(S, True)
@@ -209,12 +210,12 @@ class _Batch:
                 self.snapshots()
 
     def snapshots(self):
-        """Write the metric columns' rows of the pending grid states from
-        one metric_eval call on their (g*S, m, .) stack, a lone state going
-        in unstacked; each slice is bitwise the per-state call's."""
+        """Write the grid columns' rows of the pending grid states from one
+        columns call on their (g*S, m, .) stack, a lone state going in
+        unstacked; each slice is bitwise the per-state call's."""
         rows, states = zip(*self.pending)
         stack = states[0] if len(rows) == 1 else [np.concatenate(a) for a in zip(*states)]
-        for c, v in metric_eval(self.problem, *stack).items():
+        for c, v in self.columns(self.problem, *stack).items():
             self.cols[c][rows[0]:rows[-1] + 1] = v.reshape(len(rows), -1)
         self.pending = []
 
@@ -246,8 +247,7 @@ def iterate(X, P, frame, t, schedules, W0, diagw, problem, ev):
     own points against the round's samples. Returns the new (X, P).
     """
     lam_y, lam_z = schedules.lambda_y.value(t), schedules.lambda_z.value(t)
-    P_new = _consensus(W0, diagw, frame.yz, P)
-    P_new += P  # (Y + c_y, Z + c_z): each half is stepped in place
+    P_new = _mix(W0, diagw, frame.yz, P)  # each half is stepped in place
     Y, Z, Y_new, Z_new = P[0], P[1], P_new[0], P_new[1]
     Y_new += lam_y * ev.g
     Ytil = (Y_new - Y) / lam_y
@@ -260,10 +260,9 @@ def iterate(X, P, frame, t, schedules, W0, diagw, problem, ev):
 
 
 def _track(W0, diagw, P, frame, ev, ev2):
-    """The baseline's new pair from P = (G, Q), c being a tracker's consensus:
+    """The baseline's new pair from P = (G, Q), _mix giving G + c_g, Q + c_q:
     G' = G + c_g + ev2.g - ev.g, then Q' = Q + c_q + ev2.grad_f_y(G') - ev.grad_f_y(G)."""
-    P_new = _consensus(W0, diagw, frame.yz, P)
-    P_new += P
+    P_new = _mix(W0, diagw, frame.yz, P)
     P_new[0] += ev2.g
     P_new[0] -= ev.g
     P_new[1] += ev2.grad_f_y(P_new[0])
@@ -277,7 +276,7 @@ def run_seeds(problem, topology, schedules, T, seeds, x0=None, observers=()):
     the module docstring). x0, an (m, n) start shared by all seeds,
     replaces the random start; observers are called after the built-in
     ones."""
-    b = _Batch(problem, topology, schedules, T, seeds, "", x0)
+    b = _Batch(problem, topology, schedules, T, seeds, "", x0, metric_eval)
     S, m, n, r = len(b.seeds), problem.m, problem.n, problem.r
     top = np.zeros((2, S, m))  # per agent: sup ||z_i||_2, sup ||l_i||_1
     fgap_sum = np.zeros(S)
@@ -335,6 +334,14 @@ def run_seeds(problem, topology, schedules, T, seeds, x0=None, observers=()):
     return b.records(state, *top)
 
 
+def _baseline_columns(problem, X, Y, Z):
+    """metric_eval's columns plus tracker_err, the squared distance of the
+    aggregate tracker from the agent mean of g_true at the own blocks."""
+    gbar = problem.g_true(problem.own_block(X)).mean(axis=-2, keepdims=True)
+    return {**metric_eval(problem, X, Y, Z),
+            "tracker_err": ((Y - gbar) ** 2).sum(axis=(-2, -1))}
+
+
 def baseline_seeds(problem, topology, schedules, T, seeds, x0=None,
                    observers=()):
     """Conventional gradient-tracking template with DP noise on every
@@ -347,7 +354,7 @@ def baseline_seeds(problem, topology, schedules, T, seeds, x0=None,
     noise accumulates in the tracked aggregate instead of being damped:
     divergence is the expected phenomenon.
     """
-    b = _Batch(problem, topology, schedules, T, seeds, "baseline-", x0)
+    b = _Batch(problem, topology, schedules, T, seeds, "baseline-", x0, _baseline_columns)
     problem.draw(b.store)
     ev = problem.erm_eval(b.store, problem.own_block(b.X0))
     P = np.stack([ev.g, ev.grad_f_y(ev.g)])  # aggregate tracker G, Q
@@ -365,13 +372,5 @@ def baseline_seeds(problem, topology, schedules, T, seeds, x0=None,
         ev2 = problem.erm_eval(b.store, problem.own_block(X_new))
         return (X_new, _track(b.W0, b.diagw, P, frame, ev, ev2)), ev, ev2
 
-    def tracker_err(t, state, frame, ev, alive):
-        """Squared distance of the aggregate tracker from the population
-        aggregate, on the grid."""
-        if t in b.row:
-            gbar = ev.g_population().mean(axis=-2, keepdims=True)
-            b.cols["tracker_err"][b.row[t]] = ((state[1] - gbar) ** 2).sum(axis=(-2, -1))
-
-    state = b.drive(step, (b.X0, P), ev,
-                    [b.metric_rows, tracker_err, *observers])
+    state = b.drive(step, (b.X0, P), ev, [b.metric_rows, *observers])
     return b.records(state)

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .algorithm import baseline_seeds, run_seeds
 from .analysis import fit_rate, sampling_grid
-from .config import ConfigError, load_config
+from .config import ConfigError, _integer, load_config
 from .privacy import accountable, budgets, calibrate_noise
 
 _COLUMN_ORDER = ["t", "err_to_opt_sq", "F_gap", "F_gap_runmean",
@@ -209,7 +209,7 @@ def _cmd_calibrate(args):
     cfg = load_config(args.config)
     sens = _sensitivity(cfg)
     # the largest varsigma leaves the smallest exponent gap, so sigma sized
-    # for it keeps every agent's infinite-horizon bound within epsilon
+    # for it keeps every agent's certificate bound_inf within epsilon
     try:
         sx, sy, sz = calibrate_noise(args.epsilon, sens,
                                      *cfg.schedules.varsigmas(max))
@@ -239,19 +239,25 @@ def _cmd_analyze(args):
     manifest = os.path.join(args.indir, "manifest.json")
     try:  # the seeds of the run that wrote the directory, not stale files
         with open(manifest) as f:
-            files = sorted(f"seed_{int(s)}.csv" for s in json.load(f)["seeds"])
+            seeds = json.load(f)["seeds"]
+        if not isinstance(seeds, list):  # a string would iterate its digits
+            raise TypeError
+        seeds = [_integer(s) for s in seeds]  # as config's integer keys
     except OSError as e:
         raise _UsageError(f"cannot read {manifest}: {e.strerror}") from None
-    except (ValueError, KeyError, TypeError):  # not JSON, or no seed list
+    except (ValueError, KeyError, TypeError):  # not JSON, or no integer list
         raise _UsageError(f"{manifest} holds no list of integer seeds") from None
-    if not files:
+    if len(set(seeds)) < len(seeds):
+        raise _UsageError(f"{manifest} lists a seed twice")
+    if not seeds:
         raise _UsageError(f"no seed CSVs in {args.indir}")
     series = []
     ts = None
-    for fname in files:
+    for fname in sorted(f"seed_{s}.csv" for s in seeds):
         header, data = _read_csv(os.path.join(args.indir, fname))
-        if args.metric not in header:
-            raise _UsageError(f"metric {args.metric!r} not in {fname}")
+        for col in ("t", args.metric):
+            if col not in header:
+                raise _UsageError(f"column {col!r} not in {fname}")
         t = data[:, header.index("t")]
         if ts is None:
             ts, first = t, fname

@@ -241,11 +241,10 @@ def budgets(T: int, p: SensitivityParams, schedules: ScheduleSet):
 
 def calibrate_noise(eps_target: float, p: SensitivityParams,
                     varsigma_x: float, varsigma_y: float, varsigma_z: float):
-    """Noise scales (sigma_x, sigma_y, sigma_z) meeting a target budget.
-
-    Each closed-form component equals eps_target/3 by construction, so
-    the infinite-horizon bound is <= eps_target.
-    """
+    """Noise scales (sigma_x, sigma_y, sigma_z) meeting a target budget
+    under the closed-form certificate: each of its components equals
+    eps_target/3, so its bound_inf is <= eps_target. The recursion's
+    budget may exceed it where the certificate fails (quadratic_sc)."""
     if not 0 < eps_target < math.inf:
         raise ValueError("target budget must be finite and positive")
     gaps = np.array(_noise_exponent_gaps(p, varsigma_x, varsigma_y, varsigma_z))

@@ -117,8 +117,7 @@ class ProblemInstance:
         """ERM oracle bundle at the agents' own points. Its
         reweighted(store) is the bundle at the same points against the
         store's current samples, without recomputing what depends on the
-        points only; l_newest() is l(x_i; xi_i) at the newest sample and
-        g_population() is g_true at the points, both (..., m, r)."""
+        points only; l_newest() is l(x_i; xi_i) at the newest sample, (..., m, r)."""
         raise NotImplementedError
 
     # -- truth ----------------------------------------------------------
@@ -156,9 +155,6 @@ class ErmEvalQuadratic:
 
     def l_newest(self) -> np.ndarray:
         return self.lin + self.last_xi
-
-    def g_population(self) -> np.ndarray:
-        return self.lin
 
     def grad_f_y(self, Ytil: np.ndarray) -> np.ndarray:
         return self.prob.gamma * (Ytil - self.prob.d)
@@ -335,9 +331,6 @@ class ErmEvalPersonalized:
 
     def l_newest(self):
         return self.loss.take(self.xi_flat)  # one loss per (seed, agent) row
-
-    def g_population(self):
-        return self.sm._population()[1][..., None]
 
     def grad_f_y(self, Ytil):
         lbar = np.einsum("...mn,...mn->...m", self.wf, self.loss)[..., None]

@@ -1,4 +1,5 @@
 import gc
+import sys
 import weakref
 from collections import defaultdict
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpagg.algorithm import (BroadcastFrame, _Batch, _consensus, _descend,
+from ldpagg.algorithm import (BroadcastFrame, _Batch, _descend, _mix,
                               _split_weights, _track, baseline_seeds,
                               iterate, run_seeds)
 from ldpagg.analysis import metric_eval, sampling_grid
@@ -132,11 +133,13 @@ class TestIterate:
         rng = np.random.default_rng(5)
         hat = rng.normal(0, 1, (6, 3))
         raw = rng.normal(0, 1, (6, 3))
-        out = _consensus(W0, diagw, hat, raw)
+        out = _mix(W0, diagw, hat, raw)
         for i in range(6):
             neighbours = [j for j in range(6) if j != i and W[i, j] > 0.0]
-            direct = sum(W[i, j] * (hat[j] - raw[i]) for j in neighbours)
+            direct = raw[i] + sum(W[i, j] * (hat[j] - raw[i]) for j in neighbours)
             assert np.allclose(out[i], direct, atol=1e-14)
+        # bitwise, it adds as (W0 @ hat + diagw raw) + raw
+        assert out.tobytes() == ((W0 @ hat + diagw * raw) + raw).tobytes()
 
 
 class TestRunMechanics:
@@ -485,7 +488,7 @@ def test_round_leaves_its_inputs_unchanged(seed, S, family):
     U = np.zeros_like(X)
     for i in range(m):  # agent i's own block is columns i*ni .. (i+1)*ni - 1
         U[:, i, i * prob.ni:(i + 1) * prob.ni] = grad_own[:, i]
-    expect = np.clip(X + _consensus(W0, diagw, frame.x, X) - 0.7 * U,
+    expect = np.clip((W0 @ frame.x + diagw * X) + X - 0.7 * U,
                      prob.box_lo, prob.box_hi)
     got = _descend(prob, W0, diagw, X, frame.x, 0.7, grad_own)
     assert got.tobytes() == expect.tobytes()
@@ -683,25 +686,25 @@ def test_l_audit_covers_every_round(family):
 def test_one_softmax_pass_per_round(driver, monkeypatch):
     # the audits read the round's oracle bundle: run builds one softmax
     # pass per round, the baseline one per round plus one at the start;
-    # the passes of metric_eval's truth oracles are not counted
-    import ldpagg.algorithm as algorithm
+    # the passes of the grid columns' truth oracles (metric_eval's, and
+    # the baseline's g_true for tracker_err) are not counted
     import ldpagg.problems as problems
     built, paused = [0], [False]
-    init, metric_eval = problems.SoftmaxPass.__init__, algorithm.metric_eval
+    init, snapshots = problems.SoftmaxPass.__init__, _Batch.snapshots
 
     def counting_init(self, *args):
         built[0] += not paused[0]
         init(self, *args)
 
-    def uncounted_metric_eval(*args, **kwargs):
+    def uncounted_snapshots(self):
         paused[0] = True
         try:
-            return metric_eval(*args, **kwargs)
+            return snapshots(self)
         finally:
             paused[0] = False
 
     monkeypatch.setattr(problems.SoftmaxPass, "__init__", counting_init)
-    monkeypatch.setattr(algorithm, "metric_eval", uncounted_metric_eval)
+    monkeypatch.setattr(_Batch, "snapshots", uncounted_snapshots)
     T = 150
     DRIVERS[driver](BATCH_PROBLEMS["personalized"], ring_topology(3, 0.3),
                     batch_schedules(), T, [1, 2])
@@ -750,7 +753,8 @@ def test_banks_refill_no_more_rounds_than_the_run_draws(family, prefix):
     s = corollary1_preset(ConvexityCase.STRONGLY_CONVEX, 0.01, m=m)
     data_dim = prob.r + prob.ni if family == "quadratic" else 2
     for T in (0, 7, 3000):
-        b = _Batch(prob, ring_topology(m, 0.3), s, T, [0, 1], prefix, None)
+        b = _Batch(prob, ring_topology(m, 0.3), s, T, [0, 1], prefix, None,
+                   metric_eval)
         for bank, rows, dim in zip((*b.noise, b.store.bank), (2 * m, 4 * m, 2 * m),
                                    (prob.n, prob.r, data_dim)):
             assert bank._buf.shape == (rows, min(AgentBank._BLOCK // dim, T + 1),
@@ -842,7 +846,7 @@ class PerRoundGate:
 def gate_batch(S, T):
     prob = BATCH_PROBLEMS["quadratic"]
     return _Batch(prob, ring_topology(3, 0.3), batch_schedules(), T,
-                  list(range(S)), "", None)
+                  list(range(S)), "", None, metric_eval)
 
 
 def paired(X, Y, Z):
@@ -1020,20 +1024,29 @@ def test_tracker_err_is_the_per_state_distance(case):
 def test_truth_calls_per_chunk_and_grid_point(driver, monkeypatch):
     # metric_eval runs once per CHUNK // (S m n) grid points (54 here) on
     # their stacked states, and run's F_gap running mean calls F_true once
-    # per chunk of rounds, not once per round
+    # per chunk of rounds, not once per round; the baseline's tracker_err
+    # calls g_true once per such stack, and run never calls it from
+    # outside the problem (erm_eval and F_true call it within)
     import ldpagg.algorithm as algorithm
     prob, calls = sc_paper_problem(), defaultdict(int)
     F_true, metric_eval = QuadraticProblem.F_true, algorithm.metric_eval
+    g_true, stacks = QuadraticProblem.g_true, []
 
     def counting_F_true(self, xown):
         calls["F_true"] += 1
         return F_true(self, xown)
+
+    def counting_g_true(self, Xown):
+        if sys._getframe(1).f_globals["__name__"] != "ldpagg.problems":
+            stacks.append(Xown.shape)
+        return g_true(self, Xown)
 
     def counting_metric_eval(*args):
         calls["metric_eval"] += 1
         return metric_eval(*args)
 
     monkeypatch.setattr(QuadraticProblem, "F_true", counting_F_true)
+    monkeypatch.setattr(QuadraticProblem, "g_true", counting_g_true)
     monkeypatch.setattr(algorithm, "metric_eval", counting_metric_eval)
     T, S = 2000, 3
     sc_paper_run(prob, T, S, DRIVERS[driver])
@@ -1042,6 +1055,11 @@ def test_truth_calls_per_chunk_and_grid_point(driver, monkeypatch):
     chunks = -(-(T + 1) // (CHUNK // (S * prob.n)))
     assert calls["metric_eval"] == -(-grid // per_call) == 3
     assert calls["F_true"] == 3 + (chunks if driver == "run" else 0)
+    if driver == "run":
+        assert stacks == []
+    else:  # the stacked grid states of each metric_eval call
+        sizes = [per_call] * (grid // per_call) + [grid % per_call]
+        assert stacks == [(g * S, prob.m, prob.ni) for g in sizes]
 
 
 def snapshot_calls(monkeypatch):

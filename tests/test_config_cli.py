@@ -615,8 +615,10 @@ class TestCliUsageErrors:
          "seed_1.csv: a row without the 2 header fields"),
         ({"seed_1.csv": "t,err_to_opt_sq\n"}, "err_to_opt_sq",
          "need at least 5 sampled points in the window"),
+        ({"seed_1.csv": "x,err_to_opt_sq\n1,1\n2,0.5\n"}, "err_to_opt_sq",
+         "column 't' not in seed_1.csv"),
     ], ids=["no-seed-csv", "unknown-metric", "fit-error", "non-numeric",
-            "ragged-row", "header-only"])
+            "ragged-row", "header-only", "no-t-column"])
     def test_analyze_usage_errors(self, tmp_path, capsys, files, metric,
                                   fragment):
         for name, text in files.items():
@@ -735,8 +737,13 @@ class TestCliUsageErrors:
         (None, "cannot read {dir}/manifest.json"),
         ("{", "manifest.json holds no list of integer seeds"),
         ('{"seeds": 3}', "manifest.json holds no list of integer seeds"),
+        ('{"seeds": "12"}', "manifest.json holds no list of integer seeds"),
+        ('{"seeds": [1.9, 2]}', "manifest.json holds no list of integer seeds"),
+        ('{"seeds": [true, 2]}', "manifest.json holds no list of integer seeds"),
+        ('{"seeds": [1, 1.0]}', "manifest.json lists a seed twice"),
         ('{"seeds": [1, 2]}', "cannot read {dir}/seed_2.csv"),
-    ], ids=["missing", "not-json", "not-a-list", "missing-seed-csv"])
+    ], ids=["missing", "not-json", "not-a-list", "a-string", "a-fraction",
+            "a-bool", "repeated", "missing-seed-csv"])
     def test_analyze_reads_the_manifest_seeds(self, tmp_path, capsys,
                                               manifest, fragment):
         (tmp_path / "seed_1.csv").write_text(
