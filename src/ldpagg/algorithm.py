@@ -23,9 +23,9 @@ emitted state, frame or mask is never written again and may be kept
 uncopied. The built-in observers never feed back into the iteration,
 so none reduces per round and seed; each writes (grid rows, S) columns
 by grid row. One call of the driver's column function per CHUNK // (S m n)
-grid states, on their stack, writes its columns' consecutive rows (the
-baseline adds tracker_err to metric_eval's); run_seeds copies each round's
-own blocks, z and l into buffers, and per chunk of rounds reduces the z/l
+grid states, on their stack, writes its columns' consecutive rows from one
+truth bundle (the baseline adds tracker_err); run_seeds copies each round's
+z, l and, for an F gap, own blocks, and per chunk of rounds reduces the z/l
 premise audit and writes the F_gap_runmean rows of the rounds it kept.
 
 Random streams: every (seed, agent, tag) triple has its own generator
@@ -283,20 +283,18 @@ def run_seeds(problem, topology, schedules, T, seeds, x0=None, observers=()):
     k = max(1, CHUNK // (S * n))  # rounds per flush
     own, Z, l = np.empty((k, S, n)), np.empty((k, S, m, r)), np.empty((k, S, m, r))
     ts, kept = np.empty((k, 1, 1), dtype=int), 0
-    xown = None  # the own blocks step gathered for the round's oracle
 
     def step(t, state, frame, _):
-        nonlocal xown
         problem.draw(b.store)
-        xown = problem.own_block(state[0])
-        ev = problem.erm_eval(b.store, xown)
+        ev = problem.erm_eval(b.store, problem.own_block(state[0]))
         return iterate(*state, frame, t, schedules, b.W0, b.diagw, problem,
                        ev), ev, None
 
     def keep(t, state, frame, ev, alive):
         """Observer: copy what flush needs of round t (l is 0 at t = T)."""
         nonlocal kept
-        own[kept] = (problem.own_block(state[0]) if ev is None else xown).reshape(S, n)
+        if problem.has_optimizer:
+            own[kept] = (problem.own_block(state[0]) if ev is None else ev.Xown).reshape(S, n)
         Z[kept] = state[2]
         l[kept] = 0.0 if ev is None else ev.l_newest()
         ts[kept] = t
@@ -335,11 +333,11 @@ def run_seeds(problem, topology, schedules, T, seeds, x0=None, observers=()):
 
 
 def _baseline_columns(problem, X, Y, Z):
-    """metric_eval's columns plus tracker_err, the squared distance of the
-    aggregate tracker from the agent mean of g_true at the own blocks."""
-    gbar = problem.g_true(problem.own_block(X)).mean(axis=-2, keepdims=True)
-    return {**metric_eval(problem, X, Y, Z),
-            "tracker_err": ((Y - gbar) ** 2).sum(axis=(-2, -1))}
+    """metric_eval's columns and tracker_err, the aggregate tracker's squared
+    distance from the agent mean of g, from one truth bundle per stack."""
+    truth = problem.truth(problem.own_block(X))
+    return {**metric_eval(problem, X, Y, Z, truth), "tracker_err": (
+        (Y - truth.g.mean(axis=-2, keepdims=True)) ** 2).sum(axis=(-2, -1))}
 
 
 def baseline_seeds(problem, topology, schedules, T, seeds, x0=None,

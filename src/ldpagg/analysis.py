@@ -28,21 +28,22 @@ def sampling_grid(T: int) -> np.ndarray:
     return np.array(sorted(p for p in pts if 0 <= p <= T), dtype=int)
 
 
-def metric_eval(problem, X, Y, Z):
+def metric_eval(problem, X, Y, Z, truth=None):
     """The metric columns of stacked states (..., m, .), each a (...,)
-    array whose slices are bitwise the one-seed call's.
-    Columns requiring a truth optimizer (the problem's x_star and F_star)
-    are omitted (not zero-filled) when the problem does not provide one.
+    array whose slices are bitwise the one-seed call's, read from truth,
+    problem.truth at X's own blocks (built unless given). Columns needing
+    the problem's x_star and F_star are left out when it has none.
     """
     def spread(A):  # squared distance from the agent mean, summed
         return ((A - A.mean(axis=-2, keepdims=True)) ** 2).sum(axis=(-2, -1))
-    xown = problem.own_block(X).reshape(X.shape[:-2] + (problem.n,))
+    truth = problem.truth(problem.own_block(X)) if truth is None else truth
+    xown = truth.Xown.reshape(X.shape[:-2] + (problem.n,))
     row = {"consensus_x": spread(X), "consensus_y": spread(Y),
            "consensus_z": spread(Z),
-           "grad_norm_sq": (problem.grad_F_true(xown) ** 2).sum(axis=-1)}
+           "grad_norm_sq": (truth.grad_F.reshape(xown.shape) ** 2).sum(axis=-1)}
     if problem.has_optimizer:
         row["err_to_opt_sq"] = ((xown - problem.x_star) ** 2).sum(axis=-1)
-        row["F_gap"] = problem.F_true(xown) - problem.F_star
+        row["F_gap"] = truth.F - problem.F_star
     return row
 
 

@@ -14,8 +14,9 @@ ERM averages are maintained through exact sufficient statistics (running
 sums for the quadratic family, sample multiplicity counts for the finite
 personalized datasets); reference.ErmReference recomputes them sample by
 sample for equality testing. Both families' draws hand out precomputed
-rounds (see SampleStore), CHUNK // (S*m*w) at a time (AgentBank.chunk),
-w being an agent's values per round: r + ni samples, or N counts.
+rounds (see SampleStore), CHUNK // (S*m*w) at a time (AgentBank.chunk), w
+being an agent's values per round: r + ni samples, or N counts. The truth
+oracles read one bundle, truth(Xown), built from one pass.
 
 Oracles take stacked per-agent arrays (..., m, .): leading axes are batch
 axes (the seeds of a batched run), and every batched call gives each
@@ -44,17 +45,14 @@ class SampleStore:
     lockstep bank over the data generators that every draw reads. A draw
     pops its round's fresh arrays from ahead, bitwise what per-round adds
     and divisions give: the quadratic xi_sum, phi_sum, xi_mean, phi_mean
-    and samples; the personalized counts_f, counts_g, weights wf, wg
-    (counts / count), last_phi, last_xi and xi_flat, the flat index
-    row * N + last_xi of each newest g sample in (..., m, N) arrays.
+    and samples; the personalized counts_f, counts_g, the (f, g) weight
+    pair w (2, ..., m, N) of counts / count, last_phi, last_xi and xi_flat,
+    the flat index row * N + last_xi of each newest g sample in (..., m, N).
     """
 
     def __init__(self, bank: AgentBank, batch: tuple = (), **stats):
-        self.bank = bank
-        self.batch = tuple(batch)
-        self.count = 0
-        self.last_xi = None
-        self.last_phi = None
+        self.bank, self.batch, self.count = bank, tuple(batch), 0
+        self.last_xi = self.last_phi = None
         self.ahead = []  # rounds a chunked draw made, not yet handed out, last first
         for name, shape in stats.items():
             setattr(self, name, np.zeros(self.batch + shape))
@@ -114,7 +112,7 @@ class ProblemInstance:
         raise NotImplementedError
 
     def erm_eval(self, store: SampleStore, Xown: np.ndarray):
-        """ERM oracle bundle at the agents' own points. Its
+        """ERM oracle bundle at the agents' own points, kept as Xown. Its
         reweighted(store) is the bundle at the same points against the
         store's current samples, without recomputing what depends on the
         points only; l_newest() is l(x_i; xi_i) at the newest sample, (..., m, r)."""
@@ -123,17 +121,21 @@ class ProblemInstance:
     # -- truth ----------------------------------------------------------
     has_optimizer = False  # whether the problem has x_star and F_star
 
-    def g_true(self, Xown: np.ndarray) -> np.ndarray:
+    def truth(self, Xown: np.ndarray):
+        """Population oracle bundle at own points Xown (..., m, ni), kept as
+        Xown: g (..., m, r), and F (...,) less additive constants and grad_F
+        (..., m, ni) built on read; F_true, grad_F_true take xown (n,), (..., n)."""
         raise NotImplementedError
+
+    def g_true(self, Xown: np.ndarray) -> np.ndarray:
+        return self.truth(Xown).g
 
     def F_true(self, xown: np.ndarray):
-        """Population objective at x = col(x_1..x_m), additive constants
-        dropped: a float for xown (n,), a (...,) array for xown (..., n).
-        grad_F_true(xown) is its gradient, of xown's shape."""
-        raise NotImplementedError
+        return self.truth(xown.reshape(xown.shape[:-1] + (self.m, self.ni))).F
 
     def grad_F_true(self, xown: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        tr = self.truth(xown.reshape(xown.shape[:-1] + (self.m, self.ni)))
+        return tr.grad_F.reshape(xown.shape)
 
 
 class ErmEvalQuadratic:
@@ -145,8 +147,7 @@ class ErmEvalQuadratic:
         if store.count < 1:
             raise ValueError("empty sample store")
         self.prob, self.Xown, self.lin = prob, Xown, lin
-        self.phi_mean = store.phi_mean
-        self.last_xi = store.last_xi
+        self.phi_mean, self.last_xi = store.phi_mean, store.last_xi
         # g_i^t(x) = (A_i x + b_i) + mean(xi)
         self.g = lin + store.xi_mean
 
@@ -165,6 +166,27 @@ class ErmEvalQuadratic:
     def grad_g_dot(self, Ztil: np.ndarray) -> np.ndarray:
         # nabla g_i^t = A_i^T (constant in x and data)
         return np.einsum("mrn,...mr->...mn", self.prob.A, Ztil)
+
+
+class TruthQuadratic:
+    """The quadratic truth bundle: g from one einsum, and F and grad_F, built
+    on each read from its agent mean u (sum / m, as ndarray.mean computes it)."""
+
+    def __init__(self, prob, Xown):
+        self.prob, self.Xown = prob, Xown
+        self.g = np.einsum("mrn,...mn->...mr", prob.A, Xown) + prob.b
+
+    @property
+    def F(self):
+        p, u = self.prob, self.g.sum(axis=-2) / self.prob.m
+        own = 0.5 * p.alpha * ((self.Xown - p.c) ** 2).sum(axis=(-2, -1))
+        return own + 0.5 * p.gamma * ((u[..., None, :] - p.d) ** 2).sum(axis=(-2, -1))
+
+    @property
+    def grad_F(self):
+        p, u = self.prob, self.g.sum(axis=-2) / self.prob.m
+        coup = p.gamma * (u - p.d.mean(axis=0))
+        return p.alpha * (self.Xown - p.c) + np.einsum("mrn,...r->...mn", p.A, coup)
 
 
 class QuadraticProblem(ProblemInstance):
@@ -217,26 +239,8 @@ class QuadraticProblem(ProblemInstance):
         return ErmEvalQuadratic(self, store, Xown, self.g_true(Xown))
 
     # -- truth ----------------------------------------------------------
-    def g_true(self, Xown: np.ndarray) -> np.ndarray:
-        return np.einsum("mrn,...mn->...mr", self.A, Xown) + self.b
-
-    def _aggregate(self, Xown: np.ndarray) -> np.ndarray:
-        # the agent mean; sum / m is how ndarray.mean computes it
-        return self.g_true(Xown).sum(axis=-2) / self.m
-
-    def F_true(self, xown: np.ndarray):
-        Xown = xown.reshape(xown.shape[:-1] + (self.m, self.ni))
-        u = self._aggregate(Xown)[..., None, :]
-        own = 0.5 * self.alpha * ((Xown - self.c) ** 2).sum(axis=(-2, -1))
-        agg = 0.5 * self.gamma * ((u - self.d) ** 2).sum(axis=(-2, -1))
-        return own + agg
-
-    def grad_F_true(self, xown: np.ndarray) -> np.ndarray:
-        Xown = xown.reshape(xown.shape[:-1] + (self.m, self.ni))
-        u = self._aggregate(Xown)
-        coup = self.gamma * (u - self.d.mean(axis=0))
-        grad = self.alpha * (Xown - self.c) + np.einsum("mrn,...r->...mn", self.A, coup)
-        return grad.reshape(xown.shape)
+    def truth(self, Xown: np.ndarray) -> TruthQuadratic:
+        return TruthQuadratic(self, Xown)
 
     @cached_property
     def x_star(self) -> np.ndarray:
@@ -277,10 +281,10 @@ class SoftmaxPass:
     (..., m, N, K, d), built on its first read. The logits are built
     class-major, (..., K, m, N), so each ufunc loops over m*N, not K; _ex
     and grad keep the (..., m, N, K[, d]) C layout whose sums and
-    contractions over K and d give the oracle's bits."""
+    contractions over K and d give the oracle's bits. It is the truth bundle too."""
 
     def __init__(self, prob, Xown):
-        self.prob = prob
+        self.prob, self.Xown = prob, Xown
         lead = Xown.shape[:-2]
         W = Xown.reshape(lead + (prob.m, prob.K, prob.dim))
         lk = np.einsum("mnd,...mkd->...kmn", prob.feats, W, order="C")
@@ -306,25 +310,43 @@ class SoftmaxPass:
         """(..., m, K, d) -> each agent's own block (..., m, ni)."""
         return out.reshape(out.shape[:-2] + (self.prob.ni,))
 
-    def _population(self):
-        """Uniform weights over each dataset and the mean loss G_i (..., m)."""
-        uni = np.full_like(self.loss, 1.0 / self.prob.N)
-        return uni, np.einsum("...mn,...mn->...m", uni, self.loss)
+    @cached_property
+    def uni(self):
+        return np.full_like(self.loss, 1.0 / self.prob.N)
+
+    @cached_property
+    def g(self):  # G_i, agent i's mean loss over its dataset, (..., m, 1)
+        return np.einsum("...mn,...mn->...m", self.uni, self.loss)[..., None]
+
+    @cached_property
+    def dev(self):  # each sample's loss minus the aggregate, the agent mean of G
+        return self.loss - self.g[..., 0].mean(axis=-1)[..., None, None]
+
+    @cached_property
+    def F(self):  # each agent's mean h at y = the aggregate, summed; reads no grad
+        h = self.loss + self.prob.lam * self.dev ** 2
+        return np.einsum("...mn,...mn->...m", self.uni, h).sum(axis=-1)
+
+    @cached_property
+    def grad_F(self):
+        uni, lam, dev = self.uni, self.prob.lam, self.dev
+        gradG = self._own(np.einsum("...mn,...mnkd->...mkd", uni, self.grad))
+        gx = self._own(np.einsum("...mn,...mnkd->...mkd", uni * (1.0 + 2.0 * lam * dev), self.grad))
+        dy_sum = np.sum(uni * (-2.0 * lam * dev), axis=(-2, -1))
+        return gx + (gradG / self.prob.m) * dy_sum[..., None, None]
 
 
 class ErmEvalPersonalized:
     """ERM quantities from one softmax pass and the store's multiplicity
-    weights; the pass depends on the points only."""
+    weights w, the (f, g) pair; the pass depends on the points only."""
 
     def __init__(self, sm, store):
         if store.count < 1:
             raise ValueError("empty sample store")
-        self.sm = sm
-        self.prob = sm.prob
-        self.loss = sm.loss
-        self.wf, self.wg, self.xi_flat = store.wf, store.wg, store.xi_flat
-        # g_i^t(x): multiplicity-weighted mean loss over the g-stream samples
-        self.g = np.einsum("...mn,...mn->...m", self.wg, self.loss)[..., None]
+        self.sm, self.prob, self.loss, self.Xown = sm, sm.prob, sm.loss, sm.Xown
+        self.w, self.xi_flat = store.w, store.xi_flat
+        # lbar_i and g_i^t(x): the f- and g-weighted mean losses, one einsum
+        self.lbar, self.g = np.einsum("...mn,...mn->...m", self.w, self.loss)[..., None]
 
     def reweighted(self, store: SampleStore) -> "ErmEvalPersonalized":
         return ErmEvalPersonalized(self.sm, store)
@@ -333,15 +355,14 @@ class ErmEvalPersonalized:
         return self.loss.take(self.xi_flat)  # one loss per (seed, agent) row
 
     def grad_f_y(self, Ytil):
-        lbar = np.einsum("...mn,...mn->...m", self.wf, self.loss)[..., None]
-        return -2.0 * self.prob.lam * (lbar - Ytil)
+        return -2.0 * self.prob.lam * (self.lbar - Ytil)
 
     def grad_f_x(self, Ytil):
-        scale = self.wf * (1.0 + 2.0 * self.prob.lam * (self.loss - Ytil))
+        scale = self.w[0] * (1.0 + 2.0 * self.prob.lam * (self.loss - Ytil))
         return self.sm._own(np.einsum("...mn,...mnkd->...mkd", scale, self.sm.grad))
 
     def grad_g_dot(self, Ztil):
-        gg = self.sm._own(np.einsum("...mn,...mnkd->...mkd", self.wg, self.sm.grad))
+        gg = self.sm._own(np.einsum("...mn,...mnkd->...mkd", self.w[1], self.sm.grad))
         return gg * Ztil  # r = 1: scalar tracker per agent
 
 
@@ -404,37 +425,17 @@ class PersonalizedProblem(ProblemInstance):
             counts, w = (a.reshape(shape + (self.N,)) for a in (counts[1:], w))
             last = idx.transpose(0, 2, 1).reshape(shape).copy()
             xi_flat = flat.reshape(shape + (1,))[:, 1]
-            store.ahead = list(zip(counts[:, 0], counts[:, 1], w[:, 0], w[:, 1],
+            store.ahead = list(zip(counts[:, 0], counts[:, 1], w,
                                    last[:, 0], last[:, 1], xi_flat))[::-1]
-        (store.counts_f, store.counts_g, store.wf, store.wg,
+        (store.counts_f, store.counts_g, store.w,
          store.last_phi, store.last_xi, store.xi_flat) = store.ahead.pop()
         store.count += 1
 
     def erm_eval(self, store, Xown):
         return ErmEvalPersonalized(SoftmaxPass(self, Xown), store)
 
-    # -- truth (population = uniform over the fixed dataset) ------------
-    def g_true(self, Xown):
-        return SoftmaxPass(self, Xown)._population()[1][..., None]
-
-    def F_true(self, xown):
-        sm = SoftmaxPass(self, xown.reshape(xown.shape[:-1] + (self.m, self.ni)))
-        uni, G = sm._population()
-        g = G.mean(axis=-1)[..., None, None]
-        per_agent = np.einsum("...mn,...mn->...m", uni,
-                              sm.loss + self.lam * (sm.loss - g) ** 2)
-        return per_agent.sum(axis=-1)
-
-    def grad_F_true(self, xown):
-        sm = SoftmaxPass(self, xown.reshape(xown.shape[:-1] + (self.m, self.ni)))
-        uni, G = sm._population()
-        gradG = sm._own(np.einsum("...mn,...mnkd->...mkd", uni, sm.grad))
-        g = G.mean(axis=-1)[..., None, None]
-        scale = uni * (1.0 + 2.0 * self.lam * (sm.loss - g))
-        gx = sm._own(np.einsum("...mn,...mnkd->...mkd", scale, sm.grad))
-        dy_sum = np.sum(uni * (-2.0 * self.lam * (sm.loss - g)), axis=(-2, -1))
-        grad = gx + (gradG / self.m) * dy_sum[..., None, None]
-        return grad.reshape(xown.shape)
+    def truth(self, Xown) -> SoftmaxPass:  # the population: uniform over each dataset
+        return SoftmaxPass(self, Xown)
 
 
 def make_personalized_problem(m, classes=5, features=2, lam=1.0,
@@ -452,13 +453,11 @@ def make_personalized_problem(m, classes=5, features=2, lam=1.0,
     feats = np.empty((m, dataset_size, features))
     labels = np.empty((m, dataset_size), dtype=int)
     for i in range(m):
-        primary = {i % classes, (2 * i) % classes}
+        primary = sorted({i % classes, (2 * i) % classes})
         others = [k for k in range(classes) if k not in primary]
         for j in range(dataset_size):
-            if rng.random() < 0.6 or not others:
-                k = int(rng.choice(sorted(primary)))
-            else:
-                k = int(rng.choice(others))
-            labels[i, j] = k
+            # an integer index draws as rng.choice(pool) does, without its overhead
+            pool = primary if rng.random() < 0.6 or not others else others
+            labels[i, j] = k = pool[int(rng.integers(len(pool)))]
             feats[i, j] = centers[k] + rng.standard_normal(features)
     return PersonalizedProblem(feats, labels, classes, lam=lam, box=box)

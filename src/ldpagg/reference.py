@@ -1,13 +1,14 @@
 """Independent oracles that the simulator is checked against.
 
 Centralized solvers, the single-agent Laplace noise stream, the
-per-sample objective h, the batched softmax pass built sample-major,
-the ERM oracle recomputed sample by sample from raw samples, the
-tracker updates of both drivers one tracker at a time, the scalar
-sensitivity recursion step, the closed-form certificate budget, the
-closed-form ring spectrum and the cross-seed stacking of a metric
-column. Deliberately written without reuse of the simulator code paths
-so the distributed implementation can be checked against them.
+per-sample objective h, the personalized data drawn by rng.choice, the
+batched softmax pass built sample-major, the ERM oracle recomputed
+sample by sample from raw samples, the tracker updates of both drivers
+one tracker at a time, the scalar sensitivity recursion step, the
+closed-form certificate budget, the closed-form ring spectrum and the
+cross-seed stacking of a metric column. Deliberately written without
+reuse of the simulator code paths so the distributed implementation can
+be checked against them.
 """
 
 from __future__ import annotations
@@ -97,6 +98,27 @@ def _softmax_loss(problem, i, x, idx):
     resid = ex / ex.sum()
     resid[problem.labels[i, idx]] -= 1.0
     return L, np.outer(resid, feat).reshape(-1)
+
+
+def personalized_data_by_choice(m, classes, features, dataset_size, seed):
+    """make_personalized_problem's (feats, labels), drawn with
+    rng.choice over each sample's class pool, the draw the factory's
+    integer index into the pool must reproduce value for value."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 7177])))
+    centers = 1.5 * rng.standard_normal((classes, features))
+    feats = np.empty((m, dataset_size, features))
+    labels = np.empty((m, dataset_size), dtype=int)
+    for i in range(m):
+        primary = {i % classes, (2 * i) % classes}
+        others = [k for k in range(classes) if k not in primary]
+        for j in range(dataset_size):
+            if rng.random() < 0.6 or not others:
+                k = int(rng.choice(sorted(primary)))
+            else:
+                k = int(rng.choice(others))
+            labels[i, j] = k
+            feats[i, j] = centers[k] + rng.standard_normal(features)
+    return feats, labels
 
 
 def softmax_pass_sample_major(problem, Xown):

@@ -559,7 +559,7 @@ def poisoned_draw(prob, row, count):
         draw(self, store)
         if store.count == count:
             stats = ((store.xi_mean,) if self.family == "quadratic"
-                     else (store.counts_g, store.wg))
+                     else (store.counts_g, store.w[1]))
             for stat in stats:
                 stat[row] = np.inf
     return draw_poisoned
@@ -686,8 +686,8 @@ def test_l_audit_covers_every_round(family):
 def test_one_softmax_pass_per_round(driver, monkeypatch):
     # the audits read the round's oracle bundle: run builds one softmax
     # pass per round, the baseline one per round plus one at the start;
-    # the passes of the grid columns' truth oracles (metric_eval's, and
-    # the baseline's g_true for tracker_err) are not counted
+    # the truth pass of each grid-column stack (which metric_eval and the
+    # baseline's tracker_err share) is not counted
     import ldpagg.problems as problems
     built, paused = [0], [False]
     init, snapshots = problems.SoftmaxPass.__init__, _Batch.snapshots
@@ -709,6 +709,59 @@ def test_one_softmax_pass_per_round(driver, monkeypatch):
     DRIVERS[driver](BATCH_PROBLEMS["personalized"], ring_topology(3, 0.3),
                     batch_schedules(), T, [1, 2])
     assert built[0] == T + (driver == "baseline")
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_one_softmax_pass_per_snapshot_call(driver, monkeypatch):
+    # the grid columns of a stack read one truth bundle: each snapshot
+    # call builds one softmax pass, the baseline's tracker_err included
+    import ldpagg.problems as problems
+    built, calls = [0], []
+    init, snapshots = problems.SoftmaxPass.__init__, _Batch.snapshots
+
+    def counting_init(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    def counting_snapshots(self):
+        before = built[0]
+        snapshots(self)
+        calls.append(built[0] - before)
+
+    monkeypatch.setattr(problems.SoftmaxPass, "__init__", counting_init)
+    monkeypatch.setattr(_Batch, "snapshots", counting_snapshots)
+    DRIVERS[driver](BATCH_PROBLEMS["personalized"], ring_topology(3, 0.3),
+                    batch_schedules(), 2000, [1, 2])
+    assert len(calls) > 1 and calls == [1] * len(calls)
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_einsum_calls_per_round(driver, monkeypatch):
+    # a personalized round of run makes 4 einsum calls (the pass's logits,
+    # the pair's weighted loss means, grad_f_x, grad_g_dot); the
+    # baseline's 5 (the reweighted pair in addition) after 2 for the
+    # start's bundle and 4 in round 0, which reuses it; the grid columns'
+    # einsums are not counted
+    calls, paused = [0], [False]
+    einsum, snapshots = np.einsum, _Batch.snapshots
+
+    def counting_einsum(*args, **kwargs):
+        calls[0] += not paused[0]
+        return einsum(*args, **kwargs)
+
+    def uncounted_snapshots(self):
+        paused[0] = True
+        try:
+            return snapshots(self)
+        finally:
+            paused[0] = False
+
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    monkeypatch.setattr(_Batch, "snapshots", uncounted_snapshots)
+    T = 150
+    DRIVERS[driver](BATCH_PROBLEMS["personalized"], ring_topology(3, 0.3),
+                    batch_schedules(), T, [1, 2])
+    assert calls[0] == (4 * T if driver == "run" else 5 * T + 1)
 
 
 def test_one_transform_call_per_noise_chunk(monkeypatch):
@@ -1024,22 +1077,27 @@ def test_tracker_err_is_the_per_state_distance(case):
 def test_truth_calls_per_chunk_and_grid_point(driver, monkeypatch):
     # metric_eval runs once per CHUNK // (S m n) grid points (54 here) on
     # their stacked states, and run's F_gap running mean calls F_true once
-    # per chunk of rounds, not once per round; the baseline's tracker_err
-    # calls g_true once per such stack, and run never calls it from
-    # outside the problem (erm_eval and F_true call it within)
+    # per chunk of rounds, not once per round; each stack's columns (the
+    # baseline's tracker_err among them) read one truth bundle, the only
+    # one built outside the problem (erm_eval and F_true build theirs
+    # within), and metric_eval calls neither F_true nor g_true
     import ldpagg.algorithm as algorithm
     prob, calls = sc_paper_problem(), defaultdict(int)
     F_true, metric_eval = QuadraticProblem.F_true, algorithm.metric_eval
-    g_true, stacks = QuadraticProblem.g_true, []
+    g_true, truth, stacks = QuadraticProblem.g_true, QuadraticProblem.truth, []
 
     def counting_F_true(self, xown):
         calls["F_true"] += 1
         return F_true(self, xown)
 
     def counting_g_true(self, Xown):
+        calls["g_true"] += sys._getframe(1).f_globals["__name__"] != "ldpagg.problems"
+        return g_true(self, Xown)
+
+    def counting_truth(self, Xown):
         if sys._getframe(1).f_globals["__name__"] != "ldpagg.problems":
             stacks.append(Xown.shape)
-        return g_true(self, Xown)
+        return truth(self, Xown)
 
     def counting_metric_eval(*args):
         calls["metric_eval"] += 1
@@ -1047,6 +1105,7 @@ def test_truth_calls_per_chunk_and_grid_point(driver, monkeypatch):
 
     monkeypatch.setattr(QuadraticProblem, "F_true", counting_F_true)
     monkeypatch.setattr(QuadraticProblem, "g_true", counting_g_true)
+    monkeypatch.setattr(QuadraticProblem, "truth", counting_truth)
     monkeypatch.setattr(algorithm, "metric_eval", counting_metric_eval)
     T, S = 2000, 3
     sc_paper_run(prob, T, S, DRIVERS[driver])
@@ -1054,12 +1113,11 @@ def test_truth_calls_per_chunk_and_grid_point(driver, monkeypatch):
     per_call = CHUNK // (S * prob.m * prob.n)
     chunks = -(-(T + 1) // (CHUNK // (S * prob.n)))
     assert calls["metric_eval"] == -(-grid // per_call) == 3
-    assert calls["F_true"] == 3 + (chunks if driver == "run" else 0)
-    if driver == "run":
-        assert stacks == []
-    else:  # the stacked grid states of each metric_eval call
-        sizes = [per_call] * (grid // per_call) + [grid % per_call]
-        assert stacks == [(g * S, prob.m, prob.ni) for g in sizes]
+    assert calls["F_true"] == (chunks if driver == "run" else 0)
+    assert calls["g_true"] == 0
+    # the stacked grid states of each metric_eval call
+    sizes = [per_call] * (grid // per_call) + [grid % per_call]
+    assert stacks == [(g * S, prob.m, prob.ni) for g in sizes]
 
 
 def snapshot_calls(monkeypatch):
@@ -1067,9 +1125,9 @@ def snapshot_calls(monkeypatch):
     import ldpagg.algorithm as algorithm
     calls, metric_eval = [], algorithm.metric_eval
 
-    def recording_metric_eval(problem, X, Y, Z):
+    def recording_metric_eval(problem, X, Y, Z, *truth):
         calls.append(X.shape[:-2])
-        return metric_eval(problem, X, Y, Z)
+        return metric_eval(problem, X, Y, Z, *truth)
 
     monkeypatch.setattr(algorithm, "metric_eval", recording_metric_eval)
     return calls

@@ -1,3 +1,6 @@
+import hashlib
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +8,12 @@ from hypothesis import strategies as st
 
 from ldpagg.algorithm import run_seeds
 from ldpagg.analysis import metric_eval
+from ldpagg.config import load_config
 from ldpagg.problems import (ErmEvalPersonalized, PersonalizedProblem,
                              QuadraticProblem, SoftmaxPass,
                              make_personalized_problem, make_quadratic_problem)
 from ldpagg.reference import (ErmReference, h_value,
+                              personalized_data_by_choice,
                               softmax_pass_sample_major)
 from ldpagg.schedules import (AgentBank, ConvexityCase, agent_rng,
                               corollary1_preset)
@@ -501,14 +506,14 @@ def test_chunked_personalized_draws_equal_per_round_adds(horizon, batch):
         for a, w in zip(got, want):
             assert a.shape == w.shape and a.tobytes() == w.tobytes()
         assert store.count == t + 1
-        for weight, total in ((store.wf, store.counts_f), (store.wg, store.counts_g)):
+        for weight, total in zip(store.w, (store.counts_f, store.counts_g)):
             w = total / store.count
             assert weight.shape == w.shape and weight.tobytes() == w.tobytes()
         ev = ErmEvalPersonalized(sm, store)
         l = sm.loss.reshape(-1, N)[np.arange(len(idx)), idx[:, 1]]
         assert ev.l_newest().tobytes() == l.reshape(batch + (m, 1)).tobytes()
         assert ev.l_newest().shape == batch + (m, 1)
-        handed += [(a, a.copy()) for a in got + (store.wf, store.wg)]
+        handed += [(a, a.copy()) for a in got + (store.w,)]
     for a, copy in handed:
         assert a.tobytes() == copy.tobytes()
 
@@ -540,6 +545,71 @@ def test_reweighted_eval_equals_fresh_eval(prob, batch):
         assert np.array_equal(ev.grad_f_x(Y), fresh.grad_f_x(Y))
         assert np.array_equal(ev.grad_f_y(Y), fresh.grad_f_y(Y))
         assert np.array_equal(ev.grad_g_dot(Z), fresh.grad_g_dot(Z))
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (3,)])
+def test_pair_einsum_equals_per_weight_einsums(batch):
+    # the personalized bundle takes lbar and g from one einsum over the
+    # store's (f, g) weight pair w; each must be bitwise the einsum over
+    # its own weights, also after the baseline's reweighted, and
+    # grad_f_y reads the stored lbar
+    prob = family_problems()[1]
+    rng = np.random.default_rng(4)
+    store = prob.new_store(batch_rngs(prob.m, batch), batch=batch, horizon=9)
+    Xown = rng.normal(0, 3, batch + (prob.m, prob.ni))
+    Y = rng.normal(0, 1, batch + (prob.m, 1))
+    ev = None
+    for _ in range(9):
+        prob.draw(store)
+        ev = prob.erm_eval(store, Xown) if ev is None else ev.reweighted(store)
+        assert store.w.shape == (2,) + batch + (prob.m, prob.N)
+        lbar, g = (np.einsum("...mn,...mn->...m", w, ev.loss)[..., None]
+                   for w in store.w)
+        assert ev.g.shape == g.shape and ev.g.tobytes() == g.tobytes()
+        want = -2.0 * prob.lam * (lbar - Y)
+        assert ev.grad_f_y(Y).tobytes() == want.tobytes()
+
+
+def test_pair_einsum_is_bitwise_two_einsums():
+    # the numpy identity the bundle relies on: one einsum over a stacked
+    # (2, ..., m, N) weight pair, the losses broadcast over the pair axis,
+    # gives each half the bits of its own einsum, across batch sizes S and
+    # N on both sides of the SIMD unroll widths
+    rng = np.random.default_rng(5)
+    for S in ((), (1,), (2,), (3,), (10,), (32,)):
+        for N in (1, 7, 8, 32, 33, 100):
+            for m in (1, 5):
+                w = rng.random((2,) + S + (m, N))
+                loss = rng.normal(0, 3, S + (m, N))
+                both = np.einsum("...mn,...mn->...m", w, loss)
+                for half, wh in zip(both, w):
+                    one = np.einsum("...mn,...mn->...m", wh, loss)
+                    assert half.tobytes() == one.tobytes(), (S, N, m)
+
+
+@pytest.mark.parametrize("m, K, d, N", [(1, 1, 1, 1), (2, 2, 1, 40), (3, 3, 2, 16),
+                                        (5, 5, 2, 32), (7, 4, 3, 9)])
+def test_personalized_factory_equals_choice_draws(m, K, d, N):
+    # the factory picks a sample's class by an integer index into its
+    # pool; feats and labels must be bitwise those of rng.choice draws
+    for seed in (0, 2, 13):
+        prob = make_personalized_problem(m=m, classes=K, features=d,
+                                         dataset_size=N, seed=seed)
+        feats, labels = personalized_data_by_choice(m, K, d, N, seed)
+        assert prob.feats.tobytes() == feats.tobytes()
+        assert prob.labels.tobytes() == labels.tobytes()
+
+
+def test_personalized_ncvx_data_pinned():
+    # every personalized golden byte rests on the shipped config's datasets
+    path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                        "personalized_ncvx.json")
+    prob = load_config(path).problem
+    digest = {a: hashlib.sha256(getattr(prob, a).tobytes()).hexdigest()
+              for a in ("feats", "labels")}
+    assert digest == {
+        "feats": "4637dd6d52c96601adc89280c9f988762516de69f59878e8ed391221e26bc6cf",
+        "labels": "9d6e276680df2fe01c4d8c49ca65ee167475bdff802b6b5317faa0163d707835"}
 
 
 @pytest.mark.parametrize("batch", [(), (3,)])
