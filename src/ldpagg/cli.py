@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__
 from .algorithm import baseline_seeds, run_seeds
 from .analysis import fit_rate, sampling_grid
-from .config import ConfigError, _integer, load_config
-from .privacy import accountable, budgets, calibrate_noise
+from .config import ConfigError, _integer, load_config, with_noise_scales
+from .privacy import budgets, calibrate_noise, eps_at
 
 _COLUMN_ORDER = ["t", "err_to_opt_sq", "F_gap", "F_gap_runmean",
                  "grad_norm_sq", "consensus_x", "consensus_y",
@@ -56,18 +56,17 @@ def _writing(path):
         raise _UsageError(f"cannot write {path}: {e.strerror}") from None
 
 
-def _write_csv(path, ts, columns, extra=None):
-    """t, then columns in _COLUMN_ORDER, then the extra columns by name,
-    len(ts) rows; each row is one % of a "%.17g,...,%.17g" template on
-    Python floats, so its fields are the strings _fmt gives."""
-    names = [c for c in _COLUMN_ORDER if c == "t" or c in columns]
-    extra_names = sorted(extra) if extra else []
-    cols = [ts if c == "t" else columns[c] for c in names]
+def _write_csv(path, ts, columns):
+    """t, then the columns in _COLUMN_ORDER, then the rest by name (one
+    named t too), len(ts) rows; each row is one % of a "%.17g,...,%.17g"
+    template on Python floats, so its fields are the strings _fmt gives."""
+    names = [c for c in _COLUMN_ORDER[1:] if c in columns]
+    names += sorted(set(columns) - set(names))
     cols = [np.asarray(c, dtype=float)[:len(ts)].tolist()
-            for c in cols + [extra[c] for c in extra_names]]
+            for c in [ts] + [columns[c] for c in names]]
     template = ",".join(["%.17g"] * len(cols)) + "\n"
     with _writing(path) as f:
-        f.write(",".join(names + extra_names) + "\n")
+        f.write(",".join(["t"] + names) + "\n")
         f.write("".join(template % row for row in zip(*cols)))
 
 
@@ -85,19 +84,6 @@ def _read_csv(path):
     except ValueError as e:  # a field that is not a number
         raise _UsageError(f"{path}: {e}") from None
     return header, data.reshape(len(rows), len(header))
-
-
-def _eps_columns(cfg, grid):
-    """Cumulative per-agent budget evaluated on the sampling grid.
-
-    Returns None unless a sensitivity block and positive noise scales are
-    configured; identical across seeds (the accountant is seed-free).
-    """
-    if cfg.sensitivity is None or not accountable(cfg.schedules):
-        return None
-    grid = np.asarray(grid, dtype=int)
-    return {f"eps_cum_a{i}": eps_cum[grid] for i, (_, eps_cum) in
-            enumerate(budgets(cfg.T, cfg.sensitivity, cfg.schedules))}
 
 
 def _cmd_run(args):
@@ -129,7 +115,8 @@ def _cmd_run(args):
             records = [r for batch in ex.map(drive, batches) for r in batch]
     else:
         records = drive(seed_list)
-    eps_cols = _eps_columns(cfg, grid)
+    eps = eps_at(cfg.T, cfg.sensitivity, cfg.schedules, grid)
+    eps_cols = {f"eps_cum_a{i}": e for i, e in enumerate(eps or ())}
     agg = {}
     for rec, seed in zip(records, seed_list):
         if rec.aborted_at is not None:
@@ -137,13 +124,13 @@ def _cmd_run(args):
             print(f"{kind}: seed {seed} went non-finite at iteration "
                   f"{rec.aborted_at}", file=sys.stderr)
         _write_csv(os.path.join(out_dir, f"seed_{seed}.csv"),
-                   rec.ts, rec.columns, eps_cols)
+                   rec.ts, {**rec.columns, **eps_cols})
     complete = [r for r in records if r.aborted_at is None]
     if complete:
         ts = complete[0].ts
         for c in complete[0].columns:
             agg[c] = np.mean([r.columns[c] for r in complete], axis=0)
-        _write_csv(os.path.join(out_dir, "aggregate.csv"), ts, agg, eps_cols)
+        _write_csv(os.path.join(out_dir, "aggregate.csv"), ts, {**agg, **eps_cols})
     manifest = {
         "config": cfg.raw,
         "version": __version__,
@@ -207,22 +194,11 @@ def _cmd_budget(args):
 
 def _cmd_calibrate(args):
     cfg = load_config(args.config)
-    sens = _sensitivity(cfg)
-    # the largest varsigma leaves the smallest exponent gap, so sigma sized
-    # for it keeps every agent's certificate bound_inf within epsilon
     try:
-        sx, sy, sz = calibrate_noise(args.epsilon, sens,
-                                     *cfg.schedules.varsigmas(max))
+        sigmas = calibrate_noise(args.epsilon, _sensitivity(cfg), cfg.schedules)
     except ValueError as e:
         raise _UsageError(e) from None
-    patched = json.loads(json.dumps(cfg.raw))
-    block = patched["schedules"]
-    if "preset" in block:
-        block["sigma"] = [sx, sy, sz]
-    else:
-        for ax, s in zip(("x", "y", "z"), (sx, sy, sz)):
-            block["noise"][ax]["sigma"] = s
-    text = json.dumps(patched, indent=2, sort_keys=True)
+    text = json.dumps(with_noise_scales(cfg.raw, sigmas), indent=2, sort_keys=True)
     if args.out:
         with _writing(args.out) as f:
             f.write(text + "\n")
@@ -271,7 +247,7 @@ def _cmd_analyze(args):
     except ValueError as e:
         raise _UsageError(e) from None
     print(json.dumps(vars(fit), indent=2, sort_keys=True))
-    _write_csv(os.path.join(args.indir, f"mean_{args.metric}.csv"), ts, {},
+    _write_csv(os.path.join(args.indir, f"mean_{args.metric}.csv"), ts,
                {args.metric: values.mean(axis=0)})
     return 0
 

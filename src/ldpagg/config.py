@@ -165,6 +165,20 @@ def _build_schedules(block, m):
     return ScheduleSet(*built), None
 
 
+def with_noise_scales(raw: dict, sigmas) -> dict:
+    """A copy of raw whose schedules block sets the noise scales
+    (sigma_x, sigma_y, sigma_z) = sigmas, as its own form keys them: a
+    preset's sigma list, or each explicit noise axis's sigma."""
+    patched = json.loads(json.dumps(raw))
+    block = patched["schedules"]
+    if "preset" in block:
+        block["sigma"] = list(sigmas)
+    else:
+        for ax, s in zip(("x", "y", "z"), sigmas):
+            block["noise"][ax]["sigma"] = s
+    return patched
+
+
 def _build_problem(block, m):
     if not isinstance(block, dict) or "family" not in block:
         raise ConfigError("problem.family: required")

@@ -1,4 +1,5 @@
-"""Sensitivity recursions, cumulative privacy budgets, noise calibration.
+"""Sensitivity recursions, cumulative budgets, noise calibration: every
+accounting decision, including whether a run has a budget (eps_at).
 
 The numeric recursion tracks the dominating upper-bound dynamics of the
 per-agent sensitivities with equality (the true sensitivities are
@@ -239,15 +240,24 @@ def budgets(T: int, p: SensitivityParams, schedules: ScheduleSet):
     return [out[triple] for triple in triples]
 
 
-def calibrate_noise(eps_target: float, p: SensitivityParams,
-                    varsigma_x: float, varsigma_y: float, varsigma_z: float):
+def eps_at(T: int, p: SensitivityParams | None, schedules: ScheduleSet, ts):
+    """Each agent's eps_cum of budgets(T, p, schedules) at the iterations
+    ts, or None with nothing to account (p is None, or a sigma <= 0)."""
+    if p is None or not accountable(schedules):
+        return None
+    return [eps_cum[ts] for _, eps_cum in budgets(T, p, schedules)]
+
+
+def calibrate_noise(eps_target: float, p: SensitivityParams, schedules: ScheduleSet):
     """Noise scales (sigma_x, sigma_y, sigma_z) meeting a target budget
     under the closed-form certificate: each of its components equals
-    eps_target/3, so its bound_inf is <= eps_target. The recursion's
-    budget may exceed it where the certificate fails (quadratic_sc)."""
+    eps_target/3, so its bound_inf is <= eps_target. Each axis is sized at
+    its agents' largest varsigma, whose exponent gap is the smallest, so
+    every agent's bound_inf is within eps_target. The recursion's budget
+    may exceed it where the certificate fails (quadratic_sc)."""
     if not 0 < eps_target < math.inf:
         raise ValueError("target budget must be finite and positive")
-    gaps = np.array(_noise_exponent_gaps(p, varsigma_x, varsigma_y, varsigma_z))
+    gaps = np.array(_noise_exponent_gaps(p, *schedules.varsigmas(max)))
     if gaps.min() <= 0:
         raise ValueError("noise decay exponents leave no positive gap")
     c = closed_form_constants(p)

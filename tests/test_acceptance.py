@@ -131,7 +131,7 @@ class TestPrivacyAccounting:
         gaps = (p.lambda_x.v - p.lambda_z.v - vsx,
                 p.lambda_y.v - vsy, p.lambda_z.v - vsz)
         for eps_hat in (0.1, 1.0, 10.0):
-            sx, sy, sz = calibrate_noise(eps_hat, p, vsx, vsy, vsz)
+            sx, sy, sz = calibrate_noise(eps_hat, p, budget_fixture.schedules)
             bound = infinite_horizon_bound(
                 p, NoiseSchedule(sx, vsx), NoiseSchedule(sy, vsy),
                 NoiseSchedule(sz, vsz))
@@ -141,8 +141,8 @@ class TestPrivacyAccounting:
                      np.sqrt(2) * c.Cz / (sz * gaps[2]))
             for comp in comps:
                 assert comp <= eps_hat / 3 + 1e-12
-        full = calibrate_noise(1.0, p, vsx, vsy, vsz)
-        half = calibrate_noise(0.5, p, vsx, vsy, vsz)
+        full = calibrate_noise(1.0, p, budget_fixture.schedules)
+        half = calibrate_noise(0.5, p, budget_fixture.schedules)
         for a, b in zip(full, half):
             assert b == 2.0 * a
 

@@ -10,7 +10,7 @@ import pytest
 from ldpagg import privacy
 from ldpagg.algorithm import baseline_seeds, run_seeds
 from ldpagg.cli import _COLUMN_ORDER, _write_csv, main
-from ldpagg.config import ConfigError, parse_config
+from ldpagg.config import ConfigError, parse_config, with_noise_scales
 from ldpagg.problems import make_personalized_problem, make_quadratic_problem
 from ldpagg.schedules import ConvexityCase
 
@@ -223,6 +223,27 @@ class TestParseConfig:
     def test_negative_T_rejected(self):
         with pytest.raises(ConfigError, match="T"):
             parse_config(cfg_dict(T=-5))
+
+
+class TestWithNoiseScales:
+    @pytest.mark.parametrize("schedules", [
+        {"preset": "corollary1-sc", "delta": 0.01, "lambda0": [0.5, 1.0, 1.0],
+         "sigma": [[1.0, 2.0, 3.0], 0.5, [4.0, 5.0, 6.0]]},
+        MIXED_SCHED], ids=["preset per-agent", "explicit"])
+    def test_sets_every_agents_sigma(self, schedules):
+        d = cfg_dict(schedules=schedules, sensitivity=SENS)
+        before = copy.deepcopy(d)
+        patched = with_noise_scales(d, (7.0, 8.0, 9.0))
+        assert d == before
+        s = parse_config(patched).schedules
+        for noise, sigma in zip((s.noise_x, s.noise_y, s.noise_z), (7.0, 8.0, 9.0)):
+            assert [n.sigma for n in noise] == [sigma] * 3
+        # with the sigma keys taken out of both, nothing else differs
+        for cfg in (patched, before):
+            block = cfg["schedules"]
+            for holder in [block] if "preset" in block else block["noise"].values():
+                del holder["sigma"]
+        assert patched == before
 
 
 class TestCliRun:
@@ -967,7 +988,7 @@ def csv_cases():
 @pytest.mark.parametrize("case", sorted(csv_cases()))
 def test_write_csv_bytes_equal_per_value_join(tmp_path, case):
     ts, columns, extra = csv_cases()[case]
-    _write_csv(str(tmp_path / "a.csv"), ts, columns, extra)
+    _write_csv(str(tmp_path / "a.csv"), ts, {**columns, **(extra or {})})
     per_value_csv(str(tmp_path / "b.csv"), ts, columns, extra)
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from ldpagg.config import load_config
 from ldpagg.privacy import (_BLOCK, PrivacyAccount, SensitivityParams,
                             budgets, calibrate_noise, closed_form_constants,
-                            infinite_horizon_bound, sensitivity_trajectory)
+                            eps_at, infinite_horizon_bound,
+                            sensitivity_trajectory)
 from ldpagg.reference import closed_form_budget, sensitivity_step
 from ldpagg.schedules import NoiseSchedule, ScheduleSet, StepsizeSchedule
 
@@ -30,6 +31,15 @@ def fixture_params(**over):
 def fixture_noise():
     return (NoiseSchedule(1.0, 0.03), NoiseSchedule(1e6, 0.05),
             NoiseSchedule(1e6, 0.06))
+
+
+def noise_decays(vs_x, vs_y, vs_z):
+    """The fixture's stepsizes and one agent whose noise axes decay at
+    varsigma vs_x, vs_y and vs_z."""
+    p = fixture_params()
+    return ScheduleSet(p.lambda_x, p.lambda_y, p.lambda_z,
+                       (NoiseSchedule(1.0, vs_x),), (NoiseSchedule(1.0, vs_y),),
+                       (NoiseSchedule(1.0, vs_z),))
 
 
 class TestSensitivityStep:
@@ -354,7 +364,7 @@ class TestCalibration:
     def test_round_trip_meets_target(self):
         p = fixture_params()
         for eps_hat in (0.1, 1.0, 10.0):
-            sx, sy, sz = calibrate_noise(eps_hat, p, 0.03, 0.05, 0.06)
+            sx, sy, sz = calibrate_noise(eps_hat, p, noise_decays(0.03, 0.05, 0.06))
             bound = infinite_horizon_bound(
                 p, NoiseSchedule(sx, 0.03), NoiseSchedule(sy, 0.05),
                 NoiseSchedule(sz, 0.06))
@@ -366,22 +376,60 @@ class TestCalibration:
 
     def test_halving_target_doubles_sigmas(self):
         p = fixture_params()
-        s1 = calibrate_noise(1.0, p, 0.03, 0.05, 0.06)
-        s2 = calibrate_noise(0.5, p, 0.03, 0.05, 0.06)
+        s1 = calibrate_noise(1.0, p, noise_decays(0.03, 0.05, 0.06))
+        s2 = calibrate_noise(0.5, p, noise_decays(0.03, 0.05, 0.06))
         for a, b in zip(s1, s2):
             assert b == pytest.approx(2 * a, rel=1e-14)
 
     def test_rejects_closed_gap(self):
         with pytest.raises(ValueError):
-            calibrate_noise(1.0, fixture_params(), 0.9, 0.05, 0.06)
+            calibrate_noise(1.0, fixture_params(), noise_decays(0.9, 0.05, 0.06))
 
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError):
-            calibrate_noise(0.0, fixture_params(), 0.03, 0.05, 0.06)
+            calibrate_noise(0.0, fixture_params(), noise_decays(0.03, 0.05, 0.06))
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf])
     def test_rejects_nonfinite_target(self, eps):
         # nan would patch sigma = NaN into the config, inf sigma = 0
         with pytest.raises(ValueError, match="finite"):
-            calibrate_noise(eps, fixture_params(), 0.03, 0.05, 0.06)
+            calibrate_noise(eps, fixture_params(), noise_decays(0.03, 0.05, 0.06))
 
+    def test_sizes_each_axis_at_its_largest_varsigma(self):
+        # mixed_schedules' largest varsigmas, 0.7, 0.08 and 0.1, sit on
+        # three different agents; each axis takes the closed form at its own
+        p = fixture_params()
+        c = closed_form_constants(p)
+        gaps = (0.95 - 0.12 - 0.7, 0.1 - 0.08, 0.12 - 0.1)
+        want = tuple(3.0 * math.sqrt(2) * C / (g * 2.0)
+                     for C, g in zip((c.Cx, c.Cy, c.Cz), gaps))
+        assert calibrate_noise(2.0, p, mixed_schedules(p)) == want
+
+
+class TestEpsAt:
+    @pytest.mark.parametrize("case", ["quadratic_sc", "mixed"])
+    def test_equals_budgets_on_the_grid(self, case):
+        # quadratic_sc's constants and preset, or per-agent sigma and varsigma
+        if case == "quadratic_sc":
+            cfg = load_config(os.path.join(os.path.dirname(__file__), "..",
+                                           "configs", "quadratic_sc.json"))
+            p, s = cfg.sensitivity, cfg.schedules
+        else:
+            p = fixture_params()
+            s = mixed_schedules(p)
+        T = 300
+        ts = np.array([0, 1, 2, 7, 128, 129, 299, 300])
+        got, accounts = eps_at(T, p, s, ts), budgets(T, p, s)
+        assert len(got) == s.m
+        for eps, (_, eps_cum) in zip(got, accounts):
+            assert np.array_equal(eps, eps_cum[ts])
+
+    def test_none_without_sensitivity(self):
+        assert eps_at(10, None, mixed_schedules(fixture_params()), [10]) is None
+
+    def test_none_with_a_zero_sigma_axis(self):
+        p = fixture_params()
+        s = mixed_schedules(p)
+        s = ScheduleSet(p.lambda_x, p.lambda_y, p.lambda_z, s.noise_x,
+                        s.noise_y[:3] + (NoiseSchedule(0.0, 0.05),), s.noise_z)
+        assert eps_at(10, p, s, [10]) is None
